@@ -3,7 +3,7 @@
 The library computes weight-lattice geometry, fusion rules, central-weight
 validation, quantum norm exponents and the completely-bounded extension region
 for the weighted Fourier algebras of such quantum groups, together with an
-independent numeric U_q(sl2) oracle for the central norm formula.
+independent exact U_q(sl2) oracle for the central norm formula.
 """
 
 from .root_system import (

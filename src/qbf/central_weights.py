@@ -80,8 +80,8 @@ def _to_decimal(x) -> Decimal:
 
 def _to_positive_decimal(x, name: str) -> Decimal:
     d = _to_decimal(x)
-    if d <= 0:
-        raise ValueError(f"{name} must be strictly positive, got {x}")
+    if not d.is_finite() or d <= 0:
+        raise ValueError(f"{name} must be finite and strictly positive, got {x}")
     return d
 
 

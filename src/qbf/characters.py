@@ -12,19 +12,24 @@ computed, so concurrent readers never observe partial results.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
+from types import MappingProxyType
 
 from .root_system import RootSystem, Weight
 
 
 @dataclass(frozen=True)
 class Character:
-    """Dominant-chamber-compressed weight system of one irreducible."""
+    """Dominant-chamber-compressed weight system of one irreducible.
+
+    ``dominant`` is read-only: instances are cached and shared by every caller.
+    """
 
     highest_weight: Weight
-    dominant: dict[Weight, int]
+    dominant: Mapping[Weight, int]
     dim: int
 
     def multiplicity(self, rs: RootSystem, weight) -> int:
@@ -106,22 +111,22 @@ def _weight_multiplicities(rs: RootSystem, mu: Weight) -> Character:
     expected = rs.weyl_dim(mu)
     if dim != expected:
         raise AssertionError(f"character of {mu} has size {dim}, Weyl dimension {expected}")
-    return Character(mu, mults, dim)
+    return Character(mu, MappingProxyType(mults), dim)
 
 
-def full_weights(rs: RootSystem, mu) -> dict[Weight, int]:
-    """Orbit-expanded weight system {weight: multiplicity}. Treat as read-only."""
+def full_weights(rs: RootSystem, mu) -> Mapping[Weight, int]:
+    """Orbit-expanded weight system {weight: multiplicity}, as a read-only mapping."""
     return _full_weights(rs, rs.check_dominant(mu))
 
 
 @lru_cache(maxsize=None)
-def _full_weights(rs: RootSystem, mu: Weight) -> dict[Weight, int]:
+def _full_weights(rs: RootSystem, mu: Weight) -> Mapping[Weight, int]:
     char = _weight_multiplicities(rs, mu)
     out: dict[Weight, int] = {}
     for nu, m in char.dominant.items():
         for w in rs.weyl_orbit(nu):
             out[w] = m
-    return out
+    return MappingProxyType(out)
 
 
 def _height_key(rs: RootSystem, w: Weight) -> tuple:

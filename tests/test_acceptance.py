@@ -240,15 +240,15 @@ def test_criterion_8_sl2_oracle():
     for q in ORACLE_QS:
         for m in range(0, 7):
             for n in range(0, 7):
-                rep = verify_norm_formula(q, m, n, tol=1e-8)
+                rep = verify_norm_formula(q, m, n)
                 if not rep.passed:
                     failures.append((str(q), m, n, rep.failures))
                     continue
-                if rep.relation_residual >= 1e-10:
+                if rep.relation_residual != 0:
                     failures.append((str(q), m, n, "relation residual"))
                 if not rep.exact_multiset_match:
                     failures.append((str(q), m, n, "eigen multiset"))
-                if rep.norm_rel_error > Decimal("1e-8"):
+                if rep.lambda_max != q ** (-m * n):
                     failures.append((str(q), m, n, "norm"))
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 30.0

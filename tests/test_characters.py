@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qbf.characters import character_product_decompose, full_weights, weight_multiplicities
+from qbf.fusion import tensor_decompose
 from qbf.root_system import build_root_system
 
 
@@ -73,6 +74,15 @@ class TestWeightMultiplicities:
     def test_memoised(self):
         rs = build_root_system("A2")
         assert weight_multiplicities(rs, (1, 1)) is weight_multiplicities(rs, [1, 1])
+
+    def test_cached_results_are_read_only(self):
+        rs = build_root_system("A2")
+        with pytest.raises(TypeError):
+            full_weights(rs, (1, 0))[(10, 8)] = 5
+        with pytest.raises(TypeError):
+            weight_multiplicities(rs, (1, 0)).dominant[(0, 0)] = 5
+        assert full_weights(rs, (1, 0)) == {(1, 0): 1, (-1, 1): 1, (0, -1): 1}
+        assert tensor_decompose(rs, (1, 0), (1, 0)).components == {(2, 0): 1, (0, 1): 1}
 
     def test_non_dominant_rejected(self):
         rs = build_root_system("A2")

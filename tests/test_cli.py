@@ -67,6 +67,12 @@ class TestJsonOutput:
         # (0,1) x (0,1) on B2 gives 10+5+1; (1) x (1) on A1 gives 2+0
         assert len(doc["components"]) == 6
 
+    def test_oracle_residual_is_exact(self, capsys):
+        _, out, _ = run_cli(COMMANDS["oracle-sl2"] + ["--format", "json"], capsys)
+        doc = json.loads(out)
+        assert doc["residuals"] == {"relations": "0"}
+        assert doc["norm"]["computed"] == doc["norm"]["expected"]
+
     def test_rationals_rendered_as_strings(self, capsys):
         _, out, _ = run_cli(COMMANDS["norm"] + ["--format", "json"], capsys)
         doc = json.loads(out)
@@ -111,6 +117,10 @@ class TestDeterminism:
         second = subprocess.run(cmd, capture_output=True, text=True)
         assert first.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_import_loads_no_numpy(self):
+        code = "import sys, qbf, qbf.cli; sys.exit('numpy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestExitCodes:
@@ -159,11 +169,34 @@ class TestExitCodes:
         assert doc["violations"][0]["weights"] == [[1], [1], [2]]
         jsonschema.validate(doc, SCHEMA)
 
-    def test_oracle_overtight_tol_exit_two(self, capsys):
+    def test_oracle_corrupted_exponents_exit_two(self, corrupted_exponents, capsys):
         code, out, _ = run_cli(["oracle-sl2", "--q", "0.5", "--m", "2", "--n", "3",
-                                "--tol", "1e-30", "--format", "json"], capsys)
+                                "--format", "json"], capsys)
         assert code == 2
-        assert json.loads(out)["passed"] is False
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        assert any("norm mismatch" in f for f in doc["failures"])
+        jsonschema.validate(doc, SCHEMA)
+
+    def test_out_into_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "result.json"
+        code, out, err = run_cli(COMMANDS["fusion"] + ["--out", str(target)], capsys)
+        assert code == 1 and out == "" and err.count("\n") == 1 and "error:" in err
+
+    @pytest.mark.parametrize("value", ["abc", "Infinity", float("inf")])
+    def test_bad_table_value(self, value, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps([{"mu": [0], "w": 1}, {"mu": [1], "w": value}]))
+        code, _, err = run_cli(["verify-weight", "--type", "A1", "--kind", "table",
+                                "--table", str(path), "--height", "2"], capsys)
+        assert code == 1 and err.count("\n") == 1 and "error:" in err
+
+    @pytest.mark.parametrize("beta", ["nan", "Infinity"])
+    def test_non_finite_beta(self, beta, capsys):
+        for args in (["cb-region", "--type", "A1", "--q", "0.5", "--height", "2"],
+                     ["verify-weight", "--type", "A1", "--kind", "lst", "--height", "2"]):
+            code, out, err = run_cli(args + ["--beta", beta], capsys)
+            assert code == 1 and out == "" and err.count("\n") == 1 and "finite" in err
 
     def test_missing_beta(self, capsys):
         code, _, err = run_cli(["verify-weight", "--type", "A1", "--kind", "beta",
