@@ -8,9 +8,10 @@ boundedly if and only if q^{-|lam|} <= beta, equivalently
 
 The decision depends on lam only; the compact-side representation never
 enters, which is why the API takes no such argument.  The boundary |lam| = t
-counts as extending.  Comparisons run at 50-digit (configurable) precision
-with a relative guard of 1e-30; decisions inside the guard are flagged as
-boundary cases so a sharp-threshold misclassification cannot pass silently.
+counts as extending.  Comparisons run at the fixed working precision of
+``precision.DIGITS`` = 50 digits with a relative guard of 1e-30; decisions
+inside the guard are flagged as boundary cases so a sharp-threshold
+misclassification cannot pass silently.
 
 Each decision carries a certificate: an extending lam has
 q^{-(lam,mu)} <= beta^{|mu|} for every mu, with the supremum 1 attained at
@@ -28,6 +29,9 @@ from . import precision
 from .qnorm import SessionConfig
 from .root_system import RootSystem, Weight
 
+# At DIGITS = 50 each input and each operation is rounded to a relative 1e-49,
+# so the computed |lam|^2 - t^2 is within a few units of 1e-49 * scale of its
+# exact value; the guard leaves a margin of about 10^18 over that rounding.
 BOUNDARY_GUARD = Decimal("1e-30")
 
 
@@ -53,28 +57,17 @@ class CBDecision:
     certificate: Certificate
 
 
-def _to_beta(beta) -> Decimal:
-    if isinstance(beta, float):
-        b = Decimal(repr(beta))
-    elif isinstance(beta, Fraction):
-        b = precision.to_decimal(beta, precision.make_context())
-    else:
-        b = Decimal(beta)
-    if b < 1:
-        raise ValueError(f"beta must be >= 1 (weights require w >= 1), got {beta}")
-    return b
-
-
 def _log_inv_q(cfg: SessionConfig, ctx: Context) -> Decimal:
     return ctx.minus(ctx.ln(precision.to_decimal(cfg.q, ctx)))
 
 
-def cb_extends(rs: RootSystem, cfg: SessionConfig, beta, lam,
-               digits: int | None = None) -> CBDecision:
+def cb_extends(rs: RootSystem, cfg: SessionConfig, beta, lam) -> CBDecision:
     """Decide whether the representation labelled by lam admits a CB extension."""
     lam = rs.check_dominant(lam)
-    b = _to_beta(beta)
-    ctx = precision.make_context(digits)
+    ctx = precision.make_context()
+    b = precision.to_decimal(beta, ctx)
+    if b < 1:
+        raise ValueError(f"beta must be >= 1 (weights require w >= 1), got {beta}")
     log_b = ctx.ln(b)
     log_inv_q = _log_inv_q(cfg, ctx)
     t = ctx.divide(log_b, log_inv_q)
@@ -109,16 +102,15 @@ def cb_extends(rs: RootSystem, cfg: SessionConfig, beta, lam,
     )
 
 
-def cb_region_enumerate(rs: RootSystem, cfg: SessionConfig, beta, height: int,
-                        digits: int | None = None) -> list[CBDecision]:
+def cb_region_enumerate(rs: RootSystem, cfg: SessionConfig, beta,
+                        height: int) -> list[CBDecision]:
     """Decisions for every dominant lam with coordinates <= height.
 
     Ordered by total coordinate sum, then lexicographically.
     """
     if height < 0:
         raise ValueError("height must be >= 0")
-    return [cb_extends(rs, cfg, beta, lam, digits=digits)
-            for lam in rs.dominant_weights_up_to(height)]
+    return [cb_extends(rs, cfg, beta, lam) for lam in rs.dominant_weights_up_to(height)]
 
 
 @dataclass(frozen=True)
@@ -134,7 +126,7 @@ class ScanReport:
 
 
 def sup_ratio_scan(rs: RootSystem, cfg: SessionConfig, beta, lam, height: int,
-                   ray_steps: int = 8, digits: int | None = None) -> ScanReport:
+                   ray_steps: int = 8) -> ScanReport:
     """Empirical scan of the log-ratio r(mu) = (lam,mu) log(1/q) - |mu| log(beta).
 
     Reports the maximum over all dominant mu up to the given height, the
@@ -143,8 +135,8 @@ def sup_ratio_scan(rs: RootSystem, cfg: SessionConfig, beta, lam, height: int,
     for an extending lam, strictly increasing along the ray otherwise.
     """
     lam = rs.check_dominant(lam)
-    decision = cb_extends(rs, cfg, beta, lam, digits=digits)
-    ctx = precision.make_context(digits)
+    decision = cb_extends(rs, cfg, beta, lam)
+    ctx = precision.make_context()
     log_b = ctx.ln(decision.beta)
     log_inv_q = _log_inv_q(cfg, ctx)
 
@@ -162,7 +154,7 @@ def sup_ratio_scan(rs: RootSystem, cfg: SessionConfig, beta, lam, height: int,
 
     ray = tuple(log_ratio(tuple(m * c for c in lam)) for m in range(1, ray_steps + 1))
 
-    eps = Decimal(10) ** -(ctx.prec - 10)
+    eps = Decimal(10) ** -(precision.DIGITS - 10)
     if decision.extends:
         consistent = best <= eps
     else:

@@ -51,7 +51,7 @@ class CentralWeightSpec:
 
     @classmethod
     def lst(cls, beta) -> "CentralWeightSpec":
-        b = _to_decimal(beta)
+        b = precision.to_decimal(beta, precision.make_context())
         if b < 0:
             raise ValueError(f"lst weights need beta >= 0, got {beta}")
         return cls(kind="lst", beta=b)
@@ -70,16 +70,8 @@ class CentralWeightSpec:
         return f"{self.kind}(beta={self.beta})"
 
 
-def _to_decimal(x) -> Decimal:
-    if isinstance(x, float):
-        return Decimal(repr(x))
-    if isinstance(x, Fraction):
-        return precision.to_decimal(x, precision.make_context())
-    return Decimal(x)
-
-
 def _to_positive_decimal(x, name: str) -> Decimal:
-    d = _to_decimal(x)
+    d = precision.to_decimal(x, precision.make_context())
     if not d.is_finite() or d <= 0:
         raise ValueError(f"{name} must be finite and strictly positive, got {x}")
     return d
@@ -90,14 +82,14 @@ class WeightValue(NamedTuple):
     log: Decimal
 
 
-def eval_weight(rs: RootSystem, spec: CentralWeightSpec, mu, digits: int | None = None) -> WeightValue:
+def eval_weight(rs: RootSystem, spec: CentralWeightSpec, mu) -> WeightValue:
     """Evaluate w(mu) and log w(mu) in high precision.
 
     beta_norm with beta < 1 is permitted here (the Z1 check will fail); a
     missing table entry raises.
     """
     mu = rs.check_dominant(mu)
-    ctx = precision.make_context(digits)
+    ctx = precision.make_context()
     log = _log_weight(rs, spec, mu, ctx)
     if log is None:
         raise KeyError(f"weight table has no entry for {mu}")
@@ -131,6 +123,7 @@ class ValidationReport:
     passed: bool
     violations: tuple[Violation, ...]
     truncation_height: int
+    checked: int                 # comparisons actually made; 0 never passes
     notes: tuple[str, ...] = ()
 
 
@@ -161,16 +154,23 @@ def _z2_exact(rs: RootSystem, spec: CentralWeightSpec,
     return rel <= 0
 
 
-def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec, height: int,
-                            digits: int | None = None) -> ValidationReport:
+def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
+                            height: int) -> ValidationReport:
     """Check Z1, Z2 and symmetry for all fusion triples up to the given height.
 
     A passing report certifies the conditions on the truncated fusion graph
     only; for table weights nothing is claimed beyond the covered triples.
+    A table must be nonempty with dominant keys of the right rank, and a
+    report that made no comparison does not pass.
     """
     if height < 1:
         raise ValueError("truncation height must be >= 1")
-    ctx = precision.make_context(digits)
+    if spec.kind == "table":
+        if not spec.table:
+            raise ValueError("weight table is empty")
+        for mu in spec.table:
+            rs.check_dominant(mu)
+    ctx = precision.make_context()
     tol = LOG_TOLERANCE
     notes: list[str] = [f"verified up to height {height}"]
     violations: list[Violation] = []
@@ -184,7 +184,7 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec, height: int
             logs[mu] = _log_weight(rs, spec, mu, ctx)
         return logs[mu]
 
-    skipped = 0
+    checked = skipped = 0
 
     # Z1: w(mu) >= 1, i.e. log w(mu) >= 0.
     for mu in weights:
@@ -192,6 +192,7 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec, height: int
         if lw is None:
             skipped += 1
             continue
+        checked += 1
         if lw < -tol * max(Decimal(1), abs(lw)):
             violations.append(Violation("Z1", (mu,), ctx.exp(lw), Decimal(1)))
 
@@ -209,6 +210,7 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec, height: int
                 if lnu is None:
                     skipped += 1
                     continue
+                checked += 1
                 gap = ctx.subtract(lnu, rhs)
                 scale = max(Decimal(1), abs(lnu), abs(rhs))
                 if abs(gap) <= tol * scale:
@@ -224,6 +226,7 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec, height: int
     for mu in weights:
         conj = rs.conjugate_weight(mu)
         if spec.kind in ("beta_norm", "lst"):
+            checked += 1
             # |mu| and c(mu) are conjugation invariants; check them exactly.
             same = (rs.norm_sq(mu) == rs.norm_sq(conj)
                     and rs.casimir(mu) == rs.casimir(conj))
@@ -236,6 +239,7 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec, height: int
         if lw is None or lc is None:
             skipped += 1
             continue
+        checked += 1
         if abs(ctx.subtract(lw, lc)) > tol * max(Decimal(1), abs(lw), abs(lc)):
             violations.append(Violation("SYM", (mu, conj), lw, lc))
 
@@ -249,9 +253,10 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec, height: int
     violations.sort(key=lambda v: (v.condition, v.weights))
     return ValidationReport(
         spec=spec,
-        passed=not violations,
+        passed=checked > 0 and not violations,
         violations=tuple(violations),
         truncation_height=height,
+        checked=checked,
         notes=tuple(notes),
     )
 
@@ -266,8 +271,7 @@ class SubadditivityReport:
     violations: tuple[tuple[Weight, Weight, Weight], ...] = ()
 
 
-def casimir_subadditivity_check(rs: RootSystem, height: int,
-                                digits: int | None = None) -> SubadditivityReport:
+def casimir_subadditivity_check(rs: RootSystem, height: int) -> SubadditivityReport:
     """Verify c(nu)^{1/2} <= c(lam)^{1/2} + c(mu)^{1/2} for fusion triples.
 
     The verdict for each triple is decided exactly in squared-rational form;
@@ -275,7 +279,7 @@ def casimir_subadditivity_check(rs: RootSystem, height: int,
     """
     if height < 1:
         raise ValueError("truncation height must be >= 1")
-    ctx = precision.make_context(digits)
+    ctx = precision.make_context()
     weights = rs.dominant_weights_up_to(height)
     roots: dict[Weight, Decimal] = {}
 

@@ -57,16 +57,6 @@ def _parse_weight(text: str, rank: int, name: str) -> tuple[int, ...]:
     return coords
 
 
-def _parse_q(text: str) -> Fraction:
-    try:
-        q = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"q must be a rational in (0,1) like 0.5 or 1/2, got {text!r}")
-    if not 0 < q < 1:
-        raise CliError(f"q must satisfy 0 < q < 1, got {text}")
-    return q
-
-
 def _parse_beta(text: str) -> Decimal:
     try:
         beta = Decimal(text)
@@ -98,9 +88,7 @@ class _Renderer:
     def __init__(self, digits: int):
         self.digits = digits
 
-    def real(self, x) -> str:
-        if isinstance(x, float):
-            x = Decimal(repr(x))
+    def real(self, x: Decimal) -> str:
         return precision.render(x, self.digits)
 
 
@@ -221,7 +209,7 @@ def _cmd_verify_weight(args, render: _Renderer) -> int:
 
 def _cmd_norm(args, render: _Renderer) -> int:
     rs = build_root_system(args.type)
-    cfg = SessionConfig(_parse_q(args.q), precision=render.digits)
+    cfg = SessionConfig(args.q)
     lam = _parse_weight(args.lam, rs.rank, "--lambda")
     mu = _parse_weight(args.mu, rs.rank, "--mu")
     routes: dict[str, dict] = {}
@@ -262,7 +250,7 @@ def _cmd_norm(args, render: _Renderer) -> int:
 def _cmd_cb_region(args, render: _Renderer) -> int:
     rs = build_root_system(args.type)
     _check_height_cap(rs, args.height, args.force)
-    cfg = SessionConfig(_parse_q(args.q), precision=render.digits)
+    cfg = SessionConfig(args.q)
     beta = _parse_beta(args.beta)
     decisions = cb_region_enumerate(rs, cfg, beta, args.height)
     json_rows = []
@@ -308,7 +296,7 @@ def _cmd_cb_region(args, render: _Renderer) -> int:
 def _cmd_oracle_sl2(args, render: _Renderer) -> int:
     if args.m < 0 or args.n < 0:
         raise CliError("--m and --n must be nonnegative integers")
-    report = verify_norm_formula(_parse_q(args.q), args.m, args.n)
+    report = verify_norm_formula(args.q, args.m, args.n)
     payload = {
         "q": _frac(report.q),
         "m": report.m,
@@ -444,8 +432,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.precision < 1 or args.precision > 50:
-            raise CliError("--precision must be between 1 and 50")
+        if not 1 <= args.precision <= precision.DIGITS:
+            raise CliError(f"--precision must be between 1 and {precision.DIGITS}")
         return _DISPATCH[args.command](args, _Renderer(args.precision))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

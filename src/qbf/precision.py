@@ -1,39 +1,26 @@
 """High-precision decimal helpers shared by the weight validators and region code.
 
 All non-rational arithmetic in this package (square roots, logarithms,
-exponentials) runs in a :mod:`decimal` context whose precision defaults to 50
-significant digits and can be overridden through the ``QBF_PRECISION``
-environment variable.
+exponentials) runs in a :mod:`decimal` context of ``DIGITS`` significant
+digits.  The precision is fixed: the tolerances of the callers are sized for
+it.  ``to_decimal`` is also the one coercion of user-supplied reals.
 """
 
 from __future__ import annotations
 
-import os
 from decimal import Context, Decimal
 from fractions import Fraction
 
-DEFAULT_DIGITS = 50
-_ENV_VAR = "QBF_PRECISION"
+DIGITS = 50
 
 
-def working_digits(digits: int | None = None) -> int:
-    """Resolve the number of significant digits for high-precision work."""
-    if digits is None:
-        raw = os.environ.get(_ENV_VAR)
-        if raw:
-            try:
-                digits = int(raw)
-            except ValueError:
-                raise ValueError(f"{_ENV_VAR} must be an integer digit count, got {raw!r}")
-        else:
-            digits = DEFAULT_DIGITS
-    if digits < 10:
-        raise ValueError(f"precision must be at least 10 digits, got {digits}")
-    return digits
+def working_digits() -> int:
+    """Number of significant digits for high-precision work."""
+    return DIGITS
 
 
-def make_context(digits: int | None = None) -> Context:
-    return Context(prec=working_digits(digits))
+def make_context() -> Context:
+    return Context(prec=working_digits())
 
 
 def to_decimal(x, ctx: Context) -> Decimal:

@@ -35,9 +35,9 @@ class QExponent:
 
     value: Fraction
 
-    def q_power(self, q, digits: int | None = None) -> Decimal:
+    def q_power(self, q) -> Decimal:
         """Render q^value as a high-precision decimal."""
-        ctx = precision.make_context(digits)
+        ctx = precision.make_context()
         qd = precision.to_decimal(_check_q(q), ctx)
         e = precision.to_decimal(self.value, ctx)
         return ctx.exp(ctx.multiply(e, ctx.ln(qd)))
@@ -47,7 +47,12 @@ class QExponent:
 
 
 def _check_q(q) -> Fraction:
-    qf = Fraction(repr(q)) if isinstance(q, float) else Fraction(q)
+    try:
+        qf = Fraction(repr(q)) if isinstance(q, float) else Fraction(q)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(
+            f"deformation parameter q must be a rational in (0, 1) like 0.5 or 1/2, got {q!r}"
+        ) from None
     if not 0 < qf < 1:
         raise ValueError(f"deformation parameter q must satisfy 0 < q < 1, got {q}")
     return qf
@@ -55,21 +60,16 @@ def _check_q(q) -> Fraction:
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Deformation parameter and rendering precision for a run.
+    """Deformation parameter for a run.
 
     Floats are canonicalised through their decimal repr, so q=0.3 is exactly
-    3/10.  ``precision`` is the number of significant digits used when a
-    rational power of q is rendered as a decimal.
+    3/10.
     """
 
     q: Fraction
-    precision: int = 12
 
-    def __init__(self, q, precision: int = 12):
+    def __init__(self, q):
         object.__setattr__(self, "q", _check_q(q))
-        if precision < 1:
-            raise ValueError("precision must be a positive digit count")
-        object.__setattr__(self, "precision", int(precision))
 
 
 def lminus_norm_exponent(rs: RootSystem, lam, mu) -> QExponent:

@@ -286,7 +286,7 @@ class OracleReport:
     failures: tuple[str, ...] = ()
 
 
-def verify_norm_formula(q, m: int, n: int, digits: int | None = None) -> OracleReport:
+def verify_norm_formula(q, m: int, n: int) -> OracleReport:
     """Full exact oracle run for one (q, m, n) triple.
 
     Checks, in order: the generator relations over Q, the eigenvalue
@@ -297,7 +297,7 @@ def verify_norm_formula(q, m: int, n: int, digits: int | None = None) -> OracleR
     no block is certified.
     """
     qf = _check_q(q)
-    ctx = precision.make_context(digits)
+    ctx = precision.make_context()
     failures: list[str] = []
 
     rel = max(max(relation_residuals(build_sl2_rep(qf, label)).values()) for label in (m, n))

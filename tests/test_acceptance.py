@@ -176,7 +176,7 @@ def test_criterion_6_casimir_subadditivity():
     total = 0
     for typ, height in FUSION_SWEEP:
         rs = build_root_system(typ)
-        rep = casimir_subadditivity_check(rs, height, digits=50)
+        rep = casimir_subadditivity_check(rs, height)
         total += rep.triples_checked
         if not rep.passed:
             bad.append((typ, rep.violations[:3]))

@@ -118,6 +118,18 @@ class TestValidate:
         assert any("w(0)" in n for n in report.notes)
         assert any("skipped" in n for n in report.notes)
 
+    def test_table_without_covered_weights_does_not_pass(self):
+        rs = build_root_system("A1")
+        report = validate_central_weight(rs, CentralWeightSpec.from_table({(5,): 2}), 1)
+        assert report.checked == 0 and not report.passed and not report.violations
+        assert validate_central_weight(rs, CentralWeightSpec.beta_norm(2), 1).checked > 0
+
+    @pytest.mark.parametrize("table", [{}, {(1, 2, 3): 2}, {(-1,): 2}])
+    def test_table_keys_validated(self, table):
+        rs = build_root_system("A1")
+        with pytest.raises(ValueError):
+            validate_central_weight(rs, CentralWeightSpec.from_table(table), 1)
+
     def test_sym_exact_for_builtin(self):
         rs = build_root_system("A2")
         spec = CentralWeightSpec.beta_norm(4)

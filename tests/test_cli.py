@@ -100,6 +100,16 @@ class TestFormats:
         assert code == 0 and out == ""
         jsonschema.validate(json.loads(target.read_text()), SCHEMA)
 
+    def test_precision_sets_rendered_digits(self, capsys):
+        cmd = ["cb-region", "--type", "A1", "--q", "0.5", "--beta", "2", "--height", "1",
+               "--format", "json"]
+        code, out, _ = run_cli(["--precision", "5"] + cmd, capsys)
+        # beta_min of lam = (1,) is 2^{|lam|} = 2^{1/sqrt 2}
+        assert code == 0 and json.loads(out)["rows"][1]["beta_min"] == "1.6325"
+        code, out, _ = run_cli(["--precision", "50"] + cmd, capsys)
+        assert code == 0 and json.loads(out)["rows"][1]["beta_min"] == (
+            "1.6325269194381528447734953810247196020791088570531")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -190,6 +200,19 @@ class TestExitCodes:
         code, _, err = run_cli(["verify-weight", "--type", "A1", "--kind", "table",
                                 "--table", str(path), "--height", "2"], capsys)
         assert code == 1 and err.count("\n") == 1 and "error:" in err
+
+    @pytest.mark.parametrize("table", [[], [{"mu": [1, 2, 3], "w": 2}]])
+    def test_table_checking_nothing_rejected(self, table, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        code, out, err = run_cli(["verify-weight", "--type", "A2", "--kind", "table",
+                                  "--table", str(path), "--height", "2"], capsys)
+        assert code == 1 and out == "" and err.count("\n") == 1 and "error:" in err
+
+    @pytest.mark.parametrize("digits", ["0", "51"])
+    def test_precision_out_of_range(self, digits, capsys):
+        code, out, err = run_cli(["--precision", digits] + COMMANDS["fusion"], capsys)
+        assert code == 1 and out == "" and err.count("\n") == 1 and "--precision" in err
 
     @pytest.mark.parametrize("beta", ["nan", "Infinity"])
     def test_non_finite_beta(self, beta, capsys):

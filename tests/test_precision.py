@@ -1,40 +1,34 @@
+import ast
+import inspect
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import qbf
 from qbf import precision
+from qbf.central_weights import _triangle_compare
 
 
 def test_default_digits():
-    assert precision.working_digits() == 50
-
-
-def test_env_override(monkeypatch):
-    monkeypatch.setenv("QBF_PRECISION", "30")
-    assert precision.working_digits() == 30
-    assert precision.make_context().prec == 30
-
-
-def test_env_garbage_rejected(monkeypatch):
-    monkeypatch.setenv("QBF_PRECISION", "many")
-    with pytest.raises(ValueError, match="QBF_PRECISION"):
-        precision.working_digits()
-
-
-def test_too_small_rejected():
-    with pytest.raises(ValueError, match="at least 10"):
-        precision.working_digits(4)
+    assert precision.working_digits() == precision.DIGITS == 50
+    assert precision.make_context().prec == precision.DIGITS
 
 
 def test_to_decimal_float_uses_repr():
-    ctx = precision.make_context(50)
+    ctx = precision.make_context()
     assert precision.to_decimal(0.3, ctx) == Decimal("0.3")
     assert precision.to_decimal(Fraction(1, 4), ctx) == Decimal("0.25")
 
 
 def test_sqrt_fraction():
-    ctx = precision.make_context(50)
+    ctx = precision.make_context()
     root = precision.sqrt_fraction(Fraction(2), ctx)
     assert abs(root * root - 2) < Decimal("1e-48")
     with pytest.raises(ValueError, match="negative"):
@@ -44,3 +38,90 @@ def test_sqrt_fraction():
 def test_render_fixed_significance():
     assert precision.render(Decimal("2.665144142690225"), 12) == "2.66514414269"
     assert precision.render(Decimal(1), 12) == "1"
+
+
+small = st.fractions(min_value=0, max_value=1000, max_denominator=1000)
+
+
+@st.composite
+def triangle_triples(draw):
+    """(a, b, c) drawn independently, with a = b + c, or on or next to
+    sqrt(a) = sqrt(b) + sqrt(c)."""
+    x, y = draw(small), draw(small)
+    kind = draw(st.sampled_from(("free", "sum", "square")))
+    if kind == "free":
+        return draw(small), x, y
+    if kind == "sum":
+        return x + y, x, y
+    shift = draw(st.sampled_from((0, Fraction(1, 10**6), -Fraction(1, 10**6))))
+    return max(Fraction(0), (x + y) ** 2 + shift), x * x, y * y
+
+
+@given(triangle_triples())
+@example((Fraction(9), Fraction(1), Fraction(4)))
+@example((Fraction(2), Fraction(1), Fraction(1)))
+def test_triangle_compare_matches_decimal_sign(triple):
+    a, b, c = triple
+    ctx = precision.make_context()
+    value = ctx.subtract(precision.sqrt_fraction(a, ctx),
+                         ctx.add(precision.sqrt_fraction(b, ctx),
+                                 precision.sqrt_fraction(c, ctx)))
+    # Drawn values keep a nonzero exact difference far above this rounding bound.
+    eps = Decimal(10) ** -(precision.DIGITS - 10)
+    sign = _triangle_compare(a, b, c)
+    if sign == 0:
+        assert abs(value) <= eps
+    else:
+        assert abs(value) > eps and (value > 0) == (sign > 0)
+
+
+def _public_callables():
+    for name in qbf.__all__:
+        obj = getattr(qbf, name)
+        if inspect.isclass(obj):
+            yield f"{name}()", obj
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+        elif callable(obj):
+            yield name, obj
+
+
+def test_no_digits_parameter():
+    callables = dict(_public_callables())
+    assert "QExponent.q_power" in callables and "cb_extends" in callables
+    for name, fn in callables.items():
+        try:
+            params = inspect.signature(fn).parameters
+        except ValueError:
+            continue
+        assert "digits" not in params, name
+
+
+def test_no_module_reads_the_environment():
+    for path in sorted(Path(qbf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not names & {"environ", "environb", "getenv", "getenvb"}, path.name
+
+
+def test_precision_env_var_has_no_effect():
+    # The exact-boundary case beta = q^{-|lam|} (A1, q = 1/2, lam = (2,)) must
+    # be decided as an inclusive boundary whatever the environment says.
+    code = (
+        "from decimal import Context, Decimal\n"
+        "from qbf import SessionConfig, build_root_system, cb_extends\n"
+        "ctx = Context(prec=50)\n"
+        "beta = ctx.exp(ctx.multiply(ctx.sqrt(Decimal(2)), ctx.ln(Decimal(2))))\n"
+        "d = cb_extends(build_root_system('A1'), SessionConfig('0.5'), beta, (2,))\n"
+        "print(d.extends, d.boundary)\n"
+    )
+    env = dict(os.environ, QBF_PRECISION="12")
+    src = str(Path(qbf.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["True", "True"]

@@ -118,5 +118,8 @@ class TestQExponent:
                 SessionConfig(bad)
         assert SessionConfig(0.3).q == Fraction(3, 10)
         assert SessionConfig("0.5").q == Fraction(1, 2)
-        with pytest.raises(ValueError, match="precision"):
-            SessionConfig(0.5, precision=0)
+
+    @pytest.mark.parametrize("bad", ["1/0", "abc", "", "inf"])
+    def test_malformed_q_is_value_error(self, bad):
+        with pytest.raises(ValueError, match="q must be a rational"):
+            SessionConfig(bad)
