@@ -8,10 +8,13 @@ precisely when
 * SYM: w(mu) = w(conjugate(mu)).
 
 Z2 quantifies over infinitely many fusion triples, so the validator only ever
-certifies "verified up to height H".  Comparisons run in the log domain with
-a relative tolerance of 1e-12; whenever a built-in family permits an exact
-squared-rational reformulation, comparisons within tolerance of equality are
-settled exactly instead of trusting floating point.
+certifies "verified up to height H".  Z2 is symmetric in (lam, mu), so each
+unordered pair is decomposed and compared once and counted, like any
+violation it yields, under both orientations.  Comparisons run in the log
+domain with a relative tolerance of 1e-12; whenever a built-in family permits
+an exact squared-rational reformulation, comparisons within tolerance of
+equality are settled exactly, on the root system's memoised scaled integers,
+instead of trusting floating point.
 
 Built-in families:
 
@@ -124,11 +127,16 @@ class ValidationReport:
     violations: tuple[Violation, ...]
     truncation_height: int
     checked: int                 # comparisons actually made; 0 never passes
+    skipped: int                 # comparisons skipped for missing table entries
     notes: tuple[str, ...] = ()
 
 
 def _triangle_compare(a: Fraction, b: Fraction, c: Fraction) -> int:
-    """Exact sign of sqrt(a) - (sqrt(b) + sqrt(c)) for nonnegative rationals."""
+    """Exact sign of sqrt(a) - (sqrt(b) + sqrt(c)) for nonnegative rationals.
+
+    The sign is unchanged when a, b, c share a positive scale, so callers may
+    pass the root system's integers scaled by ``_gram_den``.
+    """
     s = a - b - c
     if s <= 0:
         if s == 0 and b * c == 0:
@@ -146,12 +154,13 @@ def _z2_exact(rs: RootSystem, spec: CentralWeightSpec,
     if spec.beta == (1 if spec.kind == "beta_norm" else 0):
         return True  # w is identically 1
     if spec.kind == "beta_norm":
-        rel = _triangle_compare(rs.norm_sq(nu), rs.norm_sq(lam), rs.norm_sq(mu))
+        f = rs._norm_scaled
+        rel = _triangle_compare(f(nu), f(lam), f(mu))
         if spec.beta < 1:
             return rel >= 0  # log beta < 0 reverses the inequality
         return rel <= 0
-    rel = _triangle_compare(rs.casimir(nu), rs.casimir(lam), rs.casimir(mu))
-    return rel <= 0
+    f = rs._casimir_scaled
+    return _triangle_compare(f(nu), f(lam), f(mu)) <= 0
 
 
 def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
@@ -196,31 +205,35 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
         if lw < -tol * max(Decimal(1), abs(lw)):
             violations.append(Violation("Z1", (mu,), ctx.exp(lw), Decimal(1)))
 
-    # Z2: w(nu) <= w(lam) w(mu) over the truncated fusion graph.
-    for lam in weights:
+    # Z2: w(nu) <= w(lam) w(mu) over the truncated fusion graph.  Every
+    # comparison is symmetric in (lam, mu), so an unordered pair stands for
+    # both orientations: it counts twice and records each violation twice.
+    for i, lam in enumerate(weights):
         llam = log_of(lam)
-        for mu in weights:
+        for mu in weights[i:]:
+            orientations = ((lam, mu),) if lam == mu else ((lam, mu), (mu, lam))
             lmu = log_of(mu)
             if llam is None or lmu is None:
-                skipped += 1
+                skipped += len(orientations)
                 continue
             rhs = ctx.add(llam, lmu)
             for nu, _m in tensor_decompose(rs, lam, mu).components.items():
                 lnu = log_of(nu)
                 if lnu is None:
-                    skipped += 1
+                    skipped += len(orientations)
                     continue
-                checked += 1
+                checked += len(orientations)
                 gap = ctx.subtract(lnu, rhs)
                 scale = max(Decimal(1), abs(lnu), abs(rhs))
                 if abs(gap) <= tol * scale:
-                    exact = _z2_exact(rs, spec, lam, mu, nu)
-                    if exact is False:
-                        violations.append(Violation("Z2", (lam, mu, nu), lnu, rhs))
+                    violated = _z2_exact(rs, spec, lam, mu, nu) is False
                 elif gap > 0:
-                    exact = _z2_exact(rs, spec, lam, mu, nu)
-                    if exact is not True:
-                        violations.append(Violation("Z2", (lam, mu, nu), lnu, rhs))
+                    violated = _z2_exact(rs, spec, lam, mu, nu) is not True
+                else:
+                    violated = False
+                if violated:
+                    violations.extend(Violation("Z2", (a, b, nu), lnu, rhs)
+                                      for a, b in orientations)
 
     # SYM: w(mu) = w(conjugate(mu)).
     for mu in weights:
@@ -228,8 +241,8 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
         if spec.kind in ("beta_norm", "lst"):
             checked += 1
             # |mu| and c(mu) are conjugation invariants; check them exactly.
-            same = (rs.norm_sq(mu) == rs.norm_sq(conj)
-                    and rs.casimir(mu) == rs.casimir(conj))
+            same = (rs._norm_scaled(mu) == rs._norm_scaled(conj)
+                    and rs._casimir_scaled(mu) == rs._casimir_scaled(conj))
             if not same:
                 violations.append(Violation("SYM", (mu, conj),
                                             log_of(mu) or Decimal(0),
@@ -257,6 +270,7 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
         violations=tuple(violations),
         truncation_height=height,
         checked=checked,
+        skipped=skipped,
         notes=tuple(notes),
     )
 
@@ -274,18 +288,20 @@ class SubadditivityReport:
 def casimir_subadditivity_check(rs: RootSystem, height: int) -> SubadditivityReport:
     """Verify c(nu)^{1/2} <= c(lam)^{1/2} + c(mu)^{1/2} for fusion triples.
 
-    The verdict for each triple is decided exactly in squared-rational form;
-    the reported slack is evaluated with high-precision square roots.
+    The verdict for each triple is decided exactly in squared-rational form,
+    on the root system's memoised Casimirs scaled to integers; the reported
+    slack is evaluated with high-precision square roots.
     """
     if height < 1:
         raise ValueError("truncation height must be >= 1")
     ctx = precision.make_context()
     weights = rs.dominant_weights_up_to(height)
+    cas = rs._casimir_scaled
     roots: dict[Weight, Decimal] = {}
 
     def root_of(mu: Weight) -> Decimal:
         if mu not in roots:
-            roots[mu] = precision.sqrt_fraction(rs.casimir(mu), ctx)
+            roots[mu] = precision.sqrt_fraction(Fraction(cas(mu), rs._gram_den), ctx)
         return roots[mu]
 
     checked = 0
@@ -293,12 +309,15 @@ def casimir_subadditivity_check(rs: RootSystem, height: int) -> SubadditivityRep
     witness = None
     violations: list[tuple[Weight, Weight, Weight]] = []
     for i, lam in enumerate(weights):
+        c_lam = cas(lam)
         for mu in weights[i:]:
+            c_mu = cas(mu)
+            rhs = ctx.add(root_of(lam), root_of(mu))
             for nu, _m in tensor_decompose(rs, lam, mu).components.items():
                 checked += 1
-                if _triangle_compare(rs.casimir(nu), rs.casimir(lam), rs.casimir(mu)) > 0:
+                if _triangle_compare(cas(nu), c_lam, c_mu) > 0:
                     violations.append((lam, mu, nu))
-                slack = ctx.subtract(ctx.add(root_of(lam), root_of(mu)), root_of(nu))
+                slack = ctx.subtract(rhs, root_of(nu))
                 if min_slack is None or slack < min_slack:
                     min_slack = slack
                     witness = (lam, mu, nu)

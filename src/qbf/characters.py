@@ -96,7 +96,7 @@ def _weight_multiplicities(rs: RootSystem, mu: Weight) -> Character:
                 xi = tuple(c + k * a for c, a in zip(nu, alpha))
                 if den_ip(xi, xi) > mu_norm:
                     break
-                m = mults.get(rs.dominant_representative(xi)[0], 0)
+                m = mults.get(rs._dominant_rep(xi)[0], 0)
                 if m:
                     total += m * den_ip(xi, alpha)
                 k += 1

@@ -55,12 +55,16 @@ def tensor_decompose(rs: RootSystem, lam, mu) -> FusionDecomposition:
 
 @lru_cache(maxsize=None)
 def _tensor_components(rs: RootSystem, lam: Weight, mu: Weight) -> tuple[tuple[Weight, int], ...]:
-    expand, anchor = (lam, mu) if rs.weyl_dim(lam) <= rs.weyl_dim(mu) else (mu, lam)
+    expand, anchor = (lam, mu) if rs._weyl_dim(lam) <= rs._weyl_dim(mu) else (mu, lam)
     shifted = tuple(c + 1 for c in anchor)
     acc: dict[Weight, int] = {}
     for w, m in full_weights(rs, expand).items():
         x = tuple(s + c for s, c in zip(shifted, w))
-        y, sign, singular = rs.dominant_representative(x)
+        if min(x) > 0:  # already strictly dominant: no reflection, sign +1
+            nu = tuple(c - 1 for c in x)
+            acc[nu] = acc.get(nu, 0) + m
+            continue
+        y, sign, singular = rs._dominant_rep(x)
         if singular:
             continue
         nu = tuple(c - 1 for c in y)

@@ -8,7 +8,7 @@ it.  ``to_decimal`` is also the one coercion of user-supplied reals.
 
 from __future__ import annotations
 
-from decimal import Context, Decimal
+from decimal import Context, Decimal, Overflow
 from fractions import Fraction
 
 DIGITS = 50
@@ -26,15 +26,20 @@ def make_context() -> Context:
 def to_decimal(x, ctx: Context) -> Decimal:
     """Convert int/str/float/Fraction/Decimal to Decimal in the given context.
 
-    Floats go through their shortest decimal repr, so 0.3 means 3/10.
+    Floats go through their shortest decimal repr, so 0.3 means 3/10.  A value
+    beyond the context's exponent range is a ``ValueError``, like any other
+    unusable user real.
     """
-    if isinstance(x, Decimal):
-        return ctx.plus(x)
-    if isinstance(x, Fraction):
-        return ctx.divide(Decimal(x.numerator), Decimal(x.denominator))
-    if isinstance(x, float):
-        return ctx.plus(Decimal(repr(x)))
-    return ctx.plus(Decimal(x))
+    try:
+        if isinstance(x, Decimal):
+            return ctx.plus(x)
+        if isinstance(x, Fraction):
+            return ctx.divide(Decimal(x.numerator), Decimal(x.denominator))
+        if isinstance(x, float):
+            return ctx.plus(Decimal(repr(x)))
+        return ctx.plus(Decimal(x))
+    except Overflow:
+        raise ValueError(f"{x} is out of the decimal range (exponent above {ctx.Emax})") from None
 
 
 def sqrt_fraction(fr: Fraction, ctx: Context) -> Decimal:

@@ -167,6 +167,10 @@ class RootSystem:
 
     Instances are created through :func:`build_root_system`, are safe to share
     between threads, and all methods are pure functions of their arguments.
+    Per-weight invariants (the scaled Casimir and norm^2, the Weyl dimension)
+    are memoised in dicts on the instance; those dicts only ever receive
+    idempotent writes of deterministic values, so concurrent readers and
+    writers can at worst compute an entry twice, and sharing stays safe.
     """
 
     def __init__(self, lie_type: LieType):
@@ -216,6 +220,11 @@ class RootSystem:
             for a in self.positive_roots
         )
         self._rho_pairing = tuple(sum(v) for v in self._proot_pairing)
+
+        # Per-weight memos, keyed by checked weights; see the class docstring.
+        self._casimir_memo: dict[Weight, int] = {}
+        self._norm_memo: dict[Weight, int] = {}
+        self._dim_memo: dict[Weight, int] = {}
 
         self._self_check()
 
@@ -300,24 +309,42 @@ class RootSystem:
 
     def norm_sq(self, x) -> Fraction:
         """(x, x); the squared length |x|^2, always a nonnegative rational."""
-        return self.inner_product(x, x)
+        return Fraction(self._norm_scaled(self.check_weight(x)), self._gram_den)
+
+    def _norm_scaled(self, x: Weight) -> int:
+        """(x, x) * _gram_den for an already checked weight, memoised."""
+        v = self._norm_memo.get(x)
+        if v is None:
+            v = self._norm_memo[x] = self._ip_scaled(x, x)
+        return v
 
     def casimir(self, mu) -> Fraction:
         """Quadratic Casimir eigenvalue (mu, mu + 2 rho) of a dominant weight."""
-        mu = self.check_dominant(mu)
-        shifted = tuple(c + 2 for c in mu)
-        return self.inner_product(mu, shifted)
+        return Fraction(self._casimir_scaled(self.check_dominant(mu)), self._gram_den)
+
+    def _casimir_scaled(self, mu: Weight) -> int:
+        """(mu, mu + 2 rho) * _gram_den for an already checked dominant weight, memoised."""
+        v = self._casimir_memo.get(mu)
+        if v is None:
+            v = self._casimir_memo[mu] = self._ip_scaled(mu, tuple(c + 2 for c in mu))
+        return v
 
     def weyl_dim(self, mu) -> int:
         """Dimension of the irreducible with highest weight mu (Weyl formula)."""
-        mu = self.check_dominant(mu)
-        shifted = tuple(c + 1 for c in mu)
-        dim = Fraction(1)
-        for v, rho_a in zip(self._proot_pairing, self._rho_pairing):
-            dim *= Fraction(sum(shifted[i] * v[i] for i in range(self.rank)), rho_a)
-        if dim.denominator != 1:
-            raise AssertionError(f"Weyl dimension of {mu} is not an integer: {dim}")
-        return int(dim)
+        return self._weyl_dim(self.check_dominant(mu))
+
+    def _weyl_dim(self, mu: Weight) -> int:
+        """Weyl dimension of an already checked dominant weight, memoised."""
+        v = self._dim_memo.get(mu)
+        if v is None:
+            shifted = tuple(c + 1 for c in mu)
+            dim = Fraction(1)
+            for w, rho_a in zip(self._proot_pairing, self._rho_pairing):
+                dim *= Fraction(sum(shifted[i] * w[i] for i in range(self.rank)), rho_a)
+            if dim.denominator != 1:
+                raise AssertionError(f"Weyl dimension of {mu} is not an integer: {dim}")
+            v = self._dim_memo[mu] = int(dim)
+        return v
 
     # -- Weyl group --------------------------------------------------------
 
@@ -335,7 +362,11 @@ class RootSystem:
         what the fusion algorithm consumes on rho-shifted inputs; callers on
         the unshifted lattice can ignore it.
         """
-        y = list(self.check_weight(x))
+        return self._dominant_rep(self.check_weight(x))
+
+    def _dominant_rep(self, x: Weight) -> tuple[Weight, int, bool]:
+        """:meth:`dominant_representative` of an already checked weight."""
+        y = list(x)
         A = self.cartan
         N = self.rank
         sign = 1
@@ -353,7 +384,7 @@ class RootSystem:
     def conjugate_weight(self, mu) -> Weight:
         """Highest weight of the conjugate representation: the dominant form of -mu."""
         mu = self.check_dominant(mu)
-        return self.dominant_representative(tuple(-c for c in mu))[0]
+        return self._dominant_rep(tuple(-c for c in mu))[0]
 
     def weyl_orbit(self, x) -> list[Weight]:
         """The full Weyl orbit of x, sorted for determinism."""

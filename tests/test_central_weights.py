@@ -1,15 +1,22 @@
 from decimal import Context, Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qbf import precision
 from qbf.central_weights import (
     LOG_TOLERANCE,
     CentralWeightSpec,
+    Violation,
+    _log_weight,
+    _z2_exact,
     casimir_subadditivity_check,
     eval_weight,
     validate_central_weight,
 )
-from qbf.root_system import build_root_system
+from qbf.fusion import tensor_decompose
+from qbf.root_system import LieType, RootSystem, build_root_system
 
 CTX = Context(prec=50)
 
@@ -116,7 +123,10 @@ class TestValidate:
         spec = CentralWeightSpec.from_table({(0,): 2, (1,): 2})
         report = validate_central_weight(rs, spec, 1)
         assert any("w(0)" in n for n in report.notes)
-        assert any("skipped" in n for n in report.notes)
+        # (1) x (1) = (2) + (0) and w(2) is missing: one Z2 comparison skipped
+        assert report.skipped == 1
+        assert f"informational: {report.skipped} comparisons skipped, table entries missing" in report.notes
+        assert validate_central_weight(rs, CentralWeightSpec.beta_norm(2), 3).skipped == 0
 
     def test_table_without_covered_weights_does_not_pass(self):
         rs = build_root_system("A1")
@@ -165,3 +175,107 @@ class TestSubadditivity:
         assert report.passed
         # lam = 0 forces nu = mu, an exact equality triple
         assert report.min_slack == 0
+
+
+def ordered_reference(rs, spec, height):
+    """Z1/Z2/SYM with Z2 walked over ordered pairs, the reference for the
+    validator's unordered sweep: (violations, checked, skipped)."""
+    ctx = precision.make_context()
+    tol = LOG_TOLERANCE
+    weights = rs.dominant_weights_up_to(height)
+    logs = {}
+
+    def log_of(mu):
+        if mu not in logs:
+            logs[mu] = _log_weight(rs, spec, mu, ctx)
+        return logs[mu]
+
+    violations, checked, skipped = [], 0, 0
+    for mu in weights:
+        lw = log_of(mu)
+        if lw is None:
+            skipped += 1
+            continue
+        checked += 1
+        if lw < -tol * max(Decimal(1), abs(lw)):
+            violations.append(Violation("Z1", (mu,), ctx.exp(lw), Decimal(1)))
+    for lam in weights:
+        for mu in weights:
+            llam, lmu = log_of(lam), log_of(mu)
+            if llam is None or lmu is None:
+                skipped += 1
+                continue
+            rhs = ctx.add(llam, lmu)
+            for nu in tensor_decompose(rs, lam, mu).components:
+                lnu = log_of(nu)
+                if lnu is None:
+                    skipped += 1
+                    continue
+                checked += 1
+                gap = ctx.subtract(lnu, rhs)
+                exact = _z2_exact(rs, spec, lam, mu, nu)
+                if abs(gap) <= tol * max(Decimal(1), abs(lnu), abs(rhs)):
+                    bad = exact is False
+                else:
+                    bad = gap > 0 and exact is not True
+                if bad:
+                    violations.append(Violation("Z2", (lam, mu, nu), lnu, rhs))
+    for mu in weights:
+        conj = rs.conjugate_weight(mu)
+        if spec.kind != "table":
+            checked += 1
+            if rs.norm_sq(mu) != rs.norm_sq(conj) or rs.casimir(mu) != rs.casimir(conj):
+                violations.append(Violation("SYM", (mu, conj), log_of(mu), log_of(conj)))
+            continue
+        lw, lc = log_of(mu), log_of(conj)
+        if lw is None or lc is None:
+            skipped += 1
+            continue
+        checked += 1
+        if abs(ctx.subtract(lw, lc)) > tol * max(Decimal(1), abs(lw), abs(lc)):
+            violations.append(Violation("SYM", (mu, conj), lw, lc))
+    violations.sort(key=lambda v: (v.condition, v.weights))
+    return tuple(violations), checked, skipped
+
+
+@st.composite
+def weight_specs(draw):
+    """A2 or B2, a height, and a table (values from a small set, so ties and
+    Z2 violations both occur, with some entries missing) or a built-in family."""
+    rs = build_root_system(draw(st.sampled_from(["A2", "B2"])))
+    height = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["table", "table", "beta_norm", "lst"]))
+    if kind == "beta_norm":
+        return rs, CentralWeightSpec.beta_norm(draw(st.sampled_from(["0.7", "1", "1.5"]))), height
+    if kind == "lst":
+        return rs, CentralWeightSpec.lst(draw(st.sampled_from(["0", "0.4"]))), height
+    keys = rs.dominant_weights_up_to(height + 1)
+    values = st.one_of(st.none(), st.sampled_from(["0.5", "1", "1.5", "2", "4"]))
+    table = {mu: v for mu in keys if (v := draw(values)) is not None}
+    table.setdefault((0,) * rs.rank, "1")
+    return rs, CentralWeightSpec.from_table(table), height
+
+
+@settings(max_examples=40, deadline=None)
+@given(weight_specs())
+def test_unordered_sweep_matches_ordered_reference(drawn):
+    rs, spec, height = drawn
+    report = validate_central_weight(rs, spec, height)
+    violations, checked, skipped = ordered_reference(rs, spec, height)
+    assert report.violations == violations
+    assert (report.checked, report.skipped) == (checked, skipped)
+    assert report.passed == (checked > 0 and not violations)
+
+
+def test_casimir_sweep_stays_on_integer_path(monkeypatch):
+    rs = build_root_system("B2")
+    reference = casimir_subadditivity_check(rs, 3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Casimir sweep left the memoised integer path")
+
+    monkeypatch.setattr(RootSystem, "casimir", forbidden)
+    monkeypatch.setattr(RootSystem, "inner_product", forbidden)
+    assert casimir_subadditivity_check(rs, 3) == reference
+    cold = RootSystem(LieType.parse("A2"))  # a fresh instance starts with empty memos
+    assert casimir_subadditivity_check(cold, 3) == casimir_subadditivity_check(build_root_system("A2"), 3)

@@ -221,6 +221,19 @@ class TestExitCodes:
             code, out, err = run_cli(args + ["--beta", beta], capsys)
             assert code == 1 and out == "" and err.count("\n") == 1 and "finite" in err
 
+    def test_beta_beyond_decimal_range(self, capsys):
+        for args in (["cb-region", "--type", "A1", "--q", "0.5", "--height", "1"],
+                     ["verify-weight", "--type", "A1", "--kind", "beta", "--height", "1"]):
+            code, out, err = run_cli(args + ["--beta", "1e1000000"], capsys)
+            assert code == 1 and out == "" and err.count("\n") == 1 and "range" in err
+
+    def test_table_value_beyond_decimal_range(self, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        path.write_text('[{"mu": [0], "w": 1}, {"mu": [1], "w": 1e1000000}]')
+        code, out, err = run_cli(["verify-weight", "--type", "A1", "--kind", "table",
+                                  "--table", str(path), "--height", "1"], capsys)
+        assert code == 1 and out == "" and err.count("\n") == 1 and "range" in err
+
     def test_missing_beta(self, capsys):
         code, _, err = run_cli(["verify-weight", "--type", "A1", "--kind", "beta",
                                 "--height", "2"], capsys)

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbf.characters import character_product_decompose
+from qbf.characters import character_product_decompose, full_weights
 from qbf.fusion import contains_trivial, tensor_decompose
 from qbf.root_system import build_root_system
 
@@ -9,6 +11,61 @@ def triangle_violated(ns_nu, ns_lam, ns_mu):
     """Exact check of |nu| > |lam| + |mu| in squared-rational form."""
     s = ns_nu - ns_lam - ns_mu
     return s > 0 and s * s > 4 * ns_lam * ns_mu
+
+
+def brauer_klimyk(rs, expand, anchor):
+    """Brauer-Klimyk with the weight system of ``expand`` around ``anchor``,
+    every weight reflected through the public checked reflection."""
+    acc = {}
+    for w, m in full_weights(rs, expand).items():
+        y, sign, singular = rs.dominant_representative(
+            tuple(a + 1 + c for a, c in zip(anchor, w)))
+        if not singular:
+            nu = tuple(c - 1 for c in y)
+            acc[nu] = acc.get(nu, 0) + sign * m
+    return {nu: m for nu, m in acc.items() if m}
+
+
+# Heights well beyond the character-product cross-check above.
+DEEP_HEIGHTS = {"A2": 5, "B2": 4, "G2": 3, "A3": 2}
+
+
+@st.composite
+def deep_pairs(draw):
+    rs = build_root_system(draw(st.sampled_from(sorted(DEEP_HEIGHTS))))
+    weight = st.tuples(*[st.integers(0, DEEP_HEIGHTS[str(rs.lie_type)])] * rs.rank)
+    return rs, draw(weight), draw(weight)
+
+
+class TestDeepInvariants:
+    @settings(max_examples=25, deadline=None)
+    @given(deep_pairs())
+    def test_commutativity(self, drawn):
+        # Either factor may be expanded: the fast path expands the smaller one.
+        rs, lam, mu = drawn
+        components = tensor_decompose(rs, lam, mu).components
+        assert components == brauer_klimyk(rs, lam, mu) == brauer_klimyk(rs, mu, lam)
+        assert components == tensor_decompose(rs, mu, lam).components
+
+    @settings(max_examples=25, deadline=None)
+    @given(deep_pairs())
+    def test_weyl_dimension_multiplicativity(self, drawn):
+        rs, lam, mu = drawn
+        assert tensor_decompose(rs, lam, mu).dimension(rs) == rs.weyl_dim(lam) * rs.weyl_dim(mu)
+
+    @settings(max_examples=25, deadline=None)
+    @given(deep_pairs(), st.data())
+    def test_conjugation_duality(self, drawn, data):
+        # mult of nu in lam (x) mu == mult of lam in nu (x) mu*, zero included
+        rs, lam, mu = drawn
+        mu_star = rs.conjugate_weight(mu)
+        components = tensor_decompose(rs, lam, mu).components
+        inside = data.draw(st.sampled_from(sorted(components)))
+        top = tuple(a + b for a, b in zip(lam, mu))
+        outside = data.draw(st.tuples(*[st.integers(0, c + 1) for c in top]))
+        for nu in (inside, outside):
+            assert (components.get(nu, 0)
+                    == tensor_decompose(rs, nu, mu_star).components.get(lam, 0))
 
 
 class TestTensorDecompose:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,13 @@ def test_triangle_compare_matches_decimal_sign(triple):
         assert abs(value) <= eps
     else:
         assert abs(value) > eps and (value > 0) == (sign > 0)
+
+
+@given(triangle_triples(), st.integers(1, 10**6))
+def test_triangle_compare_on_scaled_integers(triple, scale):
+    den = scale * lcm(*(x.denominator for x in triple))
+    scaled = [int(x * den) for x in triple]
+    assert _triangle_compare(*scaled) == _triangle_compare(*triple)
 
 
 def _public_callables():

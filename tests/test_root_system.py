@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qbf.central_weights import _triangle_compare
 from qbf.root_system import LieType, LieTypeError, build_root_system
 
 ACCEPTANCE_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"]
@@ -239,6 +242,39 @@ class TestCasimirAndDimension:
         rs = build_root_system("A3")
         for mu in rs.dominant_weights_up_to(2):
             assert rs.weyl_dim(mu) == rs.weyl_dim(rs.conjugate_weight(mu))
+
+
+MEMO_TYPES = ["A2", "B2", "G2", "B3", "A1xA1"]
+
+
+@st.composite
+def dominant_triples(draw):
+    """A root system from MEMO_TYPES and three dominant weights of height <= 9."""
+    rs = build_root_system(draw(st.sampled_from(MEMO_TYPES)))
+    weight = st.tuples(*[st.integers(0, 9)] * rs.rank)
+    return rs, draw(weight), draw(weight), draw(weight)
+
+
+def gram_form(rs, x, y):
+    """(x, y) straight from the exact Gram matrix of fundamental weights."""
+    return sum(x[i] * rs.gram[i][j] * y[j] for i in range(rs.rank) for j in range(rs.rank))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dominant_triples())
+def test_memoised_scaled_invariants_match_fraction_definitions(drawn):
+    rs, lam, mu, nu = drawn
+    for w in (lam, mu, nu):
+        casimir = gram_form(rs, w, tuple(c + 2 for c in w))
+        norm_sq = gram_form(rs, w, w)
+        for _ in range(2):  # the first call fills the memo, the second reads it
+            assert rs._casimir_scaled(w) == casimir * rs._gram_den
+            assert rs._norm_scaled(w) == norm_sq * rs._gram_den
+            assert rs.casimir(w) == casimir and rs.norm_sq(w) == norm_sq
+    # A common positive scale leaves the exact triangle sign unchanged.
+    for scaled, exact in ((rs._casimir_scaled, rs.casimir), (rs._norm_scaled, rs.norm_sq)):
+        assert (_triangle_compare(scaled(nu), scaled(lam), scaled(mu))
+                == _triangle_compare(exact(nu), exact(lam), exact(mu)))
 
 
 class TestWeylGroup:
