@@ -28,7 +28,7 @@ Built-in families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Context, Decimal
+from decimal import Context, Decimal, Overflow
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
@@ -67,11 +67,6 @@ class CentralWeightSpec:
             entries[tuple(int(c) for c in mu)] = v
         return cls(kind="table", table=entries)
 
-    def describe(self) -> str:
-        if self.kind == "table":
-            return f"table({len(self.table)} entries)"
-        return f"{self.kind}(beta={self.beta})"
-
 
 def _to_positive_decimal(x, name: str) -> Decimal:
     d = precision.to_decimal(x, precision.make_context())
@@ -89,14 +84,17 @@ def eval_weight(rs: RootSystem, spec: CentralWeightSpec, mu) -> WeightValue:
     """Evaluate w(mu) and log w(mu) in high precision.
 
     beta_norm with beta < 1 is permitted here (the Z1 check will fail); a
-    missing table entry raises.
+    missing table entry raises, and so does a value beyond the decimal range.
     """
     mu = rs.check_dominant(mu)
     ctx = precision.make_context()
     log = _log_weight(rs, spec, mu, ctx)
     if log is None:
         raise KeyError(f"weight table has no entry for {mu}")
-    return WeightValue(ctx.exp(log), log)
+    try:
+        return WeightValue(ctx.exp(log), log)
+    except Overflow:
+        raise ValueError(f"w({mu}) is out of the decimal range (exponent above {ctx.Emax})") from None
 
 
 def _log_weight(rs: RootSystem, spec: CentralWeightSpec, mu: Weight, ctx: Context) -> Decimal | None:
@@ -107,7 +105,11 @@ def _log_weight(rs: RootSystem, spec: CentralWeightSpec, mu: Weight, ctx: Contex
         if spec.beta == 0:
             return Decimal(0)
         root = precision.sqrt_fraction(rs.casimir(mu), ctx)
-        return ctx.multiply(precision.to_decimal(spec.beta, ctx), root)
+        try:
+            return ctx.multiply(precision.to_decimal(spec.beta, ctx), root)
+        except Overflow:
+            raise ValueError(
+                f"log w({mu}) is out of the decimal range (exponent above {ctx.Emax})") from None
     value = spec.table.get(mu)
     return None if value is None else ctx.ln(precision.to_decimal(value, ctx))
 
@@ -216,7 +218,11 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
             if llam is None or lmu is None:
                 skipped += len(orientations)
                 continue
-            rhs = ctx.add(llam, lmu)
+            try:
+                rhs = ctx.add(llam, lmu)
+            except Overflow:
+                raise ValueError(f"log w({lam}) + log w({mu}) is out of the decimal range "
+                                 f"(exponent above {ctx.Emax})") from None
             for nu, _m in tensor_decompose(rs, lam, mu).components.items():
                 lnu = log_of(nu)
                 if lnu is None:

@@ -1,20 +1,19 @@
 """Weight systems of irreducible representations.
 
 Multiplicities are computed on the dominant chamber with Freudenthal's
-recursion and expanded to full Weyl orbits on demand.  The module also
-provides a character-product decomposition (multiply two weight systems
-pointwise, then repeatedly strip the highest remaining weight) which serves
-as an independent cross-check for the fusion algorithm at small heights.
+recursion and expanded to full Weyl orbits.  The module also provides a
+character-product decomposition (multiply two weight systems pointwise, then
+repeatedly strip the highest remaining weight) which serves as an independent
+cross-check for the fusion algorithm at small heights.
 
-The per-highest-weight memo tables are only published once an entry is fully
-computed, so concurrent readers never observe partial results.
+Each weight system is memoised once, in a dict on its :class:`RootSystem`, and
+stored only when complete, so concurrent readers never see partial results.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as iproduct
 from types import MappingProxyType
 
@@ -23,18 +22,23 @@ from .root_system import RootSystem, Weight
 
 @dataclass(frozen=True)
 class Character:
-    """Dominant-chamber-compressed weight system of one irreducible.
+    """Weight system of one irreducible.
 
-    ``dominant`` is read-only: instances are cached and shared by every caller.
+    ``dominant`` holds the dominant multiplicities and ``weights`` their
+    orbit expansion.  Both are read-only: instances are memoised on their
+    root system and shared by every caller.
     """
 
     highest_weight: Weight
     dominant: Mapping[Weight, int]
-    dim: int
+    weights: Mapping[Weight, int]
+
+    @property
+    def dim(self) -> int:
+        return sum(self.weights.values())
 
     def multiplicity(self, rs: RootSystem, weight) -> int:
-        w = rs.check_weight(weight)
-        return self.dominant.get(rs.dominant_representative(w)[0], 0)
+        return self.weights.get(rs.check_weight(weight), 0)
 
 
 def _dominant_candidates(rs: RootSystem, mu: Weight) -> list[Weight]:
@@ -65,13 +69,15 @@ def weight_multiplicities(rs: RootSystem, mu) -> Character:
 
     Freudenthal's recursion, processed in order of decreasing
     (nu + rho, nu + rho) so every multiplicity referenced on the right-hand
-    side is already known.  The result stores dominant multiplicities only.
+    side is already known.
     """
     return _weight_multiplicities(rs, rs.check_dominant(mu))
 
 
-@lru_cache(maxsize=None)
 def _weight_multiplicities(rs: RootSystem, mu: Weight) -> Character:
+    char = rs._char_memo.get(mu)
+    if char is not None:
+        return char
     den_ip = rs._ip_scaled
     mu_norm = den_ip(mu, mu)
     shifted_mu = tuple(c + 1 for c in mu)
@@ -107,26 +113,18 @@ def _weight_multiplicities(rs: RootSystem, mu: Weight) -> Character:
                 raise AssertionError(f"non-integer Freudenthal multiplicity at {nu}")
             mults[nu] = m
 
-    dim = sum(m * len(rs.weyl_orbit(nu)) for nu, m in mults.items())
+    weights = {w: m for nu, m in mults.items() for w in rs.weyl_orbit(nu)}
+    char = Character(mu, MappingProxyType(mults), MappingProxyType(weights))
     expected = rs.weyl_dim(mu)
-    if dim != expected:
-        raise AssertionError(f"character of {mu} has size {dim}, Weyl dimension {expected}")
-    return Character(mu, MappingProxyType(mults), dim)
+    if char.dim != expected:
+        raise AssertionError(f"character of {mu} has size {char.dim}, Weyl dimension {expected}")
+    rs._char_memo[mu] = char
+    return char
 
 
 def full_weights(rs: RootSystem, mu) -> Mapping[Weight, int]:
     """Orbit-expanded weight system {weight: multiplicity}, as a read-only mapping."""
-    return _full_weights(rs, rs.check_dominant(mu))
-
-
-@lru_cache(maxsize=None)
-def _full_weights(rs: RootSystem, mu: Weight) -> Mapping[Weight, int]:
-    char = _weight_multiplicities(rs, mu)
-    out: dict[Weight, int] = {}
-    for nu, m in char.dominant.items():
-        for w in rs.weyl_orbit(nu):
-            out[w] = m
-    return MappingProxyType(out)
+    return _weight_multiplicities(rs, rs.check_dominant(mu)).weights
 
 
 def _height_key(rs: RootSystem, w: Weight) -> tuple:

@@ -7,12 +7,15 @@ the sign of the Weyl element moving lam + w + rho back into the (strict)
 dominant chamber; contributions on a chamber wall cancel and are dropped.
 Negative intermediate sums are normal; a nonpositive final entry would be an
 internal error, never a user error.
+
+Decompositions are not cached: the sweeps decompose each unordered pair once,
+and a fusion cache measured a repeat ratio of 0.  The expanded weight system
+is memoised on the root system by :mod:`qbf.characters`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .characters import full_weights
 from .root_system import RootSystem, Weight
@@ -48,13 +51,6 @@ def tensor_decompose(rs: RootSystem, lam, mu) -> FusionDecomposition:
     """Brauer-Klimyk decomposition of V(lam) (x) V(mu)."""
     lam = rs.check_dominant(lam)
     mu = rs.check_dominant(mu)
-    # The decomposition is symmetric in (lam, mu); cache one orientation.
-    components = _tensor_components(rs, *sorted((lam, mu)))
-    return FusionDecomposition.from_parts(rs, lam, mu, dict(components))
-
-
-@lru_cache(maxsize=None)
-def _tensor_components(rs: RootSystem, lam: Weight, mu: Weight) -> tuple[tuple[Weight, int], ...]:
     expand, anchor = (lam, mu) if rs._weyl_dim(lam) <= rs._weyl_dim(mu) else (mu, lam)
     shifted = tuple(c + 1 for c in anchor)
     acc: dict[Weight, int] = {}
@@ -69,7 +65,7 @@ def _tensor_components(rs: RootSystem, lam: Weight, mu: Weight) -> tuple[tuple[W
             continue
         nu = tuple(c - 1 for c in y)
         acc[nu] = acc.get(nu, 0) + sign * m
-    return tuple((nu, m) for nu, m in acc.items() if m)
+    return FusionDecomposition.from_parts(rs, lam, mu, {nu: m for nu, m in acc.items() if m})
 
 
 def contains_trivial(rs: RootSystem, lam, mu) -> bool:

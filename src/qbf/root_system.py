@@ -168,9 +168,10 @@ class RootSystem:
     Instances are created through :func:`build_root_system`, are safe to share
     between threads, and all methods are pure functions of their arguments.
     Per-weight invariants (the scaled Casimir and norm^2, the Weyl dimension)
-    are memoised in dicts on the instance; those dicts only ever receive
-    idempotent writes of deterministic values, so concurrent readers and
-    writers can at worst compute an entry twice, and sharing stays safe.
+    and the weight systems of :mod:`qbf.characters` are memoised in dicts on
+    the instance; those dicts only ever receive idempotent writes of complete,
+    read-only, deterministic values, so concurrent readers and writers can at
+    worst compute an entry twice, and sharing stays safe.
     """
 
     def __init__(self, lie_type: LieType):
@@ -225,6 +226,7 @@ class RootSystem:
         self._casimir_memo: dict[Weight, int] = {}
         self._norm_memo: dict[Weight, int] = {}
         self._dim_memo: dict[Weight, int] = {}
+        self._char_memo: dict = {}  # Weight -> qbf.characters.Character
 
         self._self_check()
 
@@ -294,9 +296,6 @@ class RootSystem:
         if any(c < 0 for c in t):
             raise ValueError(f"weight {t} is not dominant")
         return t
-
-    def is_dominant(self, x) -> bool:
-        return all(c >= 0 for c in self.check_weight(x))
 
     def inner_product(self, x, y) -> Fraction:
         """Bilinear form (x, y) in the normalisation with short roots of length^2 = 2."""

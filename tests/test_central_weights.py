@@ -72,6 +72,16 @@ class TestEvalWeight:
         for mu in rs.dominant_weights_up_to(2):
             assert eval_weight(rs, lo, mu).value <= eval_weight(rs, hi, mu).value
 
+    @pytest.mark.parametrize("spec,mu", [
+        (CentralWeightSpec.lst("1e7"), (1,)),               # exp(log w) overflows
+        (CentralWeightSpec.beta_norm("1e999999"), (5,)),    # exp(log w) overflows
+        (CentralWeightSpec.lst("9e999999"), (1,)),          # log w itself overflows
+    ])
+    def test_weight_beyond_decimal_range_is_value_error(self, spec, mu):
+        rs = build_root_system("A1")
+        with pytest.raises(ValueError, match="out of the decimal range"):
+            eval_weight(rs, spec, mu)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="positive"):
             CentralWeightSpec.beta_norm(0)

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from qbf import characters, fusion
 from qbf.characters import character_product_decompose, full_weights, weight_multiplicities
 from qbf.fusion import tensor_decompose
-from qbf.root_system import build_root_system
+from qbf.root_system import LieType, RootSystem, build_root_system
 
 
 def sl2_ladder(n):
@@ -74,15 +75,46 @@ class TestWeightMultiplicities:
     def test_memoised(self):
         rs = build_root_system("A2")
         assert weight_multiplicities(rs, (1, 1)) is weight_multiplicities(rs, [1, 1])
+        assert full_weights(rs, (1, 1)) is weight_multiplicities(rs, (1, 1)).weights
+
+    def test_memo_lives_on_its_root_system(self):
+        # A fresh instance computes its own weight systems: equal values, other objects.
+        interned = build_root_system("A2")
+        fresh = RootSystem(LieType.parse("A2"))
+        for mu in interned.dominant_weights_up_to(2):
+            mine = weight_multiplicities(fresh, mu)
+            assert mine == weight_multiplicities(interned, mu)
+            assert mine is not weight_multiplicities(interned, mu)
+            assert mine is weight_multiplicities(fresh, mu)
+
+    def test_no_module_level_cache(self):
+        # Caches live on the RootSystem instance, never in these modules.
+        for module in (characters, fusion):
+            for name, value in vars(module).items():
+                assert not hasattr(value, "cache_info"), f"{module.__name__}.{name}"
 
     def test_cached_results_are_read_only(self):
         rs = build_root_system("A2")
         with pytest.raises(TypeError):
             full_weights(rs, (1, 0))[(10, 8)] = 5
+        char = weight_multiplicities(rs, (1, 0))
         with pytest.raises(TypeError):
-            weight_multiplicities(rs, (1, 0)).dominant[(0, 0)] = 5
+            char.dominant[(0, 0)] = 5
+        with pytest.raises(TypeError):
+            char.weights[(10, 8)] = 5
         assert full_weights(rs, (1, 0)) == {(1, 0): 1, (-1, 1): 1, (0, -1): 1}
         assert tensor_decompose(rs, (1, 0), (1, 0)).components == {(2, 0): 1, (0, 1): 1}
+        tensor_decompose(rs, (1, 0), (1, 0)).components[(2, 0)] = 7
+        assert tensor_decompose(rs, (1, 0), (1, 0)).components == {(2, 0): 1, (0, 1): 1}
+
+    @pytest.mark.parametrize("typ,height", [("A2", 3), ("B2", 2), ("G2", 2), ("B2xA1", 1)])
+    def test_weights_are_the_orbit_expansion(self, typ, height):
+        rs = build_root_system(typ)
+        for mu in rs.dominant_weights_up_to(height):
+            char = weight_multiplicities(rs, mu)
+            expanded = {w: m for nu, m in char.dominant.items() for w in rs.weyl_orbit(nu)}
+            assert char.weights == expanded
+            assert char.dim == sum(expanded.values()) == rs.weyl_dim(mu)
 
     def test_non_dominant_rejected(self):
         rs = build_root_system("A2")

@@ -227,6 +227,13 @@ class TestExitCodes:
             code, out, err = run_cli(args + ["--beta", "1e1000000"], capsys)
             assert code == 1 and out == "" and err.count("\n") == 1 and "range" in err
 
+    @pytest.mark.parametrize("beta", ["9e999999", "5e999999"])
+    def test_lst_log_weight_beyond_decimal_range(self, beta, capsys):
+        # 9e999999 overflows log w(mu) itself, 5e999999 only log w(mu) + log w(mu)
+        code, out, err = run_cli(["verify-weight", "--type", "A1", "--kind", "lst",
+                                  "--beta", beta, "--height", "1"], capsys)
+        assert code == 1 and out == "" and err.count("\n") == 1 and "range" in err
+
     def test_table_value_beyond_decimal_range(self, tmp_path, capsys):
         path = tmp_path / "table.json"
         path.write_text('[{"mu": [0], "w": 1}, {"mu": [1], "w": 1e1000000}]')

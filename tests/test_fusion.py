@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +39,22 @@ def deep_pairs(draw):
     return rs, draw(weight), draw(weight)
 
 
+@st.composite
+def triples(draw):
+    rs = build_root_system(draw(st.sampled_from(["A2", "B2", "G2"])))
+    weight = st.tuples(*[st.integers(0, 2)] * rs.rank)
+    return rs, draw(weight), draw(weight), draw(weight)
+
+
+def fuse_through(outer, inner_pairs):
+    """Multiset sum of m * outer(x) over the (x, m) in inner_pairs."""
+    total = Counter()
+    for x, m in inner_pairs:
+        for nu, k in outer(x):
+            total[nu] += m * k
+    return total
+
+
 class TestDeepInvariants:
     @settings(max_examples=25, deadline=None)
     @given(deep_pairs())
@@ -46,6 +64,19 @@ class TestDeepInvariants:
         components = tensor_decompose(rs, lam, mu).components
         assert components == brauer_klimyk(rs, lam, mu) == brauer_klimyk(rs, mu, lam)
         assert components == tensor_decompose(rs, mu, lam).components
+
+    @settings(max_examples=25, deadline=None)
+    @given(triples())
+    def test_associativity(self, drawn):
+        # (lam (x) mu) (x) nu == lam (x) (mu (x) nu) as multisets of components
+        rs, lam, mu, nu = drawn
+        left = fuse_through(lambda eta: tensor_decompose(rs, eta, nu),
+                            tensor_decompose(rs, lam, mu))
+        right = fuse_through(lambda theta: tensor_decompose(rs, lam, theta),
+                             tensor_decompose(rs, mu, nu))
+        assert left == right
+        dims = rs.weyl_dim(lam) * rs.weyl_dim(mu) * rs.weyl_dim(nu)
+        assert sum(m * rs.weyl_dim(x) for x, m in left.items()) == dims
 
     @settings(max_examples=25, deadline=None)
     @given(deep_pairs())
