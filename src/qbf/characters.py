@@ -90,21 +90,25 @@ def _weight_multiplicities(rs: RootSystem, mu: Weight) -> Character:
     candidates = _dominant_candidates(rs, mu)
     candidates.sort(key=lambda nu: (-rho_norm(nu), nu))
 
+    # |nu + k a|^2 = |nu|^2 + 2k (nu, a) + k^2 |a|^2 and (nu + k a, a) =
+    # (nu, a) + k |a|^2, all scaled by _gram_den, from the pairing vectors.
+    roots = [(alpha, v, sum(a * c for a, c in zip(alpha, v)))
+             for alpha, v in zip(rs.positive_roots, rs._proot_pairing)]
     mults: dict[Weight, int] = {}
     for nu in candidates:
         if nu == mu:
             mults[mu] = 1
             continue
+        nu_norm = den_ip(nu, nu)
         total = 0
-        for alpha in rs.positive_roots:
+        for alpha, v, alpha_norm in roots:
+            pairing = sum(c * x for c, x in zip(nu, v))
             k = 1
-            while True:
+            while nu_norm + k * (2 * pairing + k * alpha_norm) <= mu_norm:
                 xi = tuple(c + k * a for c, a in zip(nu, alpha))
-                if den_ip(xi, xi) > mu_norm:
-                    break
                 m = mults.get(rs._dominant_rep(xi)[0], 0)
                 if m:
-                    total += m * den_ip(xi, alpha)
+                    total += m * (pairing + k * alpha_norm)
                 k += 1
         if total:
             denom = mu_rho_norm - rho_norm(nu)

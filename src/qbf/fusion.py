@@ -8,14 +8,28 @@ dominant chamber; contributions on a chamber wall cancel and are dropped.
 Negative intermediate sums are normal; a nonpositive final entry would be an
 internal error, never a user error.
 
-Decompositions are not cached: the sweeps decompose each unordered pair once,
-and a fusion cache measured a repeat ratio of 0.  The expanded weight system
-is memoised on the root system by :mod:`qbf.characters`.
+The inner loop runs on packed integer keys.  A weight x is packed as
+sum x_i 2^(W i) over fields of W bits, plus a bias of 2^(W - 1) in every
+field for a point anchor + rho + w; so each weight of the expanded factor
+costs one integer add and one dict lookup.  Memos on the root system serve
+the loop: the expanded weight system as (multiplicity, packed Weyl orbit)
+pairs, each orbit packed once and shared between weight systems, and the
+reflection memo, which maps the key of a point to (nu, sign), nu + rho being
+its dominant form, or to None on a chamber wall.  All are keyed by the field
+width W.  W is the smallest width, and at least 21 bits, whose fields hold
+every coordinate of a point and of its dominant form; ordinary sweeps
+therefore share the 21-bit tables, while a huge anchor runs through the same
+loop with wider fields.
+
+Decompositions themselves are not cached: the sweeps decompose each
+unordered pair once, and a fusion cache measured a repeat ratio of 0.  The
+expanded weight system is memoised on the root system by :mod:`qbf.characters`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .characters import full_weights
 from .root_system import RootSystem, Weight
@@ -47,24 +61,84 @@ class FusionDecomposition:
         return iter(self.components.items())
 
 
+# Ordinary sweeps keep every rho-shifted coordinate far below 2^20, so they
+# all share the tables of this field width.
+_MIN_FIELD = 21
+
+
+def _pack(x, width: int) -> int:
+    """sum x_i 2^(width i): injective while every |x_i| < 2^(width - 1)."""
+    return sum(c << (width * i) for i, c in enumerate(x))
+
+
+def _field_width(rs: RootSystem, expand: Weight, anchor: Weight) -> int:
+    """Smallest admissible field width for the points x = anchor + rho + w.
+
+    Every simple root a_i has (a_i, a_i) >= 2, so a coordinate of x, or of its
+    dominant form y, is at most sqrt(2) |y| = sqrt(2) |x|, and
+    |x| <= |anchor + rho| + |expand| because a weight w of V(expand) has
+    |w| <= |expand|.  The squared norms come from the memoised invariants,
+    |anchor + rho|^2 being c(anchor) + |rho|^2.
+    """
+    den = rs._gram_den
+    shifted = rs._casimir_scaled(anchor) + rs._norm_scaled(rs.rho)
+    bound = isqrt(2 * shifted // den) + isqrt(2 * rs._norm_scaled(expand) // den) + 2
+    return max(_MIN_FIELD, bound.bit_length() + 1)
+
+
+def _packed_weights(rs: RootSystem, mu: Weight, weights, width: int) -> tuple:
+    """The weight system of mu as (multiplicity, packed Weyl orbit) pairs, memoised.
+
+    Each orbit is packed once per root system and shared by every weight
+    system that contains it.
+    """
+    packed = rs._packed_memo.get((width, mu))
+    if packed is None:
+        groups = []
+        for nu, m in weights.items():
+            if min(nu) >= 0:  # the dominant weight of its orbit
+                orbit = rs._orbit_memo.get((width, nu))
+                if orbit is None:
+                    orbit = rs._orbit_memo[(width, nu)] = tuple(
+                        _pack(w, width) for w in rs.weyl_orbit(nu))
+                groups.append((m, orbit))
+        packed = rs._packed_memo[(width, mu)] = tuple(groups)
+    return packed
+
+
+def _unpack(key: int, width: int, bias: int, rank: int) -> Weight:
+    """Inverse of ``_pack`` on a key biased by ``bias`` in every field."""
+    mask = (1 << width) - 1
+    return tuple(((key >> (width * i)) & mask) - bias for i in range(rank))
+
+
+def _reflect_packed(rs: RootSystem, key: int, width: int, bias: int):
+    """(nu, sign) with nu + rho the dominant form of the point key; None when singular."""
+    y, sign, singular = rs._dominant_rep(_unpack(key, width, bias, rs.rank))
+    return None if singular else (tuple(c - 1 for c in y), sign)
+
+
 def tensor_decompose(rs: RootSystem, lam, mu) -> FusionDecomposition:
     """Brauer-Klimyk decomposition of V(lam) (x) V(mu)."""
     lam = rs.check_dominant(lam)
     mu = rs.check_dominant(mu)
     expand, anchor = (lam, mu) if rs._weyl_dim(lam) <= rs._weyl_dim(mu) else (mu, lam)
-    shifted = tuple(c + 1 for c in anchor)
+    weights = full_weights(rs, expand)
+    width = _field_width(rs, expand, anchor)
+    bias = 1 << (width - 1)
+    base = _pack([c + 1 + bias for c in anchor], width)  # biased key of anchor + rho
+    memo = rs._reflection_memo.setdefault(width, {})
     acc: dict[Weight, int] = {}
-    for w, m in full_weights(rs, expand).items():
-        x = tuple(s + c for s, c in zip(shifted, w))
-        if min(x) > 0:  # already strictly dominant: no reflection, sign +1
-            nu = tuple(c - 1 for c in x)
-            acc[nu] = acc.get(nu, 0) + m
-            continue
-        y, sign, singular = rs._dominant_rep(x)
-        if singular:
-            continue
-        nu = tuple(c - 1 for c in y)
-        acc[nu] = acc.get(nu, 0) + sign * m
+    for m, keys in _packed_weights(rs, expand, weights, width):
+        for k in keys:
+            key = base + k
+            try:
+                hit = memo[key]
+            except KeyError:
+                hit = memo[key] = _reflect_packed(rs, key, width, bias)
+            if hit is not None:
+                nu, sign = hit
+                acc[nu] = acc.get(nu, 0) + sign * m
     return FusionDecomposition.from_parts(rs, lam, mu, {nu: m for nu, m in acc.items() if m})
 
 

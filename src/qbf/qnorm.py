@@ -46,6 +46,11 @@ class QExponent:
         return f"q^({self.value})"
 
 
+# q is rendered exactly as p/q, and Python converts at most this many digits
+# of an int to a string.
+_Q_MAX_DIGITS = 4300
+
+
 def _check_q(q) -> Fraction:
     try:
         qf = Fraction(repr(q)) if isinstance(q, float) else Fraction(q)
@@ -55,6 +60,9 @@ def _check_q(q) -> Fraction:
         ) from None
     if not 0 < qf < 1:
         raise ValueError(f"deformation parameter q must satisfy 0 < q < 1, got {q}")
+    if qf.denominator >= 10 ** _Q_MAX_DIGITS:
+        raise ValueError(f"deformation parameter q must be a rational with at most "
+                         f"{_Q_MAX_DIGITS} digits in its denominator, got {q}")
     return qf
 
 

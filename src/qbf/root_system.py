@@ -167,11 +167,18 @@ class RootSystem:
 
     Instances are created through :func:`build_root_system`, are safe to share
     between threads, and all methods are pure functions of their arguments.
-    Per-weight invariants (the scaled Casimir and norm^2, the Weyl dimension)
-    and the weight systems of :mod:`qbf.characters` are memoised in dicts on
-    the instance; those dicts only ever receive idempotent writes of complete,
-    read-only, deterministic values, so concurrent readers and writers can at
-    worst compute an entry twice, and sharing stays safe.
+    Memoised in dicts on the instance:
+
+    * per-weight invariants: the scaled Casimir and norm^2, the Weyl dimension;
+    * the weight systems of :mod:`qbf.characters`;
+    * the packed-key tables of :mod:`qbf.fusion`, per field width: packed
+      Weyl orbits, each expanded weight system as (multiplicity, orbit)
+      pairs, and a dict from each rho-shifted point key to (nu, sign) or None.
+
+    Those dicts only ever receive idempotent writes of complete, read-only,
+    deterministic values (a per-width dict is created by one atomic
+    ``setdefault``), so concurrent readers and writers can at worst compute an
+    entry twice, and sharing stays safe.
     """
 
     def __init__(self, lie_type: LieType):
@@ -227,6 +234,11 @@ class RootSystem:
         self._norm_memo: dict[Weight, int] = {}
         self._dim_memo: dict[Weight, int] = {}
         self._char_memo: dict = {}  # Weight -> qbf.characters.Character
+        # Packed-key tables of qbf.fusion: (width, weight) -> packed Weyl orbit
+        # and -> packed weight system, and width -> {point key: (nu, sign) or None}.
+        self._orbit_memo: dict[tuple[int, Weight], tuple[int, ...]] = {}
+        self._packed_memo: dict[tuple[int, Weight], tuple] = {}
+        self._reflection_memo: dict[int, dict[int, tuple[Weight, int] | None]] = {}
 
         self._self_check()
 

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbf import precision
+from qbf import central_weights, precision
 from qbf.central_weights import (
     LOG_TOLERANCE,
     CentralWeightSpec,
     Violation,
     _log_weight,
-    _z2_exact,
+    _triangle_compare,
     casimir_subadditivity_check,
     eval_weight,
     validate_central_weight,
@@ -187,6 +187,19 @@ class TestSubadditivity:
         assert report.min_slack == 0
 
 
+def exact_z2(rs, spec, lam, mu, nu):
+    """Z2 for a built-in family decided on exact Fraction invariants, None for
+    tables: log w = log(beta) |.| or beta c(.)^{1/2}, so the sign of log beta
+    (or of beta) orients the triangle inequality."""
+    if spec.kind == "table":
+        return None
+    if spec.kind == "beta_norm":
+        f, sign = rs.norm_sq, (spec.beta > 1) - (spec.beta < 1)
+    else:
+        f, sign = rs.casimir, (spec.beta > 0) - (spec.beta < 0)
+    return sign * _triangle_compare(f(nu), f(lam), f(mu)) <= 0
+
+
 def ordered_reference(rs, spec, height):
     """Z1/Z2/SYM with Z2 walked over ordered pairs, the reference for the
     validator's unordered sweep: (violations, checked, skipped)."""
@@ -208,7 +221,7 @@ def ordered_reference(rs, spec, height):
             continue
         checked += 1
         if lw < -tol * max(Decimal(1), abs(lw)):
-            violations.append(Violation("Z1", (mu,), ctx.exp(lw), Decimal(1)))
+            violations.append(Violation("Z1", (mu,), lw, Decimal(0)))
     for lam in weights:
         for mu in weights:
             llam, lmu = log_of(lam), log_of(mu)
@@ -223,7 +236,7 @@ def ordered_reference(rs, spec, height):
                     continue
                 checked += 1
                 gap = ctx.subtract(lnu, rhs)
-                exact = _z2_exact(rs, spec, lam, mu, nu)
+                exact = exact_z2(rs, spec, lam, mu, nu)
                 if abs(gap) <= tol * max(Decimal(1), abs(lnu), abs(rhs)):
                     bad = exact is False
                 else:
@@ -289,3 +302,24 @@ def test_casimir_sweep_stays_on_integer_path(monkeypatch):
     assert casimir_subadditivity_check(rs, 3) == reference
     cold = RootSystem(LieType.parse("A2"))  # a fresh instance starts with empty memos
     assert casimir_subadditivity_check(cold, 3) == casimir_subadditivity_check(build_root_system("A2"), 3)
+
+
+@pytest.mark.parametrize("spec", [CentralWeightSpec.beta_norm(2), CentralWeightSpec.lst(1),
+                                  CentralWeightSpec.beta_norm("0.5")])
+def test_builtin_z2_decided_on_integer_path(spec, monkeypatch):
+    # Decimal logs are taken for Z1 over the swept weights, and beyond them
+    # only to record a Z2 violation: never to decide a Z2 triple.
+    rs = build_root_system("B2")
+    reference = validate_central_weight(rs, spec, 3)
+    logged = []
+
+    def recording(rs_, spec_, mu, ctx):
+        logged.append(mu)
+        return _log_weight(rs_, spec_, mu, ctx)
+
+    monkeypatch.setattr(central_weights, "_log_weight", recording)
+    assert validate_central_weight(rs, spec, 3) == reference
+    recorded = {v.weights[-1] for v in reference.violations if v.condition == "Z2"}
+    assert set(logged) == set(rs.dominant_weights_up_to(3)) | recorded
+    assert len(logged) == len(set(logged))
+    assert bool(recorded) == (spec.beta < 1)

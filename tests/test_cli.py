@@ -35,6 +35,22 @@ class TestJsonOutput:
         assert code == 0, err
         jsonschema.validate(json.loads(out), SCHEMA)
 
+    def test_fusion_beyond_packed_field(self, capsys):
+        # lambda needs a 48-bit field, wider than the sweeps' 21 bits
+        code, out, _ = run_cli(["fusion", "--type", "A1", "--lambda", "99999999999999",
+                                "--mu", "1", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out) == {
+            "lambda": [99999999999999],
+            "mu": [1],
+            "components": [{"nu": [100000000000000], "mult": 1},
+                           {"nu": [99999999999998], "mult": 1}],
+        }
+        code, out, _ = run_cli(["fusion", "--type", "A1", "--lambda", "99999999999999",
+                                "--mu", "1"], capsys)
+        assert out == ("nu               mult\n---------------  ----\n"
+                       "100000000000000  1\n99999999999998   1\n")
+
     def test_fusion_shape(self, capsys):
         _, out, _ = run_cli(COMMANDS["fusion"] + ["--format", "json"], capsys)
         doc = json.loads(out)
@@ -148,6 +164,15 @@ class TestExitCodes:
                                     "--mu", "1", "--q", q], capsys)
             assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("args", [
+        ["norm", "--type", "A1", "--lambda", "1", "--mu", "1"],
+        ["cb-region", "--type", "A1", "--beta", "2", "--height", "1"],
+        ["oracle-sl2", "--m", "1", "--n", "1"]])
+    def test_q_beyond_rendering_range(self, args, capsys):
+        code, out, err = run_cli(args + ["--q", "1e-999999"], capsys)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "deformation parameter q" in err and "digits" in err
+
     def test_bad_type(self, capsys):
         code, _, err = run_cli(["fusion", "--type", "Q7", "--lambda", "1", "--mu", "1"], capsys)
         assert code == 1 and "Q7" in err
@@ -178,6 +203,16 @@ class TestExitCodes:
         assert doc["violations"][0]["condition"] == "Z2"
         assert doc["violations"][0]["weights"] == [[1], [1], [2]]
         jsonschema.validate(doc, SCHEMA)
+
+    def test_z1_violation_records_logs(self, capsys):
+        # w(2w) = beta^sqrt(2) lies far below the decimal range; its log does not
+        code, out, _ = run_cli(["verify-weight", "--type", "A1", "--kind", "beta",
+                                "--beta", "1e-999999", "--height", "2",
+                                "--format", "table"], capsys)
+        assert code == 2
+        z1 = [line.split() for line in out.splitlines() if line.startswith("Z1")]
+        assert z1 == [["Z1", "1", "-1628171.90534", "0"],
+                      ["Z1", "2", "-3256343.81068", "0"]]
 
     def test_oracle_corrupted_exponents_exit_two(self, corrupted_exponents, capsys):
         code, out, _ = run_cli(["oracle-sl2", "--q", "0.5", "--m", "2", "--n", "3",

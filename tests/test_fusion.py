@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbf.characters import character_product_decompose, full_weights
-from qbf.fusion import contains_trivial, tensor_decompose
-from qbf.root_system import build_root_system
+from qbf.fusion import _MIN_FIELD, _field_width, _unpack, contains_trivial, tensor_decompose
+from qbf.root_system import LieType, RootSystem, _invert_rational, build_root_system
 
 
 def triangle_violated(ns_nu, ns_lam, ns_mu):
@@ -97,6 +97,104 @@ class TestDeepInvariants:
         for nu in (inside, outside):
             assert (components.get(nu, 0)
                     == tensor_decompose(rs, nu, mu_star).components.get(lam, 0))
+
+
+# Heights of the sweeps the packed path serves.
+PACKED_HEIGHTS = {"A2": 4, "B2": 4, "G2": 3, "A3": 2, "B3": 2}
+# Anchor coordinates around the largest one the 21-bit field holds.
+FIELD_EDGE = 2 ** (_MIN_FIELD - 1)
+
+
+@st.composite
+def packed_pairs(draw):
+    """A pair from one of PACKED_HEIGHTS, or a small weight against an anchor
+    whose coordinates straddle the edge of the 21-bit field."""
+    rs = build_root_system(draw(st.sampled_from(sorted(PACKED_HEIGHTS))))
+    small = st.tuples(*[st.integers(0, PACKED_HEIGHTS[str(rs.lie_type)])] * rs.rank)
+    if draw(st.booleans()):
+        return rs, draw(small), draw(small)
+    near_edge = st.integers(FIELD_EDGE - 12, FIELD_EDGE + 12)
+    anchor = draw(st.tuples(*[st.one_of(st.integers(0, 2), near_edge)] * rs.rank))
+    return rs, anchor, draw(st.tuples(*[st.integers(0, 1)] * rs.rank))
+
+
+def cartan_coefficients(rs, x):
+    """Coefficients of x in the basis of simple roots (exact rationals)."""
+    inv = _invert_rational([list(row) for row in rs.cartan])
+    return [sum(inv[i][j] * x[j] for j in range(rs.rank)) for i in range(rs.rank)]
+
+
+@st.composite
+def sweep_pairs(draw):
+    """A pair from the weights of one benchmark sweep."""
+    typ, height = draw(st.sampled_from([("A2", 8), ("B2", 6), ("G2", 5), ("B3", 3)]))
+    rs = build_root_system(typ)
+    weight = st.tuples(*[st.integers(0, height)] * rs.rank)
+    return rs, draw(weight), draw(weight)
+
+
+class TestPackedPath:
+    @settings(max_examples=60, deadline=None)
+    @given(packed_pairs())
+    def test_matches_reference(self, drawn):
+        rs, lam, mu = drawn
+        assert tensor_decompose(rs, lam, mu).components == brauer_klimyk(rs, mu, lam)
+
+    def test_width_rule(self):
+        # (1,) against the anchor a bounds every coordinate by a + 4: |a + rho|
+        # and |(1,)| give a + 1 and 1 exactly, plus a rounding slack of 2.
+        rs = build_root_system("A1")
+        assert _field_width(rs, (1,), (FIELD_EDGE - 5,)) == _MIN_FIELD
+        assert _field_width(rs, (1,), (FIELD_EDGE - 4,)) == _MIN_FIELD + 1
+        assert _field_width(rs, (1,), (10 ** 14,)) == (10 ** 14 + 4).bit_length() + 1
+        for typ, height in PACKED_HEIGHTS.items():
+            rs = build_root_system(typ)
+            top = rs.dominant_weights_up_to(2 * height)[-1]
+            assert _field_width(rs, top, top) == _MIN_FIELD  # sweeps share one width
+
+    def test_reflection_memo_lives_on_its_root_system(self):
+        shared = build_root_system("B2")
+        fresh = RootSystem(LieType.parse("B2"))
+        assert fresh._reflection_memo == fresh._packed_memo == fresh._orbit_memo == {}
+        assert (tensor_decompose(fresh, (2, 1), (1, 2)).components
+                == tensor_decompose(shared, (2, 1), (1, 2)).components)
+        shared_sizes = {w: len(t) for w, t in shared._reflection_memo.items()}
+        tensor_decompose(fresh, (FIELD_EDGE, 3), (1, 0))
+        tensor_decompose(fresh, (3, 3), (2, 2))
+        assert len(fresh._reflection_memo) == 2 and min(fresh._reflection_memo) == _MIN_FIELD
+        for width, table in fresh._reflection_memo.items():
+            bias = 1 << (width - 1)
+            for key, hit in table.items():
+                y, sign, singular = fresh.dominant_representative(
+                    _unpack(key, width, bias, fresh.rank))
+                if singular:
+                    assert hit is None
+                else:
+                    assert type(hit) is tuple and type(hit[0]) is tuple
+                    assert hit == (tuple(c - 1 for c in y), sign)
+        for (width, nu), orbit in fresh._orbit_memo.items():
+            assert type(orbit) is tuple and all(type(k) is int for k in orbit)
+            assert len(orbit) == len(fresh.weyl_orbit(nu))
+        # each orbit is stored once and shared by the weight systems holding it
+        stored = {id(orbit) for orbit in fresh._orbit_memo.values()}
+        for (width, weight), groups in fresh._packed_memo.items():
+            assert type(groups) is tuple
+            assert all(type(m) is int and id(orbit) in stored for m, orbit in groups)
+            assert sum(m * len(keys) for m, keys in groups) == fresh.weyl_dim(weight)
+        # the shared instance saw none of the fresh instance's new points
+        assert {w: len(t) for w, t in shared._reflection_memo.items()} == shared_sizes
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_pairs())
+    def test_dominance_certificate(self, drawn):
+        # every component nu satisfies nu <= lam + mu: lam + mu - nu is a
+        # nonnegative integer combination of simple roots, and c(nu) <= c(lam + mu)
+        rs, lam, mu = drawn
+        top = tuple(a + b for a, b in zip(lam, mu))
+        for nu in tensor_decompose(rs, lam, mu).components:
+            coefficients = cartan_coefficients(rs, [t - n for t, n in zip(top, nu)])
+            assert all(k.denominator == 1 and k >= 0 for k in coefficients)
+            assert rs.casimir(nu) <= rs.casimir(top)
 
 
 class TestTensorDecompose:
