@@ -9,7 +9,6 @@ independent exact U_q(sl2) oracle for the central norm formula.
 from .root_system import (
     LieType,
     LieTypeError,
-    RationalScalar,
     RootSystem,
     Weight,
     build_root_system,
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "LieType",
     "LieTypeError",
-    "RationalScalar",
     "RootSystem",
     "Weight",
     "build_root_system",

@@ -76,7 +76,8 @@ def cb_extends(rs: RootSystem, cfg: SessionConfig, beta, lam) -> CBDecision:
     ns = rs.norm_sq(lam)
     ns_dec = precision.to_decimal(ns, ctx)
     lam_norm = precision.sqrt_fraction(ns, ctx)
-    beta_min = ctx.exp(ctx.multiply(lam_norm, log_inv_q))
+    with precision.decimal_range("beta_min of {}", lam):
+        beta_min = ctx.exp(ctx.multiply(lam_norm, log_inv_q))
 
     diff = ctx.subtract(ns_dec, t_sq)
     scale = max(Decimal(1), ns_dec, t_sq)
@@ -86,8 +87,9 @@ def cb_extends(rs: RootSystem, cfg: SessionConfig, beta, lam) -> CBDecision:
     if extends:
         cert = Certificate(kind="bound", bound=Decimal(1), attained_at=(0,) * rs.rank)
     else:
-        growth = ctx.exp(ctx.subtract(ctx.multiply(ns_dec, log_inv_q),
-                                      ctx.multiply(lam_norm, log_b)))
+        with precision.decimal_range("the growth factor of {}", lam):
+            growth = ctx.exp(ctx.subtract(ctx.multiply(ns_dec, log_inv_q),
+                                          ctx.multiply(lam_norm, log_b)))
         cert = Certificate(kind="divergence", ray_base=lam, growth_factor=growth)
     return CBDecision(
         lam=lam,

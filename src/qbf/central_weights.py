@@ -30,7 +30,7 @@ Built-in families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Context, Decimal, Overflow
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
@@ -93,27 +93,24 @@ def eval_weight(rs: RootSystem, spec: CentralWeightSpec, mu) -> WeightValue:
     log = _log_weight(rs, spec, mu, ctx)
     if log is None:
         raise KeyError(f"weight table has no entry for {mu}")
-    try:
+    with precision.decimal_range("w({})", mu):
         return WeightValue(ctx.exp(log), log)
-    except Overflow:
-        raise ValueError(f"w({mu}) is out of the decimal range (exponent above {ctx.Emax})") from None
 
 
 def _log_weight(rs: RootSystem, spec: CentralWeightSpec, mu: Weight, ctx: Context) -> Decimal | None:
-    if spec.kind == "beta_norm":
-        norm = precision.sqrt_fraction(rs.norm_sq(mu), ctx)
-        return ctx.multiply(norm, ctx.ln(precision.to_decimal(spec.beta, ctx)))
-    if spec.kind == "lst":
-        if spec.beta == 0:
-            return Decimal(0)
-        root = precision.sqrt_fraction(rs.casimir(mu), ctx)
-        try:
-            return ctx.multiply(precision.to_decimal(spec.beta, ctx), root)
-        except Overflow:
-            raise ValueError(
-                f"log w({mu}) is out of the decimal range (exponent above {ctx.Emax})") from None
-    value = spec.table.get(mu)
-    return None if value is None else ctx.ln(precision.to_decimal(value, ctx))
+    if spec.kind == "table":
+        value = spec.table.get(mu)
+        return None if value is None else ctx.ln(precision.to_decimal(value, ctx))
+    # log w(mu) = s f(mu)^{1/2} with s = log beta, f = |mu|^2 or s = beta, f = c(mu);
+    # a zero factor gives an exact 0, not a zero carrying the product's exponent.
+    f = rs.norm_sq(mu) if spec.kind == "beta_norm" else rs.casimir(mu)
+    beta = precision.to_decimal(spec.beta, ctx)
+    s = ctx.ln(beta) if spec.kind == "beta_norm" else beta
+    if f == 0 or s == 0:
+        return Decimal(0)
+    root = precision.sqrt_fraction(f, ctx)
+    with precision.decimal_range("log w({})", mu):
+        return ctx.multiply(root, s)
 
 
 @dataclass(frozen=True)
@@ -221,11 +218,8 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
             if llam is None or lmu is None:
                 skipped += len(orientations)
                 continue
-            try:
+            with precision.decimal_range("log w({}) + log w({})", lam, mu):
                 rhs = ctx.add(llam, lmu)
-            except Overflow:
-                raise ValueError(f"log w({lam}) + log w({mu}) is out of the decimal range "
-                                 f"(exponent above {ctx.Emax})") from None
             components = tensor_decompose(rs, lam, mu).components
             if sense is not None:
                 checked += len(orientations) * len(components)

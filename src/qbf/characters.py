@@ -1,10 +1,12 @@
 """Weight systems of irreducible representations.
 
 Multiplicities are computed on the dominant chamber with Freudenthal's
-recursion and expanded to full Weyl orbits.  The module also provides a
-character-product decomposition (multiply two weight systems pointwise, then
-repeatedly strip the highest remaining weight) which serves as an independent
-cross-check for the fusion algorithm at small heights.
+recursion and expanded to full Weyl orbits.  The dominant weights below a
+highest weight are found by descent: subtract every positive root and keep the
+dominant results.  The module also provides a character-product decomposition
+(multiply two weight systems pointwise, then repeatedly strip the highest
+remaining weight) which serves as an independent cross-check for the fusion
+algorithm at small heights.
 
 Each weight system is memoised once, in a dict on its :class:`RootSystem`, and
 stored only when complete, so concurrent readers never see partial results.
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import product as iproduct
 from types import MappingProxyType
 
 from .root_system import RootSystem, Weight
@@ -41,27 +42,23 @@ class Character:
         return self.weights.get(rs.check_weight(weight), 0)
 
 
-def _dominant_candidates(rs: RootSystem, mu: Weight) -> list[Weight]:
+def _dominant_candidates(rs: RootSystem, mu: Weight) -> set[Weight]:
     """Dominant nu with mu - nu a nonnegative integer combination of simple roots.
 
-    The combination coefficients are bounded by k_j <= (mu, w_j)/d_j, with w_j
-    the fundamental weights, so a finite box suffices.
+    Each cover of the dominance order on dominant weights is a positive root
+    (Stembridge, "The partial order of dominant weights", 1998), so descent
+    from mu by positive roots through dominant weights reaches every such nu.
     """
-    N = rs.rank
-    bounds = []
-    for j in range(N):
-        pairing = sum(rs.gram[i][j] * mu[i] for i in range(N))
-        bounds.append(int(pairing / rs.symmetrizers[j]))
-    cols = rs.simple_roots
-    out = []
-    for ks in iproduct(*(range(b + 1) for b in bounds)):
-        nu = tuple(
-            mu[i] - sum(k * cols[j][i] for j, k in enumerate(ks) if k)
-            for i in range(N)
-        )
-        if all(c >= 0 for c in nu):
-            out.append(nu)
-    return out
+    found = {mu}
+    stack = [mu]
+    while stack:
+        nu = stack.pop()
+        for alpha in rs.positive_roots:
+            x = tuple(c - a for c, a in zip(nu, alpha))
+            if min(x) >= 0 and x not in found:
+                found.add(x)
+                stack.append(x)
+    return found
 
 
 def weight_multiplicities(rs: RootSystem, mu) -> Character:
@@ -87,8 +84,7 @@ def _weight_multiplicities(rs: RootSystem, mu: Weight) -> Character:
         shifted = tuple(c + 1 for c in nu)
         return den_ip(shifted, shifted)
 
-    candidates = _dominant_candidates(rs, mu)
-    candidates.sort(key=lambda nu: (-rho_norm(nu), nu))
+    candidates = sorted(_dominant_candidates(rs, mu), key=lambda nu: (-rho_norm(nu), nu))
 
     # |nu + k a|^2 = |nu|^2 + 2k (nu, a) + k^2 |a|^2 and (nu + k a, a) =
     # (nu, a) + k |a|^2, all scaled by _gram_den, from the pairing vectors.

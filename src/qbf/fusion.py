@@ -11,19 +11,20 @@ internal error, never a user error.
 The inner loop runs on packed integer keys.  A weight x is packed as
 sum x_i 2^(W i) over fields of W bits, plus a bias of 2^(W - 1) in every
 field for a point anchor + rho + w; so each weight of the expanded factor
-costs one integer add and one dict lookup.  Memos on the root system serve
-the loop: the expanded weight system as (multiplicity, packed Weyl orbit)
-pairs, each orbit packed once and shared between weight systems, and the
-reflection memo, which maps the key of a point to (nu, sign), nu + rho being
-its dominant form, or to None on a chamber wall.  All are keyed by the field
-width W.  W is the smallest width, and at least 21 bits, whose fields hold
-every coordinate of a point and of its dominant form; ordinary sweeps
-therefore share the 21-bit tables, while a huge anchor runs through the same
-loop with wider fields.
+costs one integer add and one dict lookup.  The loop reads the dominant
+multiplicities of the expanded factor from its :class:`Character` and, for
+each dominant weight, its packed Weyl orbit.  Two memos on the root system
+serve it: the packed orbits, each packed once and shared between weight
+systems, and the reflection memo, which maps the key of a point to (nu,
+sign), nu + rho being its dominant form, or to None on a chamber wall.  Both
+are keyed by the field width W.  W is the smallest width, and at least 21
+bits, whose fields hold every coordinate of a point and of its dominant form;
+ordinary sweeps therefore share the 21-bit tables, while a huge anchor runs
+through the same loop with wider fields.
 
 Decompositions themselves are not cached: the sweeps decompose each
 unordered pair once, and a fusion cache measured a repeat ratio of 0.  The
-expanded weight system is memoised on the root system by :mod:`qbf.characters`.
+weight system is memoised on the root system by :mod:`qbf.characters`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .characters import full_weights
+from .characters import weight_multiplicities
 from .root_system import RootSystem, Weight
 
 
@@ -86,26 +87,6 @@ def _field_width(rs: RootSystem, expand: Weight, anchor: Weight) -> int:
     return max(_MIN_FIELD, bound.bit_length() + 1)
 
 
-def _packed_weights(rs: RootSystem, mu: Weight, weights, width: int) -> tuple:
-    """The weight system of mu as (multiplicity, packed Weyl orbit) pairs, memoised.
-
-    Each orbit is packed once per root system and shared by every weight
-    system that contains it.
-    """
-    packed = rs._packed_memo.get((width, mu))
-    if packed is None:
-        groups = []
-        for nu, m in weights.items():
-            if min(nu) >= 0:  # the dominant weight of its orbit
-                orbit = rs._orbit_memo.get((width, nu))
-                if orbit is None:
-                    orbit = rs._orbit_memo[(width, nu)] = tuple(
-                        _pack(w, width) for w in rs.weyl_orbit(nu))
-                groups.append((m, orbit))
-        packed = rs._packed_memo[(width, mu)] = tuple(groups)
-    return packed
-
-
 def _unpack(key: int, width: int, bias: int, rank: int) -> Weight:
     """Inverse of ``_pack`` on a key biased by ``bias`` in every field."""
     mask = (1 << width) - 1
@@ -123,13 +104,17 @@ def tensor_decompose(rs: RootSystem, lam, mu) -> FusionDecomposition:
     lam = rs.check_dominant(lam)
     mu = rs.check_dominant(mu)
     expand, anchor = (lam, mu) if rs._weyl_dim(lam) <= rs._weyl_dim(mu) else (mu, lam)
-    weights = full_weights(rs, expand)
+    dominant = weight_multiplicities(rs, expand).dominant
     width = _field_width(rs, expand, anchor)
     bias = 1 << (width - 1)
     base = _pack([c + 1 + bias for c in anchor], width)  # biased key of anchor + rho
     memo = rs._reflection_memo.setdefault(width, {})
     acc: dict[Weight, int] = {}
-    for m, keys in _packed_weights(rs, expand, weights, width):
+    for eta, m in dominant.items():
+        keys = rs._orbit_memo.get((width, eta))
+        if keys is None:
+            keys = rs._orbit_memo[(width, eta)] = tuple(
+                _pack(w, width) for w in rs.weyl_orbit(eta))
         for k in keys:
             key = base + k
             try:

@@ -3,11 +3,14 @@
 All non-rational arithmetic in this package (square roots, logarithms,
 exponentials) runs in a :mod:`decimal` context of ``DIGITS`` significant
 digits.  The precision is fixed: the tolerances of the callers are sized for
-it.  ``to_decimal`` is also the one coercion of user-supplied reals.
+it.  ``to_decimal`` is also the one coercion of user-supplied reals, and
+``decimal_range`` the one translation of a result beyond the context's
+exponent range into a ``ValueError``.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from decimal import Context, Decimal, Overflow
 from fractions import Fraction
 
@@ -23,6 +26,20 @@ def make_context() -> Context:
     return Context(prec=working_digits())
 
 
+@contextmanager
+def decimal_range(label: str, *args):
+    """Raise a ``decimal.Overflow`` in the block as a one-line ``ValueError``.
+
+    The message names the quantity ``label.format(*args)``, formatted only on
+    overflow, so hot callers pay nothing for it.
+    """
+    try:
+        yield
+    except Overflow:
+        raise ValueError(f"{label.format(*args)} is out of the decimal range "
+                         f"(exponent above {make_context().Emax})") from None
+
+
 def to_decimal(x, ctx: Context) -> Decimal:
     """Convert int/str/float/Fraction/Decimal to Decimal in the given context.
 
@@ -30,7 +47,7 @@ def to_decimal(x, ctx: Context) -> Decimal:
     beyond the context's exponent range is a ``ValueError``, like any other
     unusable user real.
     """
-    try:
+    with decimal_range("{}", x):
         if isinstance(x, Decimal):
             return ctx.plus(x)
         if isinstance(x, Fraction):
@@ -38,8 +55,6 @@ def to_decimal(x, ctx: Context) -> Decimal:
         if isinstance(x, float):
             return ctx.plus(Decimal(repr(x)))
         return ctx.plus(Decimal(x))
-    except Overflow:
-        raise ValueError(f"{x} is out of the decimal range (exponent above {ctx.Emax})") from None
 
 
 def sqrt_fraction(fr: Fraction, ctx: Context) -> Decimal:

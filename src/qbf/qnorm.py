@@ -40,7 +40,8 @@ class QExponent:
         ctx = precision.make_context()
         qd = precision.to_decimal(_check_q(q), ctx)
         e = precision.to_decimal(self.value, ctx)
-        return ctx.exp(ctx.multiply(e, ctx.ln(qd)))
+        with precision.decimal_range("{}", self):
+            return ctx.exp(ctx.multiply(e, ctx.ln(qd)))
 
     def __str__(self) -> str:
         return f"q^({self.value})"

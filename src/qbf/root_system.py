@@ -25,7 +25,6 @@ from itertools import product as iproduct
 from math import lcm
 
 Weight = tuple[int, ...]
-RationalScalar = Fraction
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4}
 _FIXED_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
@@ -171,9 +170,9 @@ class RootSystem:
 
     * per-weight invariants: the scaled Casimir and norm^2, the Weyl dimension;
     * the weight systems of :mod:`qbf.characters`;
-    * the packed-key tables of :mod:`qbf.fusion`, per field width: packed
-      Weyl orbits, each expanded weight system as (multiplicity, orbit)
-      pairs, and a dict from each rho-shifted point key to (nu, sign) or None.
+    * the packed-key tables of :mod:`qbf.fusion`, per field width: the packed
+      Weyl orbit of each dominant weight, and a dict from each rho-shifted
+      point key to (nu, sign) or None.
 
     Those dicts only ever receive idempotent writes of complete, read-only,
     deterministic values (a per-width dict is created by one atomic
@@ -234,10 +233,9 @@ class RootSystem:
         self._norm_memo: dict[Weight, int] = {}
         self._dim_memo: dict[Weight, int] = {}
         self._char_memo: dict = {}  # Weight -> qbf.characters.Character
-        # Packed-key tables of qbf.fusion: (width, weight) -> packed Weyl orbit
-        # and -> packed weight system, and width -> {point key: (nu, sign) or None}.
+        # Packed-key tables of qbf.fusion: (width, dominant weight) -> packed
+        # Weyl orbit, and width -> {point key: (nu, sign) or None}.
         self._orbit_memo: dict[tuple[int, Weight], tuple[int, ...]] = {}
-        self._packed_memo: dict[tuple[int, Weight], tuple] = {}
         self._reflection_memo: dict[int, dict[int, tuple[Weight, int] | None]] = {}
 
         self._self_check()

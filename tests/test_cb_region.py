@@ -63,6 +63,12 @@ class TestCbExtends:
             flags = [cb_extends(rs, cfg, b, lam).extends for b in betas]
             assert flags == sorted(flags)  # once extending, stays extending
 
+    def test_beta_min_beyond_decimal_range(self):
+        # |lam| log(1/q) = 500/sqrt(2) * 4000 ln 10 is above the largest exponent
+        rs = build_root_system("A1")
+        with pytest.raises(ValueError, match="beta_min of \\(500,\\) is out of the decimal range"):
+            cb_extends(rs, SessionConfig("1e-4000"), "1e999999", (500,))
+
     def test_beta_below_one_rejected(self):
         rs = build_root_system("A1")
         cfg = SessionConfig("0.5")

@@ -82,6 +82,14 @@ class TestEvalWeight:
         with pytest.raises(ValueError, match="out of the decimal range"):
             eval_weight(rs, spec, mu)
 
+    @pytest.mark.parametrize("spec", [
+        CentralWeightSpec.beta_norm(2), CentralWeightSpec.beta_norm("0.5"),
+        CentralWeightSpec.lst(2), CentralWeightSpec.lst(0)])
+    def test_zero_weight_has_exact_zero_log(self, spec):
+        rs = build_root_system("A2")
+        value = eval_weight(rs, spec, (0, 0))
+        assert str(value.log) == "0" and value.value == 1
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="positive"):
             CentralWeightSpec.beta_norm(0)

@@ -1,9 +1,15 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from qbf import characters, fusion
-from qbf.characters import character_product_decompose, full_weights, weight_multiplicities
+from qbf.characters import (
+    _dominant_candidates,
+    character_product_decompose,
+    full_weights,
+    weight_multiplicities,
+)
 from qbf.fusion import tensor_decompose
 from qbf.root_system import LieType, RootSystem, build_root_system
 
@@ -11,6 +17,44 @@ from qbf.root_system import LieType, RootSystem, build_root_system
 def sl2_ladder(n):
     """Brute-force rank-one weight system: the string n, n-2, ..., -n."""
     return {(n - 2 * j,): 1 for j in range(n + 1)}
+
+
+def box_candidates(rs, mu):
+    """Reference enumeration: every nonnegative coefficient vector k with
+    k_j <= (mu, w_j)/d_j, w_j the fundamental weights, kept when mu - sum k_j a_j
+    is dominant."""
+    N = rs.rank
+    bounds = [int(sum(rs.gram[i][j] * mu[i] for i in range(N)) / rs.symmetrizers[j])
+              for j in range(N)]
+    found = set()
+    for ks in product(*(range(b + 1) for b in bounds)):
+        nu = tuple(mu[i] - sum(k * rs.simple_roots[j][i] for j, k in enumerate(ks))
+                   for i in range(N))
+        if min(nu) >= 0:
+            found.add(nu)
+    return found
+
+
+# Largest coordinate sum per type, chosen to keep the reference box small.
+DESCENT_SUMS = {"A1": 12, "A2": 6, "A3": 4, "A4": 3, "B2": 6, "B3": 4, "C3": 4, "C4": 2,
+                "D4": 2, "G2": 5, "F4": 2, "E6": 1, "B2xA1": 4}
+
+
+class TestDominantDescent:
+    @pytest.mark.parametrize("typ", sorted(DESCENT_SUMS))
+    def test_descent_matches_the_coefficient_box(self, typ):
+        rs = build_root_system(typ)
+        weights = [mu for mu in product(range(DESCENT_SUMS[typ] + 1), repeat=rs.rank)
+                   if sum(mu) <= DESCENT_SUMS[typ]]
+        for mu in weights:
+            assert _dominant_candidates(rs, mu) == box_candidates(rs, mu), mu
+
+    def test_e8_adjoint(self):
+        rs = build_root_system("E8")
+        omega8 = (0,) * 7 + (1,)
+        char = weight_multiplicities(rs, omega8)
+        assert char.dominant == {omega8: 1, (0,) * 8: 8}
+        assert char.dim == 248
 
 
 class TestWeightMultiplicities:

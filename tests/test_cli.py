@@ -213,6 +213,21 @@ class TestExitCodes:
         z1 = [line.split() for line in out.splitlines() if line.startswith("Z1")]
         assert z1 == [["Z1", "1", "-1628171.90534", "0"],
                       ["Z1", "2", "-3256343.81068", "0"]]
+        # the zero weight's log is an exact 0, not a zero carrying an exponent
+        z2 = [line.split() for line in out.splitlines() if line.startswith("Z2")]
+        assert ["Z2", "1;1;0", "0", "-3256343.81068"] in z2
+        assert ["Z2", "2;2;0", "0", "-6512687.62137"] in z2
+
+    @pytest.mark.parametrize("args,quantity", [
+        (["norm", "--type", "A1", "--lambda", "3000", "--mu", "3000", "--q", "0.5",
+          "--route", "closed"], "q^(-4500000)"),
+        (["cb-region", "--type", "A2", "--q", "1e-4000", "--beta", "2", "--height", "12"],
+         "growth factor"),
+    ])
+    def test_result_beyond_decimal_range(self, args, quantity, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert quantity in err and "out of the decimal range" in err
 
     def test_oracle_corrupted_exponents_exit_two(self, corrupted_exponents, capsys):
         code, out, _ = run_cli(["oracle-sl2", "--q", "0.5", "--m", "2", "--n", "3",

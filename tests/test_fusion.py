@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbf.characters import character_product_decompose, full_weights
+from qbf.characters import character_product_decompose, full_weights, weight_multiplicities
 from qbf.fusion import _MIN_FIELD, _field_width, _unpack, contains_trivial, tensor_decompose
 from qbf.root_system import LieType, RootSystem, _invert_rational, build_root_system
 
@@ -155,12 +155,17 @@ class TestPackedPath:
     def test_reflection_memo_lives_on_its_root_system(self):
         shared = build_root_system("B2")
         fresh = RootSystem(LieType.parse("B2"))
-        assert fresh._reflection_memo == fresh._packed_memo == fresh._orbit_memo == {}
+        assert fresh._reflection_memo == fresh._orbit_memo == {}
         assert (tensor_decompose(fresh, (2, 1), (1, 2)).components
                 == tensor_decompose(shared, (2, 1), (1, 2)).components)
         shared_sizes = {w: len(t) for w, t in shared._reflection_memo.items()}
+        # (width, expanded factor) of each decomposition: the factor of smaller dimension
+        expanded = [(_MIN_FIELD, (1, 2))]
         tensor_decompose(fresh, (FIELD_EDGE, 3), (1, 0))
+        expanded.append((_field_width(fresh, (1, 0), (FIELD_EDGE, 3)), (1, 0)))
+        orbits_before = dict(fresh._orbit_memo)
         tensor_decompose(fresh, (3, 3), (2, 2))
+        expanded.append((_MIN_FIELD, (2, 2)))
         assert len(fresh._reflection_memo) == 2 and min(fresh._reflection_memo) == _MIN_FIELD
         for width, table in fresh._reflection_memo.items():
             bias = 1 << (width - 1)
@@ -175,12 +180,15 @@ class TestPackedPath:
         for (width, nu), orbit in fresh._orbit_memo.items():
             assert type(orbit) is tuple and all(type(k) is int for k in orbit)
             assert len(orbit) == len(fresh.weyl_orbit(nu))
-        # each orbit is stored once and shared by the weight systems holding it
-        stored = {id(orbit) for orbit in fresh._orbit_memo.values()}
-        for (width, weight), groups in fresh._packed_memo.items():
-            assert type(groups) is tuple
-            assert all(type(m) is int and id(orbit) in stored for m, orbit in groups)
-            assert sum(m * len(keys) for m, keys in groups) == fresh.weyl_dim(weight)
+        # each orbit is stored once and shared by the weight systems holding it:
+        # (2, 2) reuses the orbits (1, 2) already packed, as the same objects
+        assert all(fresh._orbit_memo[key] is orbit for key, orbit in orbits_before.items())
+        assert (set(fresh._orbit_memo) - set(orbits_before)
+                == {(_MIN_FIELD, nu) for nu in ((2, 2), (3, 0), (0, 4))})
+        for width, weight in expanded:
+            dominant = weight_multiplicities(fresh, weight).dominant
+            assert (sum(m * len(fresh._orbit_memo[(width, nu)]) for nu, m in dominant.items())
+                    == fresh.weyl_dim(weight))
         # the shared instance saw none of the fresh instance's new points
         assert {w: len(t) for w, t in shared._reflection_memo.items()} == shared_sizes
 

@@ -28,6 +28,21 @@ def test_to_decimal_float_uses_repr():
     assert precision.to_decimal(Fraction(1, 4), ctx) == Decimal("0.25")
 
 
+def test_decimal_range_names_the_quantity():
+    ctx = precision.make_context()
+    with pytest.raises(ValueError, match=r"^w\(\(1, 2\)\) is out of the decimal range "
+                                         r"\(exponent above 999999\)$"):
+        with precision.decimal_range("w({})", (1, 2)):
+            ctx.exp(Decimal("1e7"))
+
+    class Unrendered:
+        def __str__(self):
+            raise AssertionError("the label was rendered without an overflow")
+
+    with precision.decimal_range("{}", Unrendered()):
+        assert ctx.exp(Decimal(0)) == 1
+
+
 def test_sqrt_fraction():
     ctx = precision.make_context()
     root = precision.sqrt_fraction(Fraction(2), ctx)
