@@ -30,13 +30,13 @@ Built-in families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Context, Decimal
+from decimal import Context, Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from . import precision
 from .fusion import tensor_decompose
-from .root_system import RootSystem, Weight
+from .root_system import RootSystem, Weight, _integral_weight
 
 LOG_TOLERANCE = Decimal("1e-12")
 
@@ -62,16 +62,25 @@ class CentralWeightSpec:
         return cls(kind="lst", beta=b)
 
     @classmethod
-    def from_table(cls, table: Mapping) -> "CentralWeightSpec":
+    def from_table(cls, table: Mapping | Iterable) -> "CentralWeightSpec":
+        """Table weights from a mapping or from (mu, value) pairs; a non-integral
+        or repeated mu, or a value that is not a positive number, is a ValueError."""
         entries = {}
-        for mu, value in table.items():
-            v = _to_positive_decimal(value, f"table value at {tuple(mu)}")
-            entries[tuple(int(c) for c in mu)] = v
+        for mu, value in table.items() if isinstance(table, Mapping) else table:
+            mu = _integral_weight(mu)
+            if mu in entries:
+                raise ValueError(f"weight table repeats the weight {mu}")
+            entries[mu] = _to_positive_decimal(value, f"table value at {mu}")
         return cls(kind="table", table=entries)
 
 
 def _to_positive_decimal(x, name: str) -> Decimal:
-    d = precision.to_decimal(x, precision.make_context())
+    try:
+        if isinstance(x, bool) or not isinstance(x, (int, float, str, Fraction, Decimal)):
+            raise InvalidOperation
+        d = precision.to_decimal(x, precision.make_context())
+    except InvalidOperation:
+        raise ValueError(f"{name} must be a decimal number, got {x!r}") from None
     if not d.is_finite() or d <= 0:
         raise ValueError(f"{name} must be finite and strictly positive, got {x}")
     return d

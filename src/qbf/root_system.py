@@ -131,6 +131,18 @@ def _simple_cartan(series: str, rank: int) -> tuple[list[list[int]], list[int]]:
     return A, d
 
 
+def _integral_weight(x) -> Weight:
+    """The coordinates of x as ints; a coordinate c with int(c) != c is a ValueError."""
+    x = tuple(x)
+    try:
+        t = tuple(map(int, x))
+    except (TypeError, ValueError, ArithmeticError):
+        t = None
+    if t != x:
+        raise ValueError(f"weight ({', '.join(map(str, x))}) has a coordinate that is not an integer")
+    return t
+
+
 def _invert_rational(mat: list[list[Fraction]]) -> list[list[Fraction]]:
     """Gauss-Jordan inverse of a small exact-rational matrix."""
     n = len(mat)
@@ -146,6 +158,21 @@ def _invert_rational(mat: list[list[Fraction]]) -> list[list[Fraction]]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def _is_singular(mat: list[list[Fraction]]) -> bool:
+    """Whether a small exact-rational square matrix is singular, by Gaussian elimination."""
+    rows = [list(row) for row in mat]
+    for col in range(len(rows)):
+        i = next((i for i, row in enumerate(rows) if row[col]), None)
+        if i is None:
+            return True
+        pivot = rows.pop(i)
+        for r, row in enumerate(rows):
+            if row[col]:
+                f = row[col] / pivot[col]
+                rows[r] = [x - f * y for x, y in zip(row, pivot)]
+    return False
 
 
 def _is_positive_definite(mat: list[list[Fraction]]) -> bool:
@@ -294,10 +321,10 @@ class RootSystem:
     # -- basic geometry ----------------------------------------------------
 
     def check_weight(self, x) -> Weight:
-        t = tuple(int(c) for c in x)
+        t = _integral_weight(x)
         if len(t) != self.rank:
             raise ValueError(
-                f"weight {tuple(x)} has length {len(t)}, expected rank {self.rank}"
+                f"weight {t} has length {len(t)}, expected rank {self.rank}"
             )
         return t
 

@@ -17,17 +17,18 @@ truncated at k = min(m, n) by nilpotency, with q^{H(x)H/2} acting on a pair of
 weight vectors as q^{(wt_i wt_j)/2}; E^k acts on the first (m) leg.  R21 is
 the same series with the legs of E and F exchanged.
 
-Everything is exact: for rational q the entries of R live in Q(sqrt(q)),
-represented as pairs a + b sqrt(q), and all square roots cancel in the
-product R21 R, which is therefore an exact rational matrix.  It is block
-diagonal over total-weight subspaces of dimension <= min(m,n)+1, and block b
-is self-adjoint for the inner product with diagonal weights d^2 determined by
-the compact-form star structure (E* = FK).  The eigenvalue multiset is
-certified per block (annihilating polynomial plus power traces), which fixes
-every eigenvalue, so the norm comparison is an equality of rationals.  No
-floating point is involved: a dense eigensolve of the full block would lose
-the small eigenvalues entirely, since the condition number reaches
-q^{-84} ~ 1e44 at q = 0.3, m = n = 6.
+Everything is exact: each weight product (m-2i)(n-2j) has the parity of mn,
+so R is q^{(mn mod 2)/2} times a rational matrix and R21 R is q^{mn mod 2}
+times the product of the two rational matrices.  R21 R is block diagonal over
+total-weight subspaces of dimension <= min(m,n)+1, and each block is
+self-adjoint for the inner product with diagonal weights d^2 determined by the
+compact-form star structure (E* = FK).  Each block is certified by checking
+that its size predicted values q^{E(nu)} are pairwise distinct and that
+R21 R - q^{-E(nu)} is singular for each: they are then its whole spectrum, each
+simple, so the norm comparison is an equality of rationals.  No floating
+point is involved: a dense eigensolve of the full block would lose the small
+eigenvalues entirely, since the condition number reaches q^{-84} ~ 1e44 at
+q = 0.3, m = n = 6.
 """
 
 from __future__ import annotations
@@ -37,14 +38,13 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import precision
-from .qnorm import _check_q, rmatrix_exponent_details
-from .root_system import _invert_rational, build_root_system
+from .qnorm import QExponent, _check_q, rmatrix_exponent_details
+from .root_system import _is_singular, build_root_system
 
 # Spin-label cap bounding the exact-arithmetic cost: the numerators and
 # denominators of the certificate's rationals grow with m * n.
 MAX_SPIN_LABEL = 8
 
-Pair = tuple[Fraction, Fraction]  # a + b sqrt(q)
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
@@ -115,19 +115,6 @@ def relation_residuals(rep: Sl2Rep) -> dict[str, Fraction]:
     }
 
 
-# -- exact Q(sqrt(q)) helpers -------------------------------------------------
-
-def _half_power(q: Fraction, p: int) -> Pair:
-    """q^{p/2} as a pair a + b sqrt(q)."""
-    if p % 2 == 0:
-        return (q ** (p // 2), Fraction(0))
-    return (Fraction(0), q ** ((p - 1) // 2))
-
-
-def _pair_scale(x: Pair, c: Fraction) -> Pair:
-    return (x[0] * c, x[1] * c)
-
-
 def _block_indices(m: int, n: int) -> list[list[tuple[int, int]]]:
     """Tensor indices (i, j) grouped by s = i + j (constant total weight)."""
     return [[(i, s - i) for i in range(max(0, s - n), min(m, s) + 1)]
@@ -144,11 +131,11 @@ def _series_coeffs(q: Fraction, kmax: int) -> list[Fraction]:
     return out
 
 
-def _r_block(q: Fraction, m: int, n: int, idx: list[tuple[int, int]], flip: bool) -> list[list[Pair]]:
-    """One total-weight block of (pi_m (x) pi_n)(R), or of R21 when flip is set."""
+def _r_block(q: Fraction, m: int, n: int, idx: list[tuple[int, int]], flip: bool) -> list[list[Fraction]]:
+    """One total-weight block of (pi_m (x) pi_n)(R) / q^{(mn mod 2)/2}, or of R21 when flip is set."""
     coeffs = _series_coeffs(q, min(m, n))
     size = len(idx)
-    out = [[(Fraction(0), Fraction(0))] * size for _ in range(size)]
+    out = [[Fraction(0)] * size for _ in range(size)]
     for col, (ic, jc) in enumerate(idx):
         for row, (ir, jr) in enumerate(idx):
             k = ic - ir if not flip else ir - ic
@@ -167,23 +154,10 @@ def _r_block(q: Fraction, m: int, n: int, idx: list[tuple[int, int]], flip: bool
             if amp == 0:
                 continue
             wrow = (m - 2 * ir) * (n - 2 * jr)
-            out[row][col] = _pair_scale(_half_power(q, wrow), coeffs[k] * amp)
-    return out
-
-
-def _pair_block_mul(A: list[list[Pair]], B: list[list[Pair]], q: Fraction) -> list[list[Pair]]:
-    size = len(A)
-    out = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            s0 = Fraction(0)
-            s1 = Fraction(0)
-            for t in range(size):
-                a, b = A[i][t]
-                c, d = B[t][j]
-                s0 += a * c + b * d * q
-                s1 += a * d + b * c
-            out[i][j] = (s0, s1)
+            # q^{wrow/2} = q^{(mn mod 2)/2} q^{wrow // 2} needs wrow = mn (mod 2).
+            if wrow % 2 != m * n % 2:
+                raise AssertionError(f"weight product {wrow} does not have the parity of mn = {m * n}")
+            out[row][col] = coeffs[k] * amp * q ** (wrow // 2)
     return out
 
 
@@ -200,17 +174,18 @@ class RMatrixBlock:
     """The R-matrix on V(m) (x) V(n) and the positive product block (R21 R).
 
     Both are stored per total-weight block, in the plain weight basis of the
-    generator matrices: ``r`` with entries in Q(sqrt(q)) as pairs, ``r21r``
-    with rational entries.  ``r21r`` is self-adjoint for the inner product
-    with diagonal weights ``dsq``, i.e. D^2 . r21r is symmetric.
+    generator matrices, with rational entries: ``r`` holds R / q^{(mn mod 2)/2}
+    (the one irrational factor of R, common to every entry, is divided out)
+    and ``r21r`` holds R21 R itself.  ``r21r`` is self-adjoint for the inner
+    product with diagonal weights ``dsq``, i.e. D^2 . r21r is symmetric.
     """
 
     q: Fraction
     m: int
     n: int
     blocks: tuple[tuple[tuple[int, int], ...], ...]   # total-weight index groups
-    r: tuple[tuple[tuple[Pair, ...], ...], ...]       # per-block (pi_m (x) pi_n)(R)
-    r21r: tuple[Matrix, ...]                          # per-block (pi_m (x) pi_n)(R21 R)
+    r: tuple[Matrix, ...]                 # per-block (pi_m (x) pi_n)(R) / q^{(mn mod 2)/2}
+    r21r: tuple[Matrix, ...]              # per-block (pi_m (x) pi_n)(R21 R)
     dsq: tuple[Fraction, ...]             # diagonal of the unitarising D^2, index i*(n+1)+j
 
     @property
@@ -221,9 +196,10 @@ class RMatrixBlock:
 def build_rmatrix_block(q, m: int, n: int) -> RMatrixBlock:
     """Exact construction of R and R21 R on V(m) (x) V(n).
 
-    Raises if the sqrt(q) parts of R21 R fail to cancel or if the product is
-    not self-adjoint for the exact D^2 inner product (both would indicate a
-    convention bug).
+    R21 R is q^{mn mod 2} times the product of the rational blocks of R21 and
+    R.  Raises if a weight product does not have the parity of mn or if R21 R
+    is not self-adjoint for the exact D^2 inner product (both would indicate
+    a convention bug).
     """
     qf = _check_q(q)
     for label in (m, n):
@@ -234,15 +210,14 @@ def build_rmatrix_block(q, m: int, n: int) -> RMatrixBlock:
     dn_sq = _dsq_leg(qf, n)
     dsq = [dm_sq[i] * dn_sq[j] for i in range(m + 1) for j in range(n + 1)]
 
+    scale = qf ** (m * n % 2)
     idx_blocks = _block_indices(m, n)
     r_blocks = []
     exact_blocks = []
     for idx in idx_blocks:
         rb = _r_block(qf, m, n, idx, flip=False)
-        prod = _pair_block_mul(_r_block(qf, m, n, idx, flip=True), rb, qf)
-        if any(b != 0 for row in prod for _, b in row):
-            raise AssertionError("sqrt(q) parts of R21 R did not cancel")
-        rational = [[a for a, _ in row] for row in prod]
+        rational = [[scale * x for x in row]
+                    for row in _matmul(_r_block(qf, m, n, idx, flip=True), rb)]
         w = [dsq[i * dn + j] for i, j in idx]
         size = len(idx)
         for i in range(size):
@@ -282,7 +257,6 @@ class OracleReport:
     eigen_rows: tuple[EigenRow, ...]
     exact_multiset_match: bool
     relation_residual: Fraction   # largest exact residual of the generator relations
-    min_eigenvalue: Decimal       # exact smallest eigenvalue of the inverse block
     failures: tuple[str, ...] = ()
 
 
@@ -319,61 +293,49 @@ def verify_norm_formula(q, m: int, n: int) -> OracleReport:
     exact_ok = True
     certified: list[Fraction] = []
     for idx, exact in zip(block.blocks, block.r21r):
-        inv = _invert_rational(exact)
         s = idx[0][0] + idx[0][1]
         w = abs(m + n - 2 * s)
-        eigs = [qf ** predicted[nu][0] for nu in sorted(predicted, reverse=True) if nu >= w]
+        exps = [predicted[nu][0] for nu in sorted(predicted, reverse=True) if nu >= w]
         size = len(idx)
-        if len(eigs) != size:
+        if len(exps) != size:
             exact_ok = False
-            failures.append(f"block at weight {m + n - 2 * s}: {len(eigs)} predicted vs size {size}")
+            failures.append(f"block at weight {m + n - 2 * s}: {len(exps)} predicted vs size {size}")
             continue
-        eye = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-        # Annihilating polynomial with distinct predicted roots ...
-        acc = eye
-        for c in eigs:
-            acc = _matmul(acc, [[x - c if i == j else x for j, x in enumerate(row)]
-                                for i, row in enumerate(inv)])
-        if any(x != 0 for row in acc for x in row):
+        # size distinct roots of the characteristic polynomial are the whole spectrum.
+        if len(set(exps)) != size:
             exact_ok = False
-            failures.append(f"annihilating polynomial fails on weight-{m + n - 2 * s} block")
+            failures.append(f"predicted eigenvalues on weight-{m + n - 2 * s} block are not distinct")
             continue
-        # ... plus power traces pin every multiplicity to one inside the block.
-        power = eye
-        for p in range(1, size):
-            power = _matmul(power, inv)
-            if sum(power[i][i] for i in range(size)) != sum(c ** p for c in eigs):
+        for e in exps:
+            c = qf ** -e
+            if not _is_singular([[x - c if i == j else x for j, x in enumerate(row)]
+                                 for i, row in enumerate(exact)]):
                 exact_ok = False
-                failures.append(f"trace of power {p} mismatches on weight-{m + n - 2 * s} block")
+                failures.append(f"R21 R - q^{-e} is not singular on weight-{m + n - 2 * s} block")
                 break
         else:
-            certified.extend(eigs)
+            certified.extend(qf ** e for e in exps)
 
+    qd = precision.to_decimal(qf, ctx)
     eigen_rows = []
     for nu in sorted(predicted, reverse=True):
         e, mult = predicted[nu]
-        value = ctx.power(precision.to_decimal(qf, ctx), e)
         eigen_rows.append(EigenRow(nu=nu, exponent=e, multiplicity=mult,
-                                   value=value, verified_exact=exact_ok))
+                                   value=ctx.power(qd, e), verified_exact=exact_ok))
     total_mult = sum(mult for _, mult in predicted.values())
     if total_mult != (m + 1) * (n + 1):
         exact_ok = False
         failures.append("isotypical multiplicities do not fill the tensor product")
 
     lam_max = max(certified, default=Fraction(0))
-    half = Fraction(m * n, 2)
-    qd = precision.to_decimal(qf, ctx)
-    norm_expected = ctx.exp(ctx.multiply(precision.to_decimal(-half, ctx), ctx.ln(qd)))
-    # The same exp/ln route as norm_expected, so equal norms render alike.
+    norm_expected = QExponent(Fraction(-m * n, 2)).q_power(qf)
+    # The same exp/ln route as QExponent.q_power, so equal norms render alike.
     norm_computed = ctx.exp(ctx.divide(ctx.ln(precision.to_decimal(lam_max, ctx)), 2))
 
     if not exact_ok:
         failures.append("exact eigenvalue multiset certification failed")
     if lam_max != qf ** (-m * n):
         failures.append(f"norm mismatch: {norm_computed} vs {norm_expected}")
-
-    min_exponent = max(e for e, _ in predicted.values())
-    min_eig = ctx.power(qd, min_exponent)
 
     return OracleReport(
         q=qf, m=m, n=n,
@@ -384,6 +346,5 @@ def verify_norm_formula(q, m: int, n: int) -> OracleReport:
         eigen_rows=tuple(eigen_rows),
         exact_multiset_match=exact_ok,
         relation_residual=rel,
-        min_eigenvalue=min_eig,
         failures=tuple(failures),
     )

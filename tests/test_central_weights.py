@@ -98,6 +98,25 @@ class TestEvalWeight:
         with pytest.raises(ValueError, match="positive"):
             CentralWeightSpec.from_table({(0,): 0})
 
+    def test_table_from_pairs(self):
+        spec = CentralWeightSpec.from_table([((0,), 1), ((Decimal("1.0"),), "2.5")])
+        assert spec.table == {(0,): Decimal(1), (1,): Decimal("2.5")}
+
+    @pytest.mark.parametrize("mu", [(1.5, 0), (Decimal("1.5"), 0), (1, "x")])
+    def test_table_non_integral_weight(self, mu):
+        with pytest.raises(ValueError, match="not an integer"):
+            CentralWeightSpec.from_table({(0, 0): 1, mu: 2})
+
+    @pytest.mark.parametrize("second", [(1,), (Decimal("1.0"),), [1.0]])
+    def test_table_repeated_weight(self, second):
+        with pytest.raises(ValueError, match=r"repeats the weight \(1,\)"):
+            CentralWeightSpec.from_table([((1,), 2), (second, 3), ((0,), 1)])
+
+    @pytest.mark.parametrize("value", [[1], (0, (1,), 0), None, True, {"w": 1}, "abc"])
+    def test_table_non_numeric_value(self, value):
+        with pytest.raises(ValueError, match=r"table value at \(1,\) must be a decimal number"):
+            CentralWeightSpec.from_table([((0,), 1), ((1,), value)])
+
 
 class TestValidate:
     @pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2"])

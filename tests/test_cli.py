@@ -243,13 +243,35 @@ class TestExitCodes:
         code, out, err = run_cli(COMMANDS["fusion"] + ["--out", str(target)], capsys)
         assert code == 1 and out == "" and err.count("\n") == 1 and "error:" in err
 
-    @pytest.mark.parametrize("value", ["abc", "Infinity", float("inf")])
+    @pytest.mark.parametrize("value", ["abc", "Infinity", float("inf"), [1], [0, [1], 0], None, True])
     def test_bad_table_value(self, value, tmp_path, capsys):
         path = tmp_path / "table.json"
         path.write_text(json.dumps([{"mu": [0], "w": 1}, {"mu": [1], "w": value}]))
         code, _, err = run_cli(["verify-weight", "--type", "A1", "--kind", "table",
                                 "--table", str(path), "--height", "2"], capsys)
-        assert code == 1 and err.count("\n") == 1 and "error:" in err
+        assert code == 1 and err.count("\n") == 1 and "error: table value at (1,)" in err
+
+    @pytest.mark.parametrize("table,named", [
+        ('[{"mu":[0,0],"w":1},{"mu":[1.5,0],"w":2},{"mu":[0,1],"w":2},{"mu":[1,1],"w":3}]',
+         "weight (1.5, 0)"),
+        ('[{"mu":[0,0],"w":1},{"mu":[1,0],"w":2},{"mu":[0,1],"w":2},{"mu":[1,0],"w":3}]',
+         "repeats the weight (1, 0)"),
+        ('[{"mu":[0,0],"w":1},{"mu":[1,0],"w":2},{"mu":[0,1],"w":2},{"mu":[1.0,0],"w":3}]',
+         "repeats the weight (1, 0)"),
+    ], ids=["non-integral", "repeated", "repeated-as-1.0"])
+    def test_misread_table_weight(self, table, named, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        path.write_text(table)
+        code, out, err = run_cli(["verify-weight", "--type", "A2", "--kind", "table",
+                                  "--table", str(path), "--height", "1"], capsys)
+        assert code == 1 and out == "" and err.count("\n") == 1 and named in err
+
+    def test_repeated_rank_one_weight(self, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        path.write_text('[{"mu":[1],"w":2},{"mu":[1],"w":3},{"mu":[0],"w":1}]')
+        code, out, err = run_cli(["verify-weight", "--type", "A1", "--kind", "table",
+                                  "--table", str(path), "--height", "1"], capsys)
+        assert (code, out, err) == (1, "", "error: weight table repeats the weight (1,)\n")
 
     @pytest.mark.parametrize("table", [[], [{"mu": [1, 2, 3], "w": 2}]])
     def test_table_checking_nothing_rejected(self, table, tmp_path, capsys):

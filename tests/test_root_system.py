@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbf.central_weights import _triangle_compare
+from qbf.fusion import tensor_decompose
 from qbf.root_system import LieType, LieTypeError, build_root_system
 
 ACCEPTANCE_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"]
@@ -138,6 +140,19 @@ class TestValidation:
             rs.inner_product((1,), (1, 0))
         with pytest.raises(ValueError, match="length"):
             rs.norm_sq((1, 0, 0))
+
+    @pytest.mark.parametrize("bad", [(1.9, 0), (Decimal("1.5"), 0), (0, Fraction(1, 2)),
+                                     ("1", 0), (float("inf"), 0), (float("nan"), 0)])
+    def test_non_integral_coordinate_rejected(self, bad):
+        rs = build_root_system("A2")
+        with pytest.raises(ValueError, match=r"weight \(.+\) has a coordinate that is not an integer"):
+            rs.check_weight(bad)
+
+    def test_non_integral_weight_is_not_truncated(self):
+        rs = build_root_system("A2")
+        assert rs.check_weight((1.0, Decimal("2"))) == (1, 2)
+        with pytest.raises(ValueError, match=r"weight \(1.9, 0\)"):
+            tensor_decompose(rs, (1.9, 0), (0, 1))
 
     def test_non_dominant_rejected(self):
         rs = build_root_system("A2")

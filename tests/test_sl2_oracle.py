@@ -1,9 +1,17 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbf.root_system import _is_positive_definite
+from qbf import sl2_oracle
+from qbf.root_system import _is_positive_definite, _is_singular
 from qbf.sl2_oracle import (
+    _block_indices,
+    _qint,
+    _r_block,
+    _series_coeffs,
     build_rmatrix_block,
     build_sl2_rep,
     relation_residuals,
@@ -11,6 +19,77 @@ from qbf.sl2_oracle import (
 )
 
 QS = [Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)]
+
+
+# -- reference: R assembled over Q(sqrt(q)) as pairs a + b sqrt(q) -------------
+
+def _half_power(q, p):
+    """q^{p/2} as a pair a + b sqrt(q)."""
+    if p % 2 == 0:
+        return (q ** (p // 2), Fraction(0))
+    return (Fraction(0), q ** ((p - 1) // 2))
+
+
+def _pair_r_block(q, m, n, idx, flip):
+    coeffs = _series_coeffs(q, min(m, n))
+    size = len(idx)
+    out = [[(Fraction(0), Fraction(0))] * size for _ in range(size)]
+    for col, (ic, jc) in enumerate(idx):
+        for row, (ir, jr) in enumerate(idx):
+            k = ic - ir if not flip else ir - ic
+            if k < 0 or k > min(m, n):
+                continue
+            amp = Fraction(1)
+            for t in range(k):
+                if not flip:
+                    amp *= _qint(q, ic - t) * _qint(q, n - jc - t)
+                else:
+                    amp *= _qint(q, m - ic - t) * _qint(q, jc - t)
+            a, b = _half_power(q, (m - 2 * ir) * (n - 2 * jr))
+            out[row][col] = (a * coeffs[k] * amp, b * coeffs[k] * amp)
+    return out
+
+
+def _pair_mul(A, B, q):
+    return [[(sum(a * c + b * d * q for (a, b), (c, d) in zip(row, col)),
+              sum(a * d + b * c for (a, b), (c, d) in zip(row, col)))
+             for col in zip(*B)] for row in A]
+
+
+def _reference_blocks(q, m, n):
+    """Per-block (R, R21 R) with R over Q(sqrt(q)); the sqrt(q) parts of R21 R cancel."""
+    out = []
+    for idx in _block_indices(m, n):
+        r = _pair_r_block(q, m, n, idx, flip=False)
+        prod = _pair_mul(_pair_r_block(q, m, n, idx, flip=True), r, q)
+        assert all(b == 0 for row in prod for _, b in row)
+        out.append((r, tuple(tuple(a for a, _ in row) for row in prod)))
+    return out
+
+
+def _cofactor_det(mat):
+    """Laplace expansion along the first row."""
+    if not mat:
+        return Fraction(1)
+    return sum((-1) ** j * mat[0][j] * _cofactor_det([row[:j] + row[j + 1:] for row in mat[1:]])
+               for j in range(len(mat)))
+
+
+_small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def _square_matrices(draw):
+    """Small rational matrices, half of them singular by construction."""
+    n = draw(st.integers(1, 4))
+    rows = [draw(st.lists(_small, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        # One row a rational combination of the others (zero when n = 1).
+        k = draw(st.integers(0, n - 1))
+        cs = draw(st.lists(_small, min_size=n, max_size=n))
+        rows[k] = [sum((cs[i] * rows[i][j] for i in range(n) if i != k), Fraction(0))
+                   for j in range(n)]
+    return rows
 
 
 class TestSl2Rep:
@@ -49,18 +128,43 @@ class TestRMatrixBlock:
     def test_trivial_leg_gives_identity(self):
         for m, n in [(0, 4), (4, 0)]:
             blk = build_rmatrix_block(Fraction(1, 2), m, n)
-            assert blk.r == ((((1, 0),),),) * 5
+            assert blk.r == (((1,),),) * 5
             assert blk.r21r == (((1,),),) * 5
 
     def test_two_by_two_block_values(self):
         q = Fraction(1, 2)
         blk = build_rmatrix_block(q, 1, 1)
-        # Blocks by total weight: [(0,0)], [(0,1), (1,0)], [(1,1)]; entries a + b sqrt(q).
-        # Diagonal Cartan part q^{(wt_i wt_j)/2}, plus the one series term.
-        assert blk.r[0] == (((0, 1),),)                  # sqrt(q)
-        assert blk.r[2] == (((0, 1),),)                  # sqrt(q)
-        assert blk.r[1][1][1] == (0, 1 / q)              # 1/sqrt(q)
-        assert blk.r[1][0][1] == (0, (q - 1 / q) / q)    # (q - 1/q)/sqrt(q)
+        # Blocks by total weight: [(0,0)], [(0,1), (1,0)], [(1,1)]; mn is odd, so
+        # r holds R / sqrt(q).  Diagonal Cartan part q^{(wt_i wt_j)/2}, plus the
+        # one series term.
+        assert blk.r[0] == ((1,),)                   # sqrt(q)
+        assert blk.r[2] == ((1,),)                   # sqrt(q)
+        assert blk.r[1][1][1] == 1 / q               # 1/sqrt(q)
+        assert blk.r[1][0][1] == (q - 1 / q) / q     # (q - 1/q)/sqrt(q)
+
+    @pytest.mark.parametrize("q", QS + [Fraction(1, 7)])
+    def test_matches_sqrt_q_reference(self, q):
+        for m in range(6):
+            for n in range(6):
+                blk = build_rmatrix_block(q, m, n)
+                ref = _reference_blocks(q, m, n)
+                assert blk.r21r == tuple(r21r for _, r21r in ref)
+                # R / q^{(mn mod 2)/2} is the rational or the sqrt(q) part of each pair.
+                part = m * n % 2
+                assert blk.r == tuple(tuple(tuple(x[part] for x in row) for row in r)
+                                      for r, _ in ref)
+
+    def test_weight_product_of_wrong_parity_is_refused(self):
+        # For integer indices (m-2i)(n-2j) always has the parity of mn, so only an
+        # index whose double is odd reaches the guard; flooring half of the
+        # product would then drop a factor sqrt(q) silently.
+        class OddDouble(int):
+            def __rmul__(self, other):
+                return int(self) * other + 1
+
+        i = OddDouble(0)
+        with pytest.raises(AssertionError, match="parity"):
+            _r_block(Fraction(1, 2), 1, 1, [(i, i)], flip=False)
 
     def test_r21r_eigenvalue_exponents_one_one(self):
         q = Fraction(1, 2)
@@ -126,10 +230,65 @@ class TestVerifyNormFormula:
             assert report.exact_multiset_match
             assert all(r.verified_exact for r in report.eigen_rows)
             assert sum(r.multiplicity for r in report.eigen_rows) == (m + 1) * (n + 1)
-            assert report.min_eigenvalue > 0
+            assert min(r.value for r in report.eigen_rows) > 0
 
     def test_corrupted_exponents_report_failure(self, corrupted_exponents):
         report = verify_norm_formula(Fraction(1, 2), 2, 3)
         assert not report.passed and not report.exact_multiset_match
         assert report.lambda_max == 0
         assert any("norm mismatch" in f for f in report.failures)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 3)])
+    def test_perturbed_block_report_failure(self, monkeypatch, m, n):
+        exact = sl2_oracle.build_rmatrix_block
+
+        def perturbed(q, m, n):
+            blk = exact(q, m, n)
+            b = next(i for i, block in enumerate(blk.r21r) if len(block) >= 2)
+            rows = [list(row) for row in blk.r21r[b]]
+            rows[0][1] += Fraction(1, 10 ** 12)
+            r21r = blk.r21r[:b] + (tuple(map(tuple, rows)),) + blk.r21r[b + 1:]
+            return replace(blk, r21r=r21r)
+
+        monkeypatch.setattr(sl2_oracle, "build_rmatrix_block", perturbed)
+        report = verify_norm_formula(Fraction(1, 2), m, n)
+        assert not report.passed and not report.exact_multiset_match
+        assert any("is not singular" in f for f in report.failures)
+
+    def _with_exponents(self, monkeypatch, new_exponent):
+        exact = sl2_oracle.rmatrix_exponent_details
+
+        def patched(rs, lam, mu):
+            details = exact(rs, lam, mu)
+            lowest = min(e for _, _, e in details.table)  # -mn, at nu = m + n
+            table = tuple((nu, mult, new_exponent(e, lowest)) for nu, mult, e in details.table)
+            return replace(details, table=table)
+
+        monkeypatch.setattr(sl2_oracle, "rmatrix_exponent_details", patched)
+
+    def test_lower_eigenvalues_are_certified_too(self, monkeypatch):
+        # Every exponent but the one of the largest eigenvalue q^{-mn} is shifted.
+        self._with_exponents(monkeypatch, lambda e, lowest: e if e == lowest else e + 1)
+        report = verify_norm_formula(Fraction(1, 2), 2, 3)
+        assert not report.passed and not report.exact_multiset_match
+        assert report.lambda_max == 2 ** 6  # only the 1x1 extreme blocks certify
+
+    def test_repeated_predicted_eigenvalue_reports_failure(self, monkeypatch):
+        # Every predicted value equal to the true largest one: each is a root of the
+        # characteristic polynomial, but a block of size >= 2 then has no certificate.
+        self._with_exponents(monkeypatch, lambda e, lowest: lowest)
+        report = verify_norm_formula(Fraction(1, 2), 2, 3)
+        assert not report.passed and not report.exact_multiset_match
+        assert any("not distinct" in f for f in report.failures)
+
+
+class TestIsSingular:
+    @settings(max_examples=200, deadline=None)
+    @given(_square_matrices())
+    def test_matches_cofactor_determinant(self, mat):
+        assert _is_singular(mat) == (_cofactor_det(mat) == 0)
+
+    def test_pivot_search_below_the_diagonal(self):
+        assert not _is_singular([[0, 1], [1, 0]])
+        assert not _is_singular([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+        assert _is_singular([[0, 1, 2], [0, 3, 4], [0, 5, 6]])
