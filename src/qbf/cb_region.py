@@ -65,7 +65,7 @@ def cb_extends(rs: RootSystem, cfg: SessionConfig, beta, lam) -> CBDecision:
     """Decide whether the representation labelled by lam admits a CB extension."""
     lam = rs.check_dominant(lam)
     ctx = precision.make_context()
-    b = precision.to_decimal(beta, ctx)
+    b = precision.to_decimal(beta, ctx, "beta")
     if b < 1:
         raise ValueError(f"beta must be >= 1 (weights require w >= 1), got {beta}")
     log_b = ctx.ln(b)
@@ -110,8 +110,6 @@ def cb_region_enumerate(rs: RootSystem, cfg: SessionConfig, beta,
 
     Ordered by total coordinate sum, then lexicographically.
     """
-    if height < 0:
-        raise ValueError("height must be >= 0")
     return [cb_extends(rs, cfg, beta, lam) for lam in rs.dominant_weights_up_to(height)]
 
 

@@ -11,9 +11,10 @@ Z2 quantifies over infinitely many fusion triples, so the validator only ever
 certifies "verified up to height H".  Z2 is symmetric in (lam, mu), so each
 unordered pair is decomposed and compared once and counted, like any
 violation it yields, under both orientations.  The built-in families decide
-every Z2 triple exactly, in squared-rational form on the root system's
-memoised scaled integers; table weights are compared in the log domain with
-a relative tolerance of 1e-12.
+every condition exactly, on the root system's memoised scaled integers: Z1
+by the sign of log beta (or of beta) and of |mu|^2 (or c(mu)), Z2 in
+squared-rational form, SYM by the conjugation invariance of both.  Table
+weights are compared in the log domain with a relative tolerance of 1e-12.
 
 Every violation records log values: log w(mu) and 0 for Z1, log w(nu) and
 log w(lam) + log w(mu) for Z2, log w(mu) and log w(conjugate(mu)) for SYM.
@@ -30,7 +31,7 @@ Built-in families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Context, Decimal, InvalidOperation
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
@@ -51,12 +52,14 @@ class CentralWeightSpec:
 
     @classmethod
     def beta_norm(cls, beta) -> "CentralWeightSpec":
-        b = _to_positive_decimal(beta, "beta")
+        b = precision.to_decimal(beta, precision.make_context(), "beta")
+        if b <= 0:
+            raise ValueError(f"beta must be strictly positive, got {beta}")
         return cls(kind="beta_norm", beta=b)
 
     @classmethod
     def lst(cls, beta) -> "CentralWeightSpec":
-        b = precision.to_decimal(beta, precision.make_context())
+        b = precision.to_decimal(beta, precision.make_context(), "beta")
         if b < 0:
             raise ValueError(f"lst weights need beta >= 0, got {beta}")
         return cls(kind="lst", beta=b)
@@ -65,25 +68,16 @@ class CentralWeightSpec:
     def from_table(cls, table: Mapping | Iterable) -> "CentralWeightSpec":
         """Table weights from a mapping or from (mu, value) pairs; a non-integral
         or repeated mu, or a value that is not a positive number, is a ValueError."""
+        ctx = precision.make_context()
         entries = {}
         for mu, value in table.items() if isinstance(table, Mapping) else table:
             mu = _integral_weight(mu)
             if mu in entries:
                 raise ValueError(f"weight table repeats the weight {mu}")
-            entries[mu] = _to_positive_decimal(value, f"table value at {mu}")
+            entries[mu] = precision.to_decimal(value, ctx, f"table value at {mu}")
+            if entries[mu] <= 0:
+                raise ValueError(f"table value at {mu} must be strictly positive, got {value}")
         return cls(kind="table", table=entries)
-
-
-def _to_positive_decimal(x, name: str) -> Decimal:
-    try:
-        if isinstance(x, bool) or not isinstance(x, (int, float, str, Fraction, Decimal)):
-            raise InvalidOperation
-        d = precision.to_decimal(x, precision.make_context())
-    except InvalidOperation:
-        raise ValueError(f"{name} must be a decimal number, got {x!r}") from None
-    if not d.is_finite() or d <= 0:
-        raise ValueError(f"{name} must be finite and strictly positive, got {x}")
-    return d
 
 
 class WeightValue(NamedTuple):
@@ -109,12 +103,11 @@ def eval_weight(rs: RootSystem, spec: CentralWeightSpec, mu) -> WeightValue:
 def _log_weight(rs: RootSystem, spec: CentralWeightSpec, mu: Weight, ctx: Context) -> Decimal | None:
     if spec.kind == "table":
         value = spec.table.get(mu)
-        return None if value is None else ctx.ln(precision.to_decimal(value, ctx))
+        return None if value is None else ctx.ln(value)
     # log w(mu) = s f(mu)^{1/2} with s = log beta, f = |mu|^2 or s = beta, f = c(mu);
     # a zero factor gives an exact 0, not a zero carrying the product's exponent.
     f = rs.norm_sq(mu) if spec.kind == "beta_norm" else rs.casimir(mu)
-    beta = precision.to_decimal(spec.beta, ctx)
-    s = ctx.ln(beta) if spec.kind == "beta_norm" else beta
+    s = ctx.ln(spec.beta) if spec.kind == "beta_norm" else spec.beta
     if f == 0 or s == 0:
         return Decimal(0)
     root = precision.sqrt_fraction(f, ctx)
@@ -157,12 +150,13 @@ def _triangle_compare(a: Fraction, b: Fraction, c: Fraction) -> int:
 
 
 def _z2_sense(spec: CentralWeightSpec) -> int | None:
-    """Exact Z2 for the built-in families, None for tables.
+    """Exact Z1 and Z2 for the built-in families, None for tables.
 
     log w(mu) is s * t * f(mu)^{1/2} with t > 0, f the scaled norm^2
     (beta_norm) or Casimir (lst), and s the sign of log beta or of beta.  So
-    Z2 holds on a triple exactly when s * _triangle_compare(f(nu), f(lam),
-    f(mu)) <= 0; s is returned.
+    Z1 fails at mu exactly when s < 0 and f(mu) > 0, and Z2 holds on a triple
+    exactly when s * _triangle_compare(f(nu), f(lam), f(mu)) <= 0; s is
+    returned.
     """
     if spec.kind == "table":
         return None
@@ -201,6 +195,10 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
         return logs[mu]
 
     checked = skipped = 0
+    # The built-in families decide Z1 and Z2 exactly; their Decimal logs are
+    # evaluated only to be recorded.
+    sense = _z2_sense(spec)
+    f = rs._norm_scaled if spec.kind == "beta_norm" else rs._casimir_scaled
 
     # Z1: w(mu) >= 1, i.e. log w(mu) >= 0.
     for mu in weights:
@@ -209,16 +207,14 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
             skipped += 1
             continue
         checked += 1
-        if lw < -tol * max(Decimal(1), abs(lw)):
+        low = (lw < -tol * max(Decimal(1), abs(lw)) if sense is None
+               else sense < 0 and f(mu) > 0)
+        if low:
             violations.append(Violation("Z1", (mu,), lw, Decimal(0)))
 
     # Z2: w(nu) <= w(lam) w(mu) over the truncated fusion graph.  Every
     # comparison is symmetric in (lam, mu), so an unordered pair stands for
     # both orientations: it counts twice and records each violation twice.
-    # The built-in families are decided exactly; their Decimal logs are
-    # evaluated only to record a violation.
-    sense = _z2_sense(spec)
-    f = rs._norm_scaled if spec.kind == "beta_norm" else rs._casimir_scaled
     for i, lam in enumerate(weights):
         llam = log_of(lam)
         for mu in weights[i:]:

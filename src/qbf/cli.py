@@ -57,16 +57,6 @@ def _parse_weight(text: str, rank: int, name: str) -> tuple[int, ...]:
     return coords
 
 
-def _parse_beta(text: str) -> Decimal:
-    try:
-        beta = Decimal(text)
-        if beta.is_finite():
-            return beta
-    except ArithmeticError:
-        pass
-    raise CliError(f"beta must be a finite decimal number, got {text!r}")
-
-
 def _check_height_cap(rs, height: int, force: bool) -> None:
     cap = min(_HEIGHT_CAPS[s] for s, _ in rs.lie_type.factors)
     if height > cap and not force:
@@ -159,11 +149,11 @@ def _cmd_verify_weight(args, render: _Renderer) -> int:
     if args.kind == "beta":
         if args.beta is None:
             raise CliError("--beta is required for --kind beta")
-        spec = CentralWeightSpec.beta_norm(_parse_beta(args.beta))
+        spec = CentralWeightSpec.beta_norm(args.beta)
     elif args.kind == "lst":
         if args.beta is None:
             raise CliError("--beta is required for --kind lst")
-        spec = CentralWeightSpec.lst(_parse_beta(args.beta))
+        spec = CentralWeightSpec.lst(args.beta)
     else:
         if not args.table:
             raise CliError("--table FILE is required for --kind table")
@@ -247,7 +237,7 @@ def _cmd_cb_region(args, render: _Renderer) -> int:
     rs = build_root_system(args.type)
     _check_height_cap(rs, args.height, args.force)
     cfg = SessionConfig(args.q)
-    beta = _parse_beta(args.beta)
+    beta = precision.to_decimal(args.beta, precision.make_context(), "beta")
     decisions = cb_region_enumerate(rs, cfg, beta, args.height)
     json_rows = []
     rows = []
@@ -290,8 +280,6 @@ def _cmd_cb_region(args, render: _Renderer) -> int:
 
 
 def _cmd_oracle_sl2(args, render: _Renderer) -> int:
-    if args.m < 0 or args.n < 0:
-        raise CliError("--m and --n must be nonnegative integers")
     report = verify_norm_formula(args.q, args.m, args.n)
     payload = {
         "q": _frac(report.q),

@@ -3,15 +3,17 @@
 All non-rational arithmetic in this package (square roots, logarithms,
 exponentials) runs in a :mod:`decimal` context of ``DIGITS`` significant
 digits.  The precision is fixed: the tolerances of the callers are sized for
-it.  ``to_decimal`` is also the one coercion of user-supplied reals, and
-``decimal_range`` the one translation of a result beyond the context's
+it.  ``to_decimal`` is the one screening of user-supplied reals: every
+caller that takes a real from outside the package (beta, table values)
+passes it through ``to_decimal`` and adds only its own domain bound.
+``decimal_range`` is the one translation of a result beyond the context's
 exponent range into a ``ValueError``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from decimal import Context, Decimal, Overflow
+from decimal import Context, Decimal, InvalidOperation, Overflow
 from fractions import Fraction
 
 DIGITS = 50
@@ -40,21 +42,28 @@ def decimal_range(label: str, *args):
                          f"(exponent above {make_context().Emax})") from None
 
 
-def to_decimal(x, ctx: Context) -> Decimal:
-    """Convert int/str/float/Fraction/Decimal to Decimal in the given context.
+def to_decimal(x, ctx: Context, name: str = "value") -> Decimal:
+    """Convert int/str/float/Fraction/Decimal to a finite Decimal in the given context.
 
-    Floats go through their shortest decimal repr, so 0.3 means 3/10.  A value
-    beyond the context's exponent range is a ``ValueError``, like any other
-    unusable user real.
+    Floats go through their shortest decimal repr, so 0.3 means 3/10.  A bool,
+    any other type, a string ``Decimal`` cannot read, NaN, an infinity and a
+    value beyond the context's exponent range are each a one-line
+    ``ValueError``; ``name`` only sets the wording of that error.
     """
-    with decimal_range("{}", x):
-        if isinstance(x, Decimal):
-            return ctx.plus(x)
+    with decimal_range("{} = {}", name, x):
         if isinstance(x, Fraction):
             return ctx.divide(Decimal(x.numerator), Decimal(x.denominator))
         if isinstance(x, float):
-            return ctx.plus(Decimal(repr(x)))
-        return ctx.plus(Decimal(x))
+            x = repr(x)
+        elif isinstance(x, bool) or not isinstance(x, (int, str, Decimal)):
+            raise ValueError(f"{name} must be a decimal number, got {x!r}")
+        try:
+            d = Decimal(x)
+        except InvalidOperation:
+            raise ValueError(f"{name} must be a decimal number, got {x!r}") from None
+        if not d.is_finite():
+            raise ValueError(f"{name} must be finite, got {x}")
+        return ctx.plus(d)
 
 
 def sqrt_fraction(fr: Fraction, ctx: Context) -> Decimal:

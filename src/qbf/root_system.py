@@ -132,13 +132,14 @@ def _simple_cartan(series: str, rank: int) -> tuple[list[list[int]], list[int]]:
 
 
 def _integral_weight(x) -> Weight:
-    """The coordinates of x as ints; a coordinate c with int(c) != c is a ValueError."""
+    """The coordinates of x as ints; a bool or a coordinate c with int(c) != c
+    is a ValueError."""
     x = tuple(x)
     try:
         t = tuple(map(int, x))
     except (TypeError, ValueError, ArithmeticError):
         t = None
-    if t != x:
+    if t != x or bool in map(type, x):
         raise ValueError(f"weight ({', '.join(map(str, x))}) has a coordinate that is not an integer")
     return t
 

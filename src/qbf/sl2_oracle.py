@@ -48,6 +48,14 @@ MAX_SPIN_LABEL = 8
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
+def _check_labels(**labels: int) -> None:
+    """A ValueError naming the first spin label outside 0..MAX_SPIN_LABEL."""
+    for name, label in labels.items():
+        if not 0 <= label <= MAX_SPIN_LABEL:
+            raise ValueError(f"spin label {name} = {label} must be >= 0 and within "
+                             f"the oracle cap {MAX_SPIN_LABEL}")
+
+
 def _qint(q: Fraction, k: int) -> Fraction:
     return sum(q ** (k - 1 - 2 * i) for i in range(k))
 
@@ -76,10 +84,7 @@ class Sl2Rep:
 def build_sl2_rep(q, n: int) -> Sl2Rep:
     """Generator matrices for the (n+1)-dimensional irreducible."""
     qf = _check_q(q)
-    if n < 0:
-        raise ValueError("highest weight label n must be >= 0")
-    if n > MAX_SPIN_LABEL:
-        raise ValueError(f"n = {n} exceeds the oracle cap {MAX_SPIN_LABEL}")
+    _check_labels(n=n)
     d = n + 1
     E = [[Fraction(0)] * d for _ in range(d)]
     F = [[Fraction(0)] * d for _ in range(d)]
@@ -202,9 +207,7 @@ def build_rmatrix_block(q, m: int, n: int) -> RMatrixBlock:
     a convention bug).
     """
     qf = _check_q(q)
-    for label in (m, n):
-        if label < 0 or label > MAX_SPIN_LABEL:
-            raise ValueError(f"spin labels must lie in 0..{MAX_SPIN_LABEL}, got {label}")
+    _check_labels(m=m, n=n)
     dn = n + 1
     dm_sq = _dsq_leg(qf, m)
     dn_sq = _dsq_leg(qf, n)
@@ -270,6 +273,7 @@ def verify_norm_formula(q, m: int, n: int) -> OracleReport:
     certificate fails contributes no eigenvalue, so ``lambda_max`` is 0 when
     no block is certified.
     """
+    _check_labels(m=m, n=n)
     qf = _check_q(q)
     ctx = precision.make_context()
     failures: list[str] = []

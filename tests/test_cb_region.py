@@ -130,6 +130,8 @@ class TestRegionEnumerate:
         cfg = SessionConfig("0.5")
         rows = cb_region_enumerate(rs, cfg, 5, 0)
         assert len(rows) == 1 and rows[0].lam == (0, 0) and rows[0].extends
+        with pytest.raises(ValueError, match="^height must be >= 0$"):
+            cb_region_enumerate(rs, cfg, 5, -1)
 
     def test_deterministic_order(self):
         rs = build_root_system("A2")

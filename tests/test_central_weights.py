@@ -1,7 +1,7 @@
 from decimal import Context, Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbf import central_weights, precision
@@ -102,7 +102,7 @@ class TestEvalWeight:
         spec = CentralWeightSpec.from_table([((0,), 1), ((Decimal("1.0"),), "2.5")])
         assert spec.table == {(0,): Decimal(1), (1,): Decimal("2.5")}
 
-    @pytest.mark.parametrize("mu", [(1.5, 0), (Decimal("1.5"), 0), (1, "x")])
+    @pytest.mark.parametrize("mu", [(1.5, 0), (Decimal("1.5"), 0), (1, "x"), (0, True)])
     def test_table_non_integral_weight(self, mu):
         with pytest.raises(ValueError, match="not an integer"):
             CentralWeightSpec.from_table({(0, 0): 1, mu: 2})
@@ -214,16 +214,21 @@ class TestSubadditivity:
         assert report.min_slack == 0
 
 
+def exact_invariant(rs, spec):
+    """(f, sign) for a built-in family on exact Fraction invariants:
+    log w = log(beta) |.| or beta c(.)^{1/2}, so log w(mu) has the sign of
+    log beta (or of beta) times that of f(mu)."""
+    if spec.kind == "beta_norm":
+        return rs.norm_sq, (spec.beta > 1) - (spec.beta < 1)
+    return rs.casimir, (spec.beta > 0) - (spec.beta < 0)
+
+
 def exact_z2(rs, spec, lam, mu, nu):
     """Z2 for a built-in family decided on exact Fraction invariants, None for
-    tables: log w = log(beta) |.| or beta c(.)^{1/2}, so the sign of log beta
-    (or of beta) orients the triangle inequality."""
+    tables: the sign of log beta (or of beta) orients the triangle inequality."""
     if spec.kind == "table":
         return None
-    if spec.kind == "beta_norm":
-        f, sign = rs.norm_sq, (spec.beta > 1) - (spec.beta < 1)
-    else:
-        f, sign = rs.casimir, (spec.beta > 0) - (spec.beta < 0)
+    f, sign = exact_invariant(rs, spec)
     return sign * _triangle_compare(f(nu), f(lam), f(mu)) <= 0
 
 
@@ -247,7 +252,12 @@ def ordered_reference(rs, spec, height):
             skipped += 1
             continue
         checked += 1
-        if lw < -tol * max(Decimal(1), abs(lw)):
+        if spec.kind == "table":
+            low = lw < -tol * max(Decimal(1), abs(lw))
+        else:
+            f, sign = exact_invariant(rs, spec)
+            low = sign * f(mu) < 0
+        if low:
             violations.append(Violation("Z1", (mu,), lw, Decimal(0)))
     for lam in weights:
         for mu in weights:
@@ -296,7 +306,8 @@ def weight_specs(draw):
     height = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(["table", "table", "beta_norm", "lst"]))
     if kind == "beta_norm":
-        return rs, CentralWeightSpec.beta_norm(draw(st.sampled_from(["0.7", "1", "1.5"]))), height
+        return rs, CentralWeightSpec.beta_norm(
+            draw(st.sampled_from(["0.7", "0.99999999999999", "1", "1.5"]))), height
     if kind == "lst":
         return rs, CentralWeightSpec.lst(draw(st.sampled_from(["0", "0.4"]))), height
     keys = rs.dominant_weights_up_to(height + 1)
@@ -308,6 +319,7 @@ def weight_specs(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(weight_specs())
+@example((build_root_system("A2"), CentralWeightSpec.beta_norm("0.99999999999999"), 2))
 def test_unordered_sweep_matches_ordered_reference(drawn):
     rs, spec, height = drawn
     report = validate_central_weight(rs, spec, height)

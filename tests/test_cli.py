@@ -218,6 +218,15 @@ class TestExitCodes:
         assert ["Z2", "1;1;0", "0", "-3256343.81068"] in z2
         assert ["Z2", "2;2;0", "0", "-6512687.62137"] in z2
 
+    def test_z1_decided_exactly(self, capsys):
+        # log w(mu) = log(beta) |mu| is about -1e-14 |mu|, inside any log tolerance
+        code, out, _ = run_cli(["verify-weight", "--type", "A1", "--kind", "beta",
+                                "--beta", "0.99999999999999", "--height", "2"], capsys)
+        assert code == 2
+        z1 = [line.split() for line in out.splitlines() if line.startswith("Z1")]
+        assert z1 == [["Z1", "1", "-7.07106781187E-15", "0"],
+                      ["Z1", "2", "-1.41421356237E-14", "0"]]
+
     @pytest.mark.parametrize("args,quantity", [
         (["norm", "--type", "A1", "--lambda", "3000", "--mu", "3000", "--q", "0.5",
           "--route", "closed"], "q^(-4500000)"),
@@ -258,7 +267,9 @@ class TestExitCodes:
          "repeats the weight (1, 0)"),
         ('[{"mu":[0,0],"w":1},{"mu":[1,0],"w":2},{"mu":[0,1],"w":2},{"mu":[1.0,0],"w":3}]',
          "repeats the weight (1, 0)"),
-    ], ids=["non-integral", "repeated", "repeated-as-1.0"])
+        ('[{"mu":[0,0],"w":1},{"mu":[true,0],"w":2},{"mu":[0,1],"w":2},{"mu":[1,1],"w":3}]',
+         "weight (True, 0) has a coordinate that is not an integer"),
+    ], ids=["non-integral", "repeated", "repeated-as-1.0", "bool"])
     def test_misread_table_weight(self, table, named, tmp_path, capsys):
         path = tmp_path / "table.json"
         path.write_text(table)
@@ -312,6 +323,22 @@ class TestExitCodes:
         code, out, err = run_cli(["verify-weight", "--type", "A1", "--kind", "table",
                                   "--table", str(path), "--height", "1"], capsys)
         assert code == 1 and out == "" and err.count("\n") == 1 and "range" in err
+
+    @pytest.mark.parametrize("labels,named", [(["--m", "9", "--n", "2"], "m = 9"),
+                                              (["--m", "2", "--n", "-1"], "n = -1")])
+    def test_oracle_label_out_of_range(self, labels, named, capsys):
+        code, out, err = run_cli(["oracle-sl2", "--q", "0.5"] + labels, capsys)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert f"spin label {named}" in err
+
+    @pytest.mark.parametrize("beta", ["abc", "", "0x1", "1/2"])
+    def test_unreadable_beta(self, beta, capsys):
+        for args in (["cb-region", "--type", "A1", "--q", "0.5", "--height", "2"],
+                     ["verify-weight", "--type", "A1", "--kind", "beta", "--height", "2"],
+                     ["verify-weight", "--type", "A1", "--kind", "lst", "--height", "2"]):
+            code, out, err = run_cli(args + ["--beta", beta], capsys)
+            assert code == 1 and out == "" and err.count("\n") == 1
+            assert "beta must be a decimal number" in err
 
     def test_missing_beta(self, capsys):
         code, _, err = run_cli(["verify-weight", "--type", "A1", "--kind", "beta",

@@ -3,7 +3,7 @@ import inspect
 import os
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation, Overflow
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -26,6 +26,77 @@ def test_to_decimal_float_uses_repr():
     ctx = precision.make_context()
     assert precision.to_decimal(0.3, ctx) == Decimal("0.3")
     assert precision.to_decimal(Fraction(1, 4), ctx) == Decimal("0.25")
+
+
+def _as_today(x, ctx):
+    """The conversion of a finite real that ``to_decimal`` keeps."""
+    if isinstance(x, Fraction):
+        return ctx.divide(Decimal(x.numerator), Decimal(x.denominator))
+    return ctx.plus(Decimal(x))
+
+
+finite_reals = st.one_of(st.integers(), st.fractions(),
+                         st.decimals(allow_nan=False, allow_infinity=False))
+
+
+@given(finite_reals, st.booleans())
+@example(Decimal("1e999999"), True)
+@example(Decimal("-0"), True)
+def test_to_decimal_converts_finite_reals(x, as_text):
+    ctx = precision.make_context()
+    if as_text and not isinstance(x, Fraction):
+        x = str(x)
+    try:
+        expected = _as_today(x, ctx)
+    except Overflow:
+        with pytest.raises(ValueError, match="^beta = .* is out of the decimal range"):
+            precision.to_decimal(x, ctx, "beta")
+        return
+    got = precision.to_decimal(x, ctx, "beta")
+    assert str(got) == str(expected)
+
+
+def _unreadable(text):
+    try:
+        Decimal(text)
+    except InvalidOperation:
+        return True
+    return False
+
+
+rejected_reals = st.one_of(
+    st.booleans(), st.none(), st.lists(st.integers(), max_size=3),
+    st.tuples(st.integers()), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.sampled_from([(0, (1,), 0), "nan", "-NaN", "sNaN", "inf", "-Infinity",
+                     Decimal("NaN"), Decimal("sNaN"), Decimal("-Infinity"),
+                     float("nan"), float("inf"), float("-inf")]),
+    st.text().filter(_unreadable))
+
+
+@given(rejected_reals, st.sampled_from(["beta", "table value at (1,)"]))
+def test_to_decimal_rejects_with_one_line_naming_the_value(x, name):
+    with pytest.raises(ValueError) as info:
+        precision.to_decimal(x, precision.make_context(), name)
+    message = str(info.value)
+    assert message.startswith(name + " must be ") and "\n" not in message
+    assert ("finite" in message) != ("decimal number" in message)
+
+
+@pytest.mark.parametrize("value", [True, (0, (1,), 0), [1], None, "abc", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", ["beta_norm", "lst", "from_table", "cb_extends",
+                                   "cb_region_enumerate", "sup_ratio_scan"])
+def test_every_entry_point_screens_its_real(entry, value):
+    rs, cfg = qbf.build_root_system("A2"), qbf.SessionConfig("1/2")
+    calls = {
+        "beta_norm": lambda: qbf.CentralWeightSpec.beta_norm(value),
+        "lst": lambda: qbf.CentralWeightSpec.lst(value),
+        "from_table": lambda: qbf.CentralWeightSpec.from_table([((0, 0), 1), ((1, 0), value)]),
+        "cb_extends": lambda: qbf.cb_extends(rs, cfg, value, (5, 5)),
+        "cb_region_enumerate": lambda: qbf.cb_region_enumerate(rs, cfg, value, 1),
+        "sup_ratio_scan": lambda: qbf.sup_ratio_scan(rs, cfg, value, (1, 0), 2),
+    }
+    with pytest.raises(ValueError, match="^(beta|table value at \\(1, 0\\)) must be "):
+        calls[entry]()
 
 
 def test_decimal_range_names_the_quantity():

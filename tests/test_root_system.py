@@ -142,7 +142,8 @@ class TestValidation:
             rs.norm_sq((1, 0, 0))
 
     @pytest.mark.parametrize("bad", [(1.9, 0), (Decimal("1.5"), 0), (0, Fraction(1, 2)),
-                                     ("1", 0), (float("inf"), 0), (float("nan"), 0)])
+                                     ("1", 0), (float("inf"), 0), (float("nan"), 0),
+                                     (True, 0)])
     def test_non_integral_coordinate_rejected(self, bad):
         rs = build_root_system("A2")
         with pytest.raises(ValueError, match=r"weight \(.+\) has a coordinate that is not an integer"):
@@ -153,6 +154,8 @@ class TestValidation:
         assert rs.check_weight((1.0, Decimal("2"))) == (1, 2)
         with pytest.raises(ValueError, match=r"weight \(1.9, 0\)"):
             tensor_decompose(rs, (1.9, 0), (0, 1))
+        with pytest.raises(ValueError, match=r"weight \(True, 0\) has a coordinate that is not"):
+            tensor_decompose(rs, (True, 0), (1, 0))
 
     def test_non_dominant_rejected(self):
         rs = build_root_system("A2")
