@@ -161,32 +161,42 @@ def _invert_rational(mat: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
+def _bareiss_pivots(mat: list[list[Fraction]], swap: bool):
+    """Pivots of fraction-free (Bareiss) elimination of a small square rational matrix.
+
+    Each row is first multiplied by the lcm of its denominators, a positive
+    factor, so singularity and the sign of every leading principal minor are
+    kept.  The elimination then runs on ints, and every division by the
+    previous pivot is exact (Bareiss, Math. Comp. 1968).  With ``swap`` the
+    pivot row is the first remaining row with a nonzero entry in the pivot
+    column; without, it is the next row, and the k-th pivot is the k-th
+    leading principal minor of the scaled matrix.  The generator stops after
+    the first zero pivot.
+    """
+    rows = []
+    for row in mat:
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    prev = 1
+    while rows:
+        p = next((i for i, row in enumerate(rows) if row[0]), 0) if swap else 0
+        head, *top = rows.pop(p)
+        yield head
+        if not head:
+            return
+        rows = [[(x * head - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in rows]
+        prev = head
+
+
 def _is_singular(mat: list[list[Fraction]]) -> bool:
-    """Whether a small exact-rational square matrix is singular, by Gaussian elimination."""
-    rows = [list(row) for row in mat]
-    for col in range(len(rows)):
-        i = next((i for i, row in enumerate(rows) if row[col]), None)
-        if i is None:
-            return True
-        pivot = rows.pop(i)
-        for r, row in enumerate(rows):
-            if row[col]:
-                f = row[col] / pivot[col]
-                rows[r] = [x - f * y for x, y in zip(row, pivot)]
-    return False
+    """Whether a small exact-rational square matrix is singular, by fraction-free elimination."""
+    return 0 in _bareiss_pivots(mat, swap=True)
 
 
 def _is_positive_definite(mat: list[list[Fraction]]) -> bool:
-    """Sylvester criterion by exact Gaussian elimination."""
-    n = len(mat)
-    work = [list(row) for row in mat]
-    for k in range(n):
-        if work[k][k] <= 0:
-            return False
-        for r in range(k + 1, n):
-            f = work[r][k] / work[k][k]
-            work[r] = [x - f * y for x, y in zip(work[r], work[k])]
-    return True
+    """Sylvester criterion: every leading principal minor, read from the
+    fraction-free elimination pivots, is positive."""
+    return all(p > 0 for p in _bareiss_pivots(mat, swap=False))
 
 
 class RootSystem:
@@ -247,7 +257,7 @@ class RootSystem:
             tuple(cartan[j][i] for j in range(N)) for i in range(N)
         )
         self.rho: Weight = (1,) * N
-        self.positive_roots: tuple[Weight, ...] = self._generate_positive_roots(ainv)
+        self.positive_roots: tuple[Weight, ...] = self._generate_positive_roots()
 
         # Per positive root a: integer vector v with dot(x, v) = (x, a) * den.
         self._proot_pairing = tuple(
@@ -270,25 +280,35 @@ class RootSystem:
 
     # -- construction ------------------------------------------------------
 
-    def _generate_positive_roots(self, ainv) -> tuple[Weight, ...]:
-        # Reflection closure of the simple roots is the full root set.
-        roots: set[Weight] = set(self.simple_roots)
-        frontier = list(self.simple_roots)
+    def _generate_positive_roots(self) -> tuple[Weight, ...]:
+        """The positive roots in fundamental-weight coordinates, sorted by
+        height, then by those coordinates.
+
+        Works on ints in simple-root coordinates: s_i permutes the positive
+        roots other than a_i (Humphreys, Lie Algebras, 10.2 Lemma B), and
+        every positive root of height > 1 is s_i of a lower one, so closing
+        the simple roots under s_i(b) = b - <b, a_i^v> a_i for b != a_i gives
+        every positive root and nothing else.
+        """
+        N, A = self.rank, self.cartan
+        simple = [tuple(int(i == j) for j in range(N)) for i in range(N)]
+        roots = set(simple)
+        frontier = simple
         while frontier:
             nxt = []
-            for r in frontier:
-                for i in range(self.rank):
-                    s = self._reflect(r, i)
-                    if s not in roots:
-                        roots.add(s)
-                        nxt.append(s)
+            for b in frontier:
+                for i in range(N):
+                    p = sum(A[i][j] * b[j] for j in range(N))
+                    if p and b != simple[i]:
+                        s = b[:i] + (b[i] - p,) + b[i + 1:]
+                        if s not in roots:
+                            roots.add(s)
+                            nxt.append(s)
             frontier = nxt
-        positive = []
-        for r in roots:
-            coeffs = [sum(ainv[i][j] * r[j] for j in range(self.rank)) for i in range(self.rank)]
-            if all(c >= 0 for c in coeffs):
-                positive.append((sum(coeffs), r))
-        positive.sort()
+        positive = sorted(
+            (sum(b), tuple(sum(A[j][i] * b[i] for i in range(N)) for j in range(N)))
+            for b in roots
+        )
         return tuple(r for _, r in positive)
 
     def _self_check(self) -> None:
@@ -307,11 +327,12 @@ class RootSystem:
             )
         for lo, hi in self._factor_slices:
             shortest = min(
-                self.norm_sq(a) for a in self.positive_roots
+                self._norm_scaled(a) for a in self.positive_roots
                 if any(a[i] for i in range(lo, hi))
             )
-            if shortest != 2:
-                raise AssertionError(f"shortest root has squared length {shortest}, not 2")
+            if shortest != 2 * self._gram_den:
+                raise AssertionError(f"shortest root has squared length "
+                                     f"{Fraction(shortest, self._gram_den)}, not 2")
         two_rho = [0] * N
         for a in self.positive_roots:
             for i in range(N):

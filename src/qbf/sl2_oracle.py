@@ -29,6 +29,12 @@ simple, so the norm comparison is an equality of rationals.  No floating
 point is involved: a dense eigensolve of the full block would lose the small
 eigenvalues entirely, since the condition number reaches q^{-84} ~ 1e44 at
 q = 0.3, m = n = 6.
+
+The exact kernels keep Fraction arithmetic out of their inner loops: each
+construction tabulates [k]_q, [k]_q! and the series coefficients once, block
+products are summed on ints over common denominators, and singularity is
+decided by fraction-free (Bareiss) elimination on ints
+(:func:`qbf.root_system._is_singular`).  Nothing is memoised across calls.
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
+from operator import mul
 
 from . import precision
 from .qnorm import QExponent, _check_q, rmatrix_exponent_details
@@ -56,14 +65,21 @@ def _check_labels(**labels: int) -> None:
                              f"the oracle cap {MAX_SPIN_LABEL}")
 
 
-def _qint(q: Fraction, k: int) -> Fraction:
-    return sum(q ** (k - 1 - 2 * i) for i in range(k))
+def _qints(q: Fraction, kmax: int) -> list[Fraction]:
+    """[k]_q for k = 0..kmax, by [k+1]_q = q [k]_q + q^{-k}."""
+    out = [Fraction(0)]
+    for k in range(kmax):
+        out.append(q * out[-1] + q ** -k)
+    return out
 
 
 def _matmul(A, B) -> list[list[Fraction]]:
-    """Exact product of two rational matrices."""
-    cols = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
+    """Exact product of two rational matrices, summed on ints over common denominators."""
+    da = lcm(*(x.denominator for row in A for x in row))
+    db = lcm(*(x.denominator for row in B for x in row))
+    rows = [[x.numerator * (da // x.denominator) for x in row] for row in A]
+    cols = [[x.numerator * (db // x.denominator) for x in col] for col in zip(*B)]
+    return [[Fraction(sum(map(mul, row, col)), da * db) for col in cols] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -86,15 +102,16 @@ def build_sl2_rep(q, n: int) -> Sl2Rep:
     qf = _check_q(q)
     _check_labels(n=n)
     d = n + 1
+    qint = _qints(qf, n)
     E = [[Fraction(0)] * d for _ in range(d)]
     F = [[Fraction(0)] * d for _ in range(d)]
     K = [[Fraction(0)] * d for _ in range(d)]
     for j in range(d):
         K[j][j] = qf ** (n - 2 * j)
         if j >= 1:
-            E[j - 1][j] = _qint(qf, j)
+            E[j - 1][j] = qint[j]
         if j < n:
-            F[j + 1][j] = _qint(qf, n - j)
+            F[j + 1][j] = qint[n - j]
     freeze = lambda M: tuple(map(tuple, M))
     return Sl2Rep(q=qf, n=n, e=freeze(E), f=freeze(F), k=freeze(K))
 
@@ -126,19 +143,18 @@ def _block_indices(m: int, n: int) -> list[list[tuple[int, int]]]:
             for s in range(m + n + 1)]
 
 
-def _series_coeffs(q: Fraction, kmax: int) -> list[Fraction]:
-    out = []
-    fact = Fraction(1)
-    for k in range(kmax + 1):
-        if k > 0:
-            fact *= _qint(q, k)
-        out.append(q ** (k * (k - 1) // 2) * (q - 1 / q) ** k / fact)
-    return out
+def _series_coeffs(q: Fraction, qfact: list[Fraction], kmax: int) -> list[Fraction]:
+    """q^{k(k-1)/2} (q - 1/q)^k / [k]_q! for k = 0..kmax, from the table qfact of [k]_q!."""
+    return [q ** (k * (k - 1) // 2) * (q - 1 / q) ** k / qfact[k] for k in range(kmax + 1)]
 
 
-def _r_block(q: Fraction, m: int, n: int, idx: list[tuple[int, int]], flip: bool) -> list[list[Fraction]]:
-    """One total-weight block of (pi_m (x) pi_n)(R) / q^{(mn mod 2)/2}, or of R21 when flip is set."""
-    coeffs = _series_coeffs(q, min(m, n))
+def _r_block(q: Fraction, m: int, n: int, idx: list[tuple[int, int]],
+             qfact: list[Fraction], coeffs: list[Fraction], flip: bool) -> list[list[Fraction]]:
+    """One total-weight block of (pi_m (x) pi_n)(R) / q^{(mn mod 2)/2}, or of R21 when flip is set.
+
+    ``qfact`` tabulates [k]_q! for k <= max(m, n) and ``coeffs`` the series
+    coefficients for k <= min(m, n).
+    """
     size = len(idx)
     out = [[Fraction(0)] * size for _ in range(size)]
     for col, (ic, jc) in enumerate(idx):
@@ -146,18 +162,10 @@ def _r_block(q: Fraction, m: int, n: int, idx: list[tuple[int, int]], flip: bool
             k = ic - ir if not flip else ir - ic
             if k < 0 or k > min(m, n):
                 continue
-            if not flip:
-                # E^k on the m-leg (ir = ic - k), F^k on the n-leg (jr = jc + k)
-                amp = Fraction(1)
-                for t in range(k):
-                    amp *= _qint(q, ic - t) * _qint(q, n - jc - t)
-            else:
-                # F^k on the m-leg (ir = ic + k), E^k on the n-leg (jr = jc - k)
-                amp = Fraction(1)
-                for t in range(k):
-                    amp *= _qint(q, m - ic - t) * _qint(q, jc - t)
-            if amp == 0:
-                continue
+            # E^k on the m-leg and F^k on the n-leg, or F^k and E^k when flipped:
+            # the amplitudes are [a]!/[a-k]! [b]!/[b-k]!.
+            a, b = (ic, n - jc) if not flip else (m - ic, jc)
+            amp = qfact[a] * qfact[b] / (qfact[a - k] * qfact[b - k])
             wrow = (m - 2 * ir) * (n - 2 * jr)
             # q^{wrow/2} = q^{(mn mod 2)/2} q^{wrow // 2} needs wrow = mn (mod 2).
             if wrow % 2 != m * n % 2:
@@ -166,11 +174,11 @@ def _r_block(q: Fraction, m: int, n: int, idx: list[tuple[int, int]], flip: bool
     return out
 
 
-def _dsq_leg(q: Fraction, n: int) -> list[Fraction]:
+def _dsq_leg(q: Fraction, n: int, qint: list[Fraction]) -> list[Fraction]:
     # d_{j+1}^2/d_j^2 = q^{-(n-2j)} [j+1]/[n-j]: unitarises the basis for E* = FK.
     out = [Fraction(1)]
     for j in range(n):
-        out.append(out[-1] * _qint(q, j + 1) / (_qint(q, n - j) * q ** (n - 2 * j)))
+        out.append(out[-1] * qint[j + 1] / (qint[n - j] * q ** (n - 2 * j)))
     return out
 
 
@@ -209,8 +217,11 @@ def build_rmatrix_block(q, m: int, n: int) -> RMatrixBlock:
     qf = _check_q(q)
     _check_labels(m=m, n=n)
     dn = n + 1
-    dm_sq = _dsq_leg(qf, m)
-    dn_sq = _dsq_leg(qf, n)
+    qint = _qints(qf, max(m, n))
+    qfact = list(accumulate(qint[1:], mul, initial=Fraction(1)))
+    coeffs = _series_coeffs(qf, qfact, min(m, n))
+    dm_sq = _dsq_leg(qf, m, qint)
+    dn_sq = _dsq_leg(qf, n, qint)
     dsq = [dm_sq[i] * dn_sq[j] for i in range(m + 1) for j in range(n + 1)]
 
     scale = qf ** (m * n % 2)
@@ -218,9 +229,9 @@ def build_rmatrix_block(q, m: int, n: int) -> RMatrixBlock:
     r_blocks = []
     exact_blocks = []
     for idx in idx_blocks:
-        rb = _r_block(qf, m, n, idx, flip=False)
+        rb = _r_block(qf, m, n, idx, qfact, coeffs, flip=False)
         rational = [[scale * x for x in row]
-                    for row in _matmul(_r_block(qf, m, n, idx, flip=True), rb)]
+                    for row in _matmul(_r_block(qf, m, n, idx, qfact, coeffs, flip=True), rb)]
         w = [dsq[i * dn + j] for i, j in idx]
         size = len(idx)
         for i in range(size):
@@ -278,7 +289,7 @@ def verify_norm_formula(q, m: int, n: int) -> OracleReport:
     ctx = precision.make_context()
     failures: list[str] = []
 
-    rel = max(max(relation_residuals(build_sl2_rep(qf, label)).values()) for label in (m, n))
+    rel = max(max(relation_residuals(build_sl2_rep(qf, label)).values()) for label in {m, n})
     if rel:
         failures.append(f"generator relation residual {rel} is not zero")
 

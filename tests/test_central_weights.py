@@ -206,6 +206,22 @@ class TestSubadditivity:
         assert report.min_slack >= 0
         assert report.witness is not None
 
+    @pytest.mark.parametrize("typ, height", [("A2", 4), ("B2", 4), ("G2", 3)])
+    def test_minimal_slack_is_at_the_cartan_triple(self, typ, height):
+        # Every component nu != lam + mu lies strictly below lam + mu in the
+        # dominance order, so c(nu) < c(lam + mu), and each pair's smallest
+        # slack c(lam)^{1/2} + c(mu)^{1/2} - c(nu)^{1/2} is at nu = lam + mu.
+        rs = build_root_system(typ)
+        weights = rs.dominant_weights_up_to(height)
+        for i, lam in enumerate(weights):
+            for mu in weights[i:]:
+                top = tuple(a + b for a, b in zip(lam, mu))
+                components = tensor_decompose(rs, lam, mu).components
+                assert top in components
+                assert all(rs.casimir(nu) < rs.casimir(top) for nu in components if nu != top)
+        lam, mu, nu = casimir_subadditivity_check(rs, height).witness
+        assert nu == tuple(a + b for a, b in zip(lam, mu))
+
     def test_equality_when_one_factor_trivial(self):
         rs = build_root_system("B2")
         report = casimir_subadditivity_check(rs, 1)

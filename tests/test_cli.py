@@ -310,6 +310,16 @@ class TestExitCodes:
             code, out, err = run_cli(args + ["--beta", "1e1000000"], capsys)
             assert code == 1 and out == "" and err.count("\n") == 1 and "range" in err
 
+    @pytest.mark.parametrize("args", [
+        ["verify-weight", "--type", "A1", "--kind", "beta", "--height", "1"],
+        ["verify-weight", "--type", "A1", "--kind", "lst", "--height", "1"],
+        ["cb-region", "--type", "A1", "--q", "0.5", "--height", "1"]])
+    def test_beta_below_decimal_range(self, args, capsys):
+        # A positive beta that the 50-digit context would round to zero.
+        code, out, err = run_cli(args + ["--beta", "1e-1000100"], capsys)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "beta = 1e-1000100 is out of the decimal range" in err
+
     @pytest.mark.parametrize("beta", ["9e999999", "5e999999"])
     def test_lst_log_weight_beyond_decimal_range(self, beta, capsys):
         # 9e999999 overflows log w(mu) itself, 5e999999 only log w(mu) + log w(mu)

@@ -3,7 +3,7 @@ import inspect
 import os
 import subprocess
 import sys
-from decimal import Decimal, InvalidOperation, Overflow
+from decimal import Decimal, InvalidOperation, Overflow, Underflow
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -29,7 +29,11 @@ def test_to_decimal_float_uses_repr():
 
 
 def _as_today(x, ctx):
-    """The conversion of a finite real that ``to_decimal`` keeps."""
+    """The conversion of a finite real that ``to_decimal`` keeps, with
+    ``decimal.Underflow`` trapped: digits rounded away below the subnormal
+    range are an error, an exact subnormal is not."""
+    ctx = ctx.copy()
+    ctx.traps[Underflow] = True
     if isinstance(x, Fraction):
         return ctx.divide(Decimal(x.numerator), Decimal(x.denominator))
     return ctx.plus(Decimal(x))
@@ -42,13 +46,18 @@ finite_reals = st.one_of(st.integers(), st.fractions(),
 @given(finite_reals, st.booleans())
 @example(Decimal("1e999999"), True)
 @example(Decimal("-0"), True)
+@example(Decimal("1e-1000100"), True)
+@example(Decimal("-1.25e-1000047"), False)
+@example(Decimal("1e-999990"), True)
+@example(Decimal("0E-1000100"), False)
+@example(Fraction(1, 10 ** 1000), False)
 def test_to_decimal_converts_finite_reals(x, as_text):
     ctx = precision.make_context()
     if as_text and not isinstance(x, Fraction):
         x = str(x)
     try:
         expected = _as_today(x, ctx)
-    except Overflow:
+    except (Overflow, Underflow):
         with pytest.raises(ValueError, match="^beta = .* is out of the decimal range"):
             precision.to_decimal(x, ctx, "beta")
         return
@@ -82,7 +91,8 @@ def test_to_decimal_rejects_with_one_line_naming_the_value(x, name):
     assert ("finite" in message) != ("decimal number" in message)
 
 
-@pytest.mark.parametrize("value", [True, (0, (1,), 0), [1], None, "abc", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", [True, (0, (1,), 0), [1], None, "abc", "nan", "inf", "-inf",
+                                   "1e-1000100"])
 @pytest.mark.parametrize("entry", ["beta_norm", "lst", "from_table", "cb_extends",
                                    "cb_region_enumerate", "sup_ratio_scan"])
 def test_every_entry_point_screens_its_real(entry, value):
@@ -95,7 +105,9 @@ def test_every_entry_point_screens_its_real(entry, value):
         "cb_region_enumerate": lambda: qbf.cb_region_enumerate(rs, cfg, value, 1),
         "sup_ratio_scan": lambda: qbf.sup_ratio_scan(rs, cfg, value, (1, 0), 2),
     }
-    with pytest.raises(ValueError, match="^(beta|table value at \\(1, 0\\)) must be "):
+    # A positive value too small to hold is out of range, not rounded to zero.
+    problem = "= 1e-1000100 is out of the decimal range" if value == "1e-1000100" else "must be "
+    with pytest.raises(ValueError, match=f"^(beta|table value at \\(1, 0\\)) {problem}"):
         calls[entry]()
 
 
@@ -105,6 +117,13 @@ def test_decimal_range_names_the_quantity():
                                          r"\(exponent above 999999\)$"):
         with precision.decimal_range("w({})", (1, 2)):
             ctx.exp(Decimal("1e7"))
+
+    trapping = ctx.copy()
+    trapping.traps[Underflow] = True
+    with pytest.raises(ValueError, match=r"^beta is out of the decimal range "
+                                         r"\(rounded below exponent -999999\)$"):
+        with precision.decimal_range("beta"):
+            trapping.plus(Decimal("1e-1000100"))
 
     class Unrendered:
         def __str__(self):

@@ -36,6 +36,32 @@ def invert(mat):
     return [row[n:] for row in aug]
 
 
+def reference_positive_roots(rs):
+    """The roots as a reflection closure of the simple roots, kept positive by
+    the signs of their rational simple-root coefficients A^{-1} r, sorted by
+    height, then by fundamental-weight coordinates."""
+    n = rs.rank
+    ainv = invert(rs.cartan)
+    roots = set(rs.simple_roots)
+    frontier = list(rs.simple_roots)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for i in range(n):
+                s = tuple(r[j] - r[i] * rs.cartan[j][i] for j in range(n))
+                if s not in roots:
+                    roots.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    positive = []
+    for r in roots:
+        coeffs = [sum(ainv[i][j] * r[j] for j in range(n)) for i in range(n)]
+        if all(c >= 0 for c in coeffs):
+            positive.append((sum(coeffs), r))
+    positive.sort()
+    return tuple(r for _, r in positive)
+
+
 def leading_minors_positive(g):
     n = len(g)
     work = [[Fraction(x) for x in row] for row in g]
@@ -75,6 +101,11 @@ class TestConstruction:
         g = rs.gram
         assert all(g[i][j] == g[j][i] for i in range(rs.rank) for j in range(rs.rank))
         assert leading_minors_positive(g)
+
+    @pytest.mark.parametrize("typ", ACCEPTANCE_TYPES + ["E7", "E8", "B2xG2", "A3xA1"])
+    def test_positive_roots_match_sign_test_reference(self, typ):
+        rs = build_root_system(typ)
+        assert rs.positive_roots == reference_positive_roots(rs)
 
     @pytest.mark.parametrize("typ", list(CLASSICAL_COUNTS))
     def test_positive_root_counts(self, typ):

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from qbf import sl2_oracle
 from qbf.root_system import _is_positive_definite, _is_singular
 from qbf.sl2_oracle import (
+    MAX_SPIN_LABEL,
     _block_indices,
-    _qint,
     _r_block,
-    _series_coeffs,
     build_rmatrix_block,
     build_sl2_rep,
     relation_residuals,
@@ -30,8 +29,21 @@ def _half_power(q, p):
     return (Fraction(0), q ** ((p - 1) // 2))
 
 
+def _qint(q, k):
+    """[k]_q by its closed form."""
+    return (q ** k - q ** -k) / (q - 1 / q)
+
+
+def _series_coeff(q, k):
+    """q^{k(k-1)/2} (q - 1/q)^k / [k]_q!."""
+    fact = Fraction(1)
+    for j in range(1, k + 1):
+        fact *= _qint(q, j)
+    return q ** (k * (k - 1) // 2) * (q - 1 / q) ** k / fact
+
+
 def _pair_r_block(q, m, n, idx, flip):
-    coeffs = _series_coeffs(q, min(m, n))
+    coeffs = [_series_coeff(q, k) for k in range(min(m, n) + 1)]
     size = len(idx)
     out = [[(Fraction(0), Fraction(0))] * size for _ in range(size)]
     for col, (ic, jc) in enumerate(idx):
@@ -76,13 +88,27 @@ def _cofactor_det(mat):
 
 
 _small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+# Signed powers (9/10)^k, k <= 40: numerators and denominators of up to 41 digits.
+_large = st.one_of(st.just(Fraction(0)),
+                   st.builds(lambda k, s: s * Fraction(9, 10) ** k,
+                             st.integers(0, 40), st.sampled_from([1, -1])))
+
+
+def _leading_minors(mat):
+    return [_cofactor_det([row[:k] for row in mat[:k]]) for k in range(1, len(mat) + 1)]
 
 
 @st.composite
-def _square_matrices(draw):
-    """Small rational matrices, half of them singular by construction."""
+def _square_matrices(draw, entries=_small, anti_triangular=False):
+    """Rational matrices of size <= 4, half of them singular by construction.
+
+    An anti-triangular matrix is zero above its anti-diagonal, so elimination
+    must take a lower row as its pivot at every step but the last.
+    """
     n = draw(st.integers(1, 4))
-    rows = [draw(st.lists(_small, min_size=n, max_size=n)) for _ in range(n)]
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    if anti_triangular:
+        rows = [[Fraction(0)] * (n - 1 - i) + row[n - 1 - i:] for i, row in enumerate(rows)]
     if draw(st.booleans()):
         # One row a rational combination of the others (zero when n = 1).
         k = draw(st.integers(0, n - 1))
@@ -144,8 +170,10 @@ class TestRMatrixBlock:
 
     @pytest.mark.parametrize("q", QS + [Fraction(1, 7)])
     def test_matches_sqrt_q_reference(self, q):
-        for m in range(6):
-            for n in range(6):
+        # Up to the oracle cap at q = 9/10, where the entries are largest.
+        cap = MAX_SPIN_LABEL if q == Fraction(9, 10) else 5
+        for m in range(cap + 1):
+            for n in range(cap + 1):
                 blk = build_rmatrix_block(q, m, n)
                 ref = _reference_blocks(q, m, n)
                 assert blk.r21r == tuple(r21r for _, r21r in ref)
@@ -164,7 +192,8 @@ class TestRMatrixBlock:
 
         i = OddDouble(0)
         with pytest.raises(AssertionError, match="parity"):
-            _r_block(Fraction(1, 2), 1, 1, [(i, i)], flip=False)
+            _r_block(Fraction(1, 2), 1, 1, [(i, i)], [Fraction(1)] * 2, [Fraction(1)] * 2,
+                     flip=False)
 
     def test_r21r_eigenvalue_exponents_one_one(self):
         q = Fraction(1, 2)
@@ -288,7 +317,38 @@ class TestIsSingular:
     def test_matches_cofactor_determinant(self, mat):
         assert _is_singular(mat) == (_cofactor_det(mat) == 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(_square_matrices(entries=_large))
+    def test_large_entries_match_cofactor_determinant(self, mat):
+        assert _is_singular(mat) == (_cofactor_det(mat) == 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_square_matrices(entries=_large, anti_triangular=True))
+    def test_row_swap_at_every_step(self, mat):
+        assert _is_singular(mat) == (_cofactor_det(mat) == 0)
+
     def test_pivot_search_below_the_diagonal(self):
         assert not _is_singular([[0, 1], [1, 0]])
         assert not _is_singular([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
         assert _is_singular([[0, 1, 2], [0, 3, 4], [0, 5, 6]])
+        q = Fraction(9, 10)
+        assert not _is_singular([[0, 0, 0, q], [0, 0, q ** 9, 1], [0, q ** 40, 2, 3], [q ** 17, 4, 5, 6]])
+
+    def test_zero_column_after_a_swap(self):
+        q = Fraction(9, 10)
+        assert _is_singular([[0, 0, 1], [1, 2, 3], [0, 0, 4]])
+        assert _is_singular([[0, 0, q, 1], [q ** 40, q, 1, 2], [0, 0, 1, q ** 3], [0, 0, 2, 5]])
+        # Not a zero column: the swap is followed by a nonzero pivot.
+        assert not _is_singular([[0, q, 1], [1, 2, 3], [0, 0, 4]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_square_matrices(entries=st.one_of(_small, _large)), st.integers(-3, 3), st.booleans())
+    def test_positive_definite_matches_leading_minors(self, mat, shift, symmetric):
+        # B^T B + shift I is symmetric and positive definite exactly when its
+        # leading principal minors are positive; the criterion is read off them
+        # for any square matrix.
+        n = len(mat)
+        if symmetric:
+            mat = [[sum(mat[k][i] * mat[k][j] for k in range(n)) + shift * (i == j)
+                    for j in range(n)] for i in range(n)]
+        assert _is_positive_definite(mat) == all(d > 0 for d in _leading_minors(mat))
