@@ -1,12 +1,14 @@
 """Weight systems of irreducible representations.
 
 Multiplicities are computed on the dominant chamber with Freudenthal's
-recursion and expanded to full Weyl orbits.  The dominant weights below a
-highest weight are found by descent: subtract every positive root and keep the
-dominant results.  The module also provides a character-product decomposition
-(multiply two weight systems pointwise, then repeatedly strip the highest
-remaining weight) which serves as an independent cross-check for the fusion
-algorithm at small heights.
+recursion; the expansion to full Weyl orbits is built on first read.  The
+dominant weights below a highest weight are found by descent: subtract every
+positive root and keep the dominant results.  The dimension is checked against
+Weyl's formula as sum m(nu) |W nu|, from the orbit sizes of the root system,
+so no orbit is built for it.  The module also provides a character-product
+decomposition (multiply two weight systems pointwise, then repeatedly strip
+the highest remaining weight) which serves as an independent cross-check for
+the fusion algorithm at small heights.
 
 Each weight system is memoised once, in a dict on its :class:`RootSystem`, and
 stored only when complete, so concurrent readers never see partial results.
@@ -15,7 +17,8 @@ stored only when complete, so concurrent readers never see partial results.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 from .root_system import RootSystem, Weight
@@ -25,18 +28,23 @@ from .root_system import RootSystem, Weight
 class Character:
     """Weight system of one irreducible.
 
-    ``dominant`` holds the dominant multiplicities and ``weights`` their
-    orbit expansion.  Both are read-only: instances are memoised on their
-    root system and shared by every caller.
+    ``dominant`` holds the dominant multiplicities and ``dim`` their total
+    over the Weyl orbits.  ``weights``, the orbit expansion, is built from
+    the root system on first read.  Both mappings are read-only: instances
+    are memoised on their root system and shared by every caller, and the
+    lazy fill is an idempotent write of a deterministic value.  Equality
+    does not look at the root system instance.
     """
 
     highest_weight: Weight
     dominant: Mapping[Weight, int]
-    weights: Mapping[Weight, int]
+    dim: int
+    _rs: RootSystem = field(compare=False, repr=False)
 
-    @property
-    def dim(self) -> int:
-        return sum(self.weights.values())
+    @cached_property
+    def weights(self) -> Mapping[Weight, int]:
+        return MappingProxyType({w: m for nu, m in self.dominant.items()
+                                 for w in self._rs.weyl_orbit(nu)})
 
     def multiplicity(self, rs: RootSystem, weight) -> int:
         return self.weights.get(rs.check_weight(weight), 0)
@@ -113,12 +121,11 @@ def _weight_multiplicities(rs: RootSystem, mu: Weight) -> Character:
                 raise AssertionError(f"non-integer Freudenthal multiplicity at {nu}")
             mults[nu] = m
 
-    weights = {w: m for nu, m in mults.items() for w in rs.weyl_orbit(nu)}
-    char = Character(mu, MappingProxyType(mults), MappingProxyType(weights))
-    expected = rs.weyl_dim(mu)
-    if char.dim != expected:
-        raise AssertionError(f"character of {mu} has size {char.dim}, Weyl dimension {expected}")
-    rs._char_memo[mu] = char
+    dim = sum(m * rs._orbit_size(nu) for nu, m in mults.items())
+    expected = rs._weyl_dim(mu)
+    if dim != expected:
+        raise AssertionError(f"character of {mu} has size {dim}, Weyl dimension {expected}")
+    char = rs._char_memo[mu] = Character(mu, MappingProxyType(mults), dim, rs)
     return char
 
 

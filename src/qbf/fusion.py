@@ -24,12 +24,16 @@ through the same loop with wider fields.
 
 Decompositions themselves are not cached: the sweeps decompose each
 unordered pair once, and a fusion cache measured a repeat ratio of 0.  The
-weight system is memoised on the root system by :mod:`qbf.characters`.
+weight system is memoised on the root system by :mod:`qbf.characters`.  A
+decomposition keeps its components in the order the loop found them; the
+sorted ``components`` mapping is built on first read, so the sweeps, which
+read every component of every pair but need no order, never pay for a sort.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import isqrt
 
 from .characters import weight_multiplicities
@@ -38,25 +42,34 @@ from .root_system import RootSystem, Weight
 
 @dataclass(frozen=True)
 class FusionDecomposition:
-    """Multiplicities {nu: m_nu} of the irreducibles inside lam (x) mu."""
+    """Multiplicities {nu: m_nu} of the irreducibles inside lam (x) mu.
+
+    ``components`` is sorted by decreasing coordinate sum, then
+    lexicographically; it is built from the unsorted ``_parts`` on first
+    read and then kept.  Equality compares the multiplicities, not their
+    order.
+    """
 
     lam: Weight
     mu: Weight
-    components: dict[Weight, int]
+    _parts: dict[Weight, int] = field(repr=False)
 
     @classmethod
     def from_parts(cls, rs: RootSystem, lam: Weight, mu: Weight,
                    components: dict[Weight, int]) -> "FusionDecomposition":
-        ordered = dict(sorted(components.items(), key=lambda kv: (-sum(kv[0]), kv[0])))
         cartan = tuple(a + b for a, b in zip(lam, mu))
-        if ordered.get(cartan) != 1:
-            raise AssertionError(f"Cartan component {cartan} missing or mult != 1 in {ordered}")
-        if any(m <= 0 for m in ordered.values()):
-            raise AssertionError(f"nonpositive fusion multiplicity in {ordered}")
-        return cls(lam, mu, ordered)
+        if components.get(cartan) != 1:
+            raise AssertionError(f"Cartan component {cartan} missing or mult != 1 in {components}")
+        if any(m <= 0 for m in components.values()):
+            raise AssertionError(f"nonpositive fusion multiplicity in {components}")
+        return cls(lam, mu, components)
+
+    @cached_property
+    def components(self) -> dict[Weight, int]:
+        return dict(sorted(self._parts.items(), key=lambda kv: (-sum(kv[0]), kv[0])))
 
     def dimension(self, rs: RootSystem) -> int:
-        return sum(m * rs.weyl_dim(nu) for nu, m in self.components.items())
+        return sum(m * rs.weyl_dim(nu) for nu, m in self._parts.items())
 
     def __iter__(self):
         return iter(self.components.items())

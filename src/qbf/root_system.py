@@ -207,6 +207,7 @@ class RootSystem:
     Memoised in dicts on the instance:
 
     * per-weight invariants: the scaled Casimir and norm^2, the Weyl dimension;
+    * the Weyl orbit size of a dominant weight, keyed by its zero coordinates;
     * the weight systems of :mod:`qbf.characters`;
     * the packed-key tables of :mod:`qbf.fusion`, per field width: the packed
       Weyl orbit of each dominant weight, and a dict from each rho-shifted
@@ -257,7 +258,7 @@ class RootSystem:
             tuple(cartan[j][i] for j in range(N)) for i in range(N)
         )
         self.rho: Weight = (1,) * N
-        self.positive_roots: tuple[Weight, ...] = self._generate_positive_roots()
+        self._proot_heights, self.positive_roots = self._generate_positive_roots()
 
         # Per positive root a: integer vector v with dot(x, v) = (x, a) * den.
         self._proot_pairing = tuple(
@@ -270,6 +271,7 @@ class RootSystem:
         self._casimir_memo: dict[Weight, int] = {}
         self._norm_memo: dict[Weight, int] = {}
         self._dim_memo: dict[Weight, int] = {}
+        self._orbit_size_memo: dict[tuple[int, ...], int] = {}
         self._char_memo: dict = {}  # Weight -> qbf.characters.Character
         # Packed-key tables of qbf.fusion: (width, dominant weight) -> packed
         # Weyl orbit, and width -> {point key: (nu, sign) or None}.
@@ -280,9 +282,9 @@ class RootSystem:
 
     # -- construction ------------------------------------------------------
 
-    def _generate_positive_roots(self) -> tuple[Weight, ...]:
-        """The positive roots in fundamental-weight coordinates, sorted by
-        height, then by those coordinates.
+    def _generate_positive_roots(self) -> tuple[tuple[int, ...], tuple[Weight, ...]]:
+        """The heights and the positive roots in fundamental-weight
+        coordinates, sorted by height, then by those coordinates.
 
         Works on ints in simple-root coordinates: s_i permutes the positive
         roots other than a_i (Humphreys, Lie Algebras, 10.2 Lemma B), and
@@ -309,7 +311,7 @@ class RootSystem:
             (sum(b), tuple(sum(A[j][i] * b[i] for i in range(N)) for j in range(N)))
             for b in roots
         )
-        return tuple(r for _, r in positive)
+        return tuple(h for h, _ in positive), tuple(r for _, r in positive)
 
     def _self_check(self) -> None:
         N = self.rank
@@ -438,6 +440,31 @@ class RootSystem:
             for j in range(N):
                 y[j] -= c * A[j][i]
             sign = -sign
+
+    def _orbit_size(self, nu: Weight) -> int:
+        """|W nu| for an already checked dominant weight, without building the orbit.
+
+        The stabiliser of nu is the parabolic subgroup W_J, J = {i : nu_i = 0},
+        whose positive roots are those orthogonal to nu.  The order of a Weyl
+        group is the product of (ht a + 1)/ht a over its positive roots (its
+        Poincare polynomial at t = 1: Macdonald, "The Poincare series of a
+        Coxeter group", Math. Ann. 1972), and heights in W_J are heights in W,
+        so |W nu| = |W|/|W_J| is a product over the positive roots with
+        (nu, a) != 0.  Memoised by J.
+        """
+        key = tuple(i for i, c in enumerate(nu) if c == 0)
+        v = self._orbit_size_memo.get(key)
+        if v is None:
+            num = den = 1
+            for h, w in zip(self._proot_heights, self._proot_pairing):
+                if any(c * x for c, x in zip(nu, w)):
+                    num *= h + 1
+                    den *= h
+            v, r = divmod(num, den)
+            if r:
+                raise AssertionError(f"Weyl orbit size of {nu} is not an integer: {num}/{den}")
+            self._orbit_size_memo[key] = v
+        return v
 
     def conjugate_weight(self, mu) -> Weight:
         """Highest weight of the conjugate representation: the dominant form of -mu."""

@@ -1,4 +1,5 @@
 from decimal import Context, Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +9,7 @@ from qbf import central_weights, precision
 from qbf.central_weights import (
     LOG_TOLERANCE,
     CentralWeightSpec,
+    SubadditivityReport,
     Violation,
     _log_weight,
     _triangle_compare,
@@ -15,7 +17,7 @@ from qbf.central_weights import (
     eval_weight,
     validate_central_weight,
 )
-from qbf.fusion import tensor_decompose
+from qbf.fusion import FusionDecomposition, tensor_decompose
 from qbf.root_system import LieType, RootSystem, build_root_system
 
 CTX = Context(prec=50)
@@ -336,6 +338,10 @@ def weight_specs(draw):
 @settings(max_examples=40, deadline=None)
 @given(weight_specs())
 @example((build_root_system("A2"), CentralWeightSpec.beta_norm("0.99999999999999"), 2))
+@example((build_root_system("B2"), CentralWeightSpec.beta_norm("1"), 2))
+@example((build_root_system("B2"), CentralWeightSpec.beta_norm("1.5"), 3))
+@example((build_root_system("A2"), CentralWeightSpec.lst("0"), 2))
+@example((build_root_system("A2"), CentralWeightSpec.lst("0.4"), 3))
 def test_unordered_sweep_matches_ordered_reference(drawn):
     rs, spec, height = drawn
     report = validate_central_weight(rs, spec, height)
@@ -378,3 +384,128 @@ def test_builtin_z2_decided_on_integer_path(spec, monkeypatch):
     assert set(logged) == set(rs.dominant_weights_up_to(3)) | recorded
     assert len(logged) == len(set(logged))
     assert bool(recorded) == (spec.beta < 1)
+
+
+def per_triple_subadditivity(rs, height):
+    """The Casimir sweep checking every triple in component order, the
+    reference for the per-pair verdicts."""
+    ctx = precision.make_context()
+    weights = rs.dominant_weights_up_to(height)
+    cas = rs._casimir_scaled
+    roots = {}
+
+    def root_of(mu):
+        if mu not in roots:
+            roots[mu] = precision.sqrt_fraction(Fraction(cas(mu), rs._gram_den), ctx)
+        return roots[mu]
+
+    checked = 0
+    min_slack = None
+    witness = None
+    violations = []
+    for i, lam in enumerate(weights):
+        c_lam = cas(lam)
+        for mu in weights[i:]:
+            c_mu = cas(mu)
+            rhs = ctx.add(root_of(lam), root_of(mu))
+            for nu, _m in tensor_decompose(rs, lam, mu).components.items():
+                checked += 1
+                if _triangle_compare(cas(nu), c_lam, c_mu) > 0:
+                    violations.append((lam, mu, nu))
+                slack = ctx.subtract(rhs, root_of(nu))
+                if min_slack is None or slack < min_slack:
+                    min_slack = slack
+                    witness = (lam, mu, nu)
+    return SubadditivityReport(
+        passed=not violations,
+        truncation_height=height,
+        triples_checked=checked,
+        min_slack=min_slack,
+        witness=witness,
+        violations=tuple(violations),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["A1", "A2", "B2", "G2", "A1xA1"]), st.integers(1, 4))
+@example("G2", 4)
+@example("A1xA1", 4)
+def test_per_pair_subadditivity_matches_per_triple_reference(typ, height):
+    rs = build_root_system(typ)
+    assert casimir_subadditivity_check(rs, height) == per_triple_subadditivity(rs, height)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda rs: casimir_subadditivity_check(rs, 3),
+    lambda rs: validate_central_weight(rs, CentralWeightSpec.lst(2), 3),
+    lambda rs: validate_central_weight(rs, CentralWeightSpec.beta_norm(2), 3),
+], ids=["casimir", "lst", "beta_norm"])
+def test_sweeps_decide_each_pair_once(sweep, monkeypatch):
+    # The dominance certificate decides a pair with one triangle check, at
+    # the Cartan triple, and the sweeps never sort a decomposition.
+    rs = build_root_system("B2")
+    reference = sweep(rs)
+    calls = count_calls(monkeypatch, central_weights, "_triangle_compare")
+
+    def unsorted_only(fd):
+        raise AssertionError("the sweep read the sorted components")
+
+    monkeypatch.setattr(FusionDecomposition, "components", property(unsorted_only))
+    assert sweep(rs) == reference
+    n = len(rs.dominant_weights_up_to(3))
+    assert len(calls) == n * (n + 1) // 2
+
+
+def inject_components(monkeypatch, pair):
+    """Make fusion of ``pair`` (either orientation) return two more
+    components, 2 (lam + mu) and then 3 (lam + mu), whose Casimirs and norms
+    exceed those of lam + mu and which break the triangle inequality.  They
+    are found in the opposite of the sorted order."""
+    real = tensor_decompose
+
+    def patched(rs, lam, mu):
+        fd = real(rs, lam, mu)
+        if {tuple(lam), tuple(mu)} != set(pair):
+            return fd
+        extra = {tuple(k * (a + b) for a, b in zip(lam, mu)): 1 for k in (2, 3)}
+        return FusionDecomposition.from_parts(rs, fd.lam, fd.mu, {**fd.components, **extra})
+
+    monkeypatch.setattr(central_weights, "tensor_decompose", patched)
+    monkeypatch.setitem(globals(), "tensor_decompose", patched)
+    return [tuple(k * (a + b) for a, b in zip(*pair)) for k in (3, 2)]
+
+
+@pytest.mark.parametrize("pair", [((1, 0), (1, 0)), ((0, 1), (1, 1))])
+def test_injected_components_take_the_per_triple_fallback(pair, monkeypatch):
+    rs = build_root_system("B2")
+    extras = inject_components(monkeypatch, pair)
+    calls = count_calls(monkeypatch, central_weights, "_triangle_compare")
+
+    report = casimir_subadditivity_check(rs, 2)
+    assert report == per_triple_subadditivity(rs, 2)
+    n = len(rs.dominant_weights_up_to(2))
+    assert len(calls) > n * (n + 1) // 2  # the fallback checked the pair per triple
+    assert not report.passed
+    assert report.violations == tuple(pair + (nu,) for nu in extras)  # in component order
+    assert report.witness == pair + (extras[0],)
+
+    for spec in (CentralWeightSpec.lst(1), CentralWeightSpec.beta_norm(2)):
+        report = validate_central_weight(rs, spec, 2)
+        violations, checked, skipped = ordered_reference(rs, spec, 2)
+        assert report.violations == violations
+        assert (report.checked, report.skipped) == (checked, skipped)
+        assert not report.passed
+        z2 = [v.weights for v in report.violations if v.condition == "Z2"]
+        assert z2 == sorted({a + (nu,) for a in (pair, pair[::-1]) for nu in extras})

@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -159,6 +161,56 @@ class TestWeightMultiplicities:
             expanded = {w: m for nu, m in char.dominant.items() for w in rs.weyl_orbit(nu)}
             assert char.weights == expanded
             assert char.dim == sum(expanded.values()) == rs.weyl_dim(mu)
+
+    @pytest.mark.parametrize("typ,height,max_sum", [("B3", 2, 6), ("E6", 1, 2)])
+    def test_dominant_and_dim_build_no_orbit(self, typ, height, max_sum, monkeypatch):
+        # The dimension check sums m(nu) |W nu| from stabiliser orders, and
+        # the orbit expansion waits for a read of ``weights``.
+        interned = build_root_system(typ)
+        weights = [mu for mu in interned.dominant_weights_up_to(height) if sum(mu) <= max_sum]
+        expected = {mu: weight_multiplicities(interned, mu).dominant for mu in weights}
+        fresh = RootSystem(LieType.parse(typ))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a Weyl orbit was built")
+
+        monkeypatch.setattr(RootSystem, "weyl_orbit", forbidden)
+        for mu in weights:
+            char = weight_multiplicities(fresh, mu)
+            assert char.dominant == expected[mu]
+            assert char.dim == fresh.weyl_dim(mu)
+        with pytest.raises(AssertionError, match="orbit was built"):
+            char.weights
+
+    def test_concurrent_first_reads_agree(self):
+        # Lazy fills race on a fresh instance: every reader must see the
+        # complete, deterministic value, and later reads the stored one.
+        fresh = RootSystem(LieType.parse("B2"))
+        weights = fresh.dominant_weights_up_to(2)
+        expected = {mu: dict(full_weights(build_root_system("B2"), mu)) for mu in weights}
+        results = []
+
+        def work():
+            for mu in weights:
+                results.append((mu, weight_multiplicities(fresh, mu).dim,
+                                dict(full_weights(fresh, mu))))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8 * len(weights)
+        for mu, dim, weights_of_mu in results:
+            assert dim == fresh.weyl_dim(mu) and weights_of_mu == expected[mu]
+        for mu in weights:
+            assert full_weights(fresh, mu) is weight_multiplicities(fresh, mu).weights
 
     def test_non_dominant_rejected(self):
         rs = build_root_system("A2")

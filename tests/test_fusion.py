@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbf.characters import character_product_decompose, full_weights, weight_multiplicities
-from qbf.fusion import _MIN_FIELD, _field_width, _unpack, contains_trivial, tensor_decompose
+from qbf.fusion import (
+    _MIN_FIELD,
+    FusionDecomposition,
+    _field_width,
+    _unpack,
+    contains_trivial,
+    tensor_decompose,
+)
 from qbf.root_system import LieType, RootSystem, _invert_rational, build_root_system
 
 
@@ -209,6 +216,17 @@ class TestTensorDecompose:
     def test_a1_fundamental_square(self):
         rs = build_root_system("A1")
         assert tensor_decompose(rs, (1,), (1,)).components == {(2,): 1, (0,): 1}
+
+    def test_components_sorted_on_first_read(self):
+        rs = build_root_system("G2")
+        fd = tensor_decompose(rs, (2, 1), (1, 1))
+        assert "components" not in vars(fd)
+        ordered = fd.components
+        assert list(ordered) == sorted(fd._parts, key=lambda nu: (-sum(nu), nu))
+        assert ordered == fd._parts and fd.components is ordered
+        assert fd.dimension(rs) == rs.weyl_dim((2, 1)) * rs.weyl_dim((1, 1))
+        # equality compares multiplicities, not their order
+        assert fd == FusionDecomposition(fd.lam, fd.mu, dict(reversed(fd._parts.items())))
 
     def test_unit(self):
         rs = build_root_system("G2")

@@ -358,6 +358,20 @@ class TestWeylGroup:
         assert len(g2.weyl_orbit((1, 0))) == 6
         assert len(g2.weyl_orbit((0, 0))) == 1
 
+    # E6 runs at height 1, where each of its 64 zero sets J occurs once;
+    # its height-2 orbits would take minutes to enumerate.
+    @pytest.mark.parametrize("typ,height", [("A1", 2), ("A3", 2), ("B3", 2), ("C3", 2),
+                                            ("D4", 2), ("G2", 2), ("F4", 2), ("E6", 1),
+                                            ("B2xA1", 2)])
+    def test_orbit_size_matches_the_enumerated_orbit(self, typ, height):
+        rs = build_root_system(typ)
+        for nu in rs.dominant_weights_up_to(height):
+            assert rs._orbit_size(nu) == len(rs.weyl_orbit(nu)), nu
+
+    def test_orbit_size_of_rho_is_the_group_order(self):
+        assert build_root_system("E8")._orbit_size((1,) * 8) == 696729600
+        assert build_root_system("E8")._orbit_size((0,) * 8) == 1
+
     def test_conjugate_examples(self):
         a1 = build_root_system("A1")
         assert a1.conjugate_weight((5,)) == (5,)
