@@ -57,21 +57,28 @@ class CBDecision:
     certificate: Certificate
 
 
-def _log_inv_q(cfg: SessionConfig, ctx: Context) -> Decimal:
-    return ctx.minus(ctx.ln(precision.to_decimal(cfg.q, ctx)))
-
-
-def cb_extends(rs: RootSystem, cfg: SessionConfig, beta, lam) -> CBDecision:
-    """Decide whether the representation labelled by lam admits a CB extension."""
-    lam = rs.check_dominant(lam)
-    ctx = precision.make_context()
+def _shared_constants(cfg: SessionConfig, beta, ctx: Context) -> tuple[Decimal, ...]:
+    """(beta, ln beta, ln(1/q), t^2) in ctx: what every decision at (q, beta) shares."""
     b = precision.to_decimal(beta, ctx, "beta")
     if b < 1:
         raise ValueError(f"beta must be >= 1 (weights require w >= 1), got {beta}")
     log_b = ctx.ln(b)
-    log_inv_q = _log_inv_q(cfg, ctx)
+    log_inv_q = ctx.minus(ctx.ln(precision.to_decimal(cfg.q, ctx)))
     t = ctx.divide(log_b, log_inv_q)
-    t_sq = ctx.multiply(t, t)
+    return b, log_b, log_inv_q, ctx.multiply(t, t)
+
+
+def cb_extends(rs: RootSystem, cfg: SessionConfig, beta, lam, *,
+               _shared: tuple[Decimal, ...] | None = None) -> CBDecision:
+    """Decide whether the representation labelled by lam admits a CB extension.
+
+    ``_shared`` is for callers that decide many weights at one (q, beta): the
+    ``_shared_constants`` they computed once, in a context of the working
+    precision, so the decision is the one computed without it.
+    """
+    lam = rs.check_dominant(lam)
+    ctx = precision.make_context()
+    b, log_b, log_inv_q, t_sq = _shared or _shared_constants(cfg, beta, ctx)
 
     ns = rs.norm_sq(lam)
     ns_dec = precision.to_decimal(ns, ctx)
@@ -108,9 +115,12 @@ def cb_region_enumerate(rs: RootSystem, cfg: SessionConfig, beta,
                         height: int) -> list[CBDecision]:
     """Decisions for every dominant lam with coordinates <= height.
 
-    Ordered by total coordinate sum, then lexicographically.
+    Ordered by total coordinate sum, then lexicographically.  The logarithms
+    and the threshold are computed once for the whole enumeration.
     """
-    return [cb_extends(rs, cfg, beta, lam) for lam in rs.dominant_weights_up_to(height)]
+    weights = rs.dominant_weights_up_to(height)
+    shared = _shared_constants(cfg, beta, precision.make_context())
+    return [cb_extends(rs, cfg, beta, lam, _shared=shared) for lam in weights]
 
 
 @dataclass(frozen=True)
@@ -135,10 +145,10 @@ def sup_ratio_scan(rs: RootSystem, cfg: SessionConfig, beta, lam, height: int,
     for an extending lam, strictly increasing along the ray otherwise.
     """
     lam = rs.check_dominant(lam)
-    decision = cb_extends(rs, cfg, beta, lam)
     ctx = precision.make_context()
-    log_b = ctx.ln(decision.beta)
-    log_inv_q = _log_inv_q(cfg, ctx)
+    shared = _shared_constants(cfg, beta, ctx)
+    decision = cb_extends(rs, cfg, beta, lam, _shared=shared)
+    _, log_b, log_inv_q, _ = shared
 
     def log_ratio(mu: Weight) -> Decimal:
         ip = precision.to_decimal(rs.inner_product(lam, mu), ctx)

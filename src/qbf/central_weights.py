@@ -325,6 +325,14 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
 
 @dataclass(frozen=True)
 class SubadditivityReport:
+    """Outcome of :func:`casimir_subadditivity_check`.
+
+    ``min_slack`` is the smallest slack over every triple and ``witness`` the
+    first triple that attains it.  The sweep starts at the pair (0, 0), whose
+    one triple has slack exactly 0, so on a passing sweep both come from the
+    (0, 0) pair: ``min_slack`` is 0 and ``witness`` the zero triple.
+    """
+
     passed: bool
     truncation_height: int
     triples_checked: int

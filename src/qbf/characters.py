@@ -3,12 +3,16 @@
 Multiplicities are computed on the dominant chamber with Freudenthal's
 recursion; the expansion to full Weyl orbits is built on first read.  The
 dominant weights below a highest weight are found by descent: subtract every
-positive root and keep the dominant results.  The dimension is checked against
-Weyl's formula as sum m(nu) |W nu|, from the orbit sizes of the root system,
-so no orbit is built for it.  The module also provides a character-product
-decomposition (multiply two weight systems pointwise, then repeatedly strip
-the highest remaining weight) which serves as an independent cross-check for
-the fusion algorithm at small heights.
+positive root and keep the dominant results.  The recursion walks each string
+xi = nu + k a by adding a, with the norms and pairings on scaled ints, and
+reads the multiplicity at the dominant form of xi; those forms come from a
+memo on the root system, shared by every weight system built on it, and the
+order and the denominators come from its memoised Casimirs.  The dimension is
+checked against Weyl's formula as sum m(nu) |W nu|, from the orbit sizes of
+the root system, so no orbit is built for it.  The module also provides a
+character-product decomposition (multiply two weight systems pointwise, then
+repeatedly strip the highest remaining weight) which serves as an independent
+cross-check for the fusion algorithm at small heights.
 
 Each weight system is memoised once, in a dict on its :class:`RootSystem`, and
 stored only when complete, so concurrent readers never see partial results.
@@ -19,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add, mul, sub
 from types import MappingProxyType
 
 from .root_system import RootSystem, Weight
@@ -62,7 +67,7 @@ def _dominant_candidates(rs: RootSystem, mu: Weight) -> set[Weight]:
     while stack:
         nu = stack.pop()
         for alpha in rs.positive_roots:
-            x = tuple(c - a for c, a in zip(nu, alpha))
+            x = tuple(map(sub, nu, alpha))
             if min(x) >= 0 and x not in found:
                 found.add(x)
                 stack.append(x)
@@ -83,40 +88,42 @@ def _weight_multiplicities(rs: RootSystem, mu: Weight) -> Character:
     char = rs._char_memo.get(mu)
     if char is not None:
         return char
-    den_ip = rs._ip_scaled
-    mu_norm = den_ip(mu, mu)
-    shifted_mu = tuple(c + 1 for c in mu)
-    mu_rho_norm = den_ip(shifted_mu, shifted_mu)
+    # |nu + rho|^2 - |rho|^2 is the Casimir (nu, nu + 2 rho), so the memoised
+    # scaled Casimirs give both the processing order and the denominators.
+    cas = rs._casimir_scaled
+    norm_of = rs._norm_scaled
+    mu_cas = cas(mu)
+    mu_norm = norm_of(mu)
+    candidates = sorted(_dominant_candidates(rs, mu), key=lambda nu: (-cas(nu), nu))
 
-    def rho_norm(nu: Weight) -> int:
-        shifted = tuple(c + 1 for c in nu)
-        return den_ip(shifted, shifted)
-
-    candidates = sorted(_dominant_candidates(rs, mu), key=lambda nu: (-rho_norm(nu), nu))
-
-    # |nu + k a|^2 = |nu|^2 + 2k (nu, a) + k^2 |a|^2 and (nu + k a, a) =
-    # (nu, a) + k |a|^2, all scaled by _gram_den, from the pairing vectors.
-    roots = [(alpha, v, sum(a * c for a, c in zip(alpha, v)))
+    # Along the string xi = nu + k a, k = 1, 2, ..., the scaled pairing
+    # p = (xi, a) grows by |a|^2 per step and |xi|^2 by 2 p + |a|^2, all on
+    # ints from the pairing vectors.  Only the dominant form of xi is read,
+    # from the root system's memo.
+    dominant_form = rs._dominant_form
+    roots = [(alpha, v, sum(map(mul, alpha, v)))
              for alpha, v in zip(rs.positive_roots, rs._proot_pairing)]
     mults: dict[Weight, int] = {}
     for nu in candidates:
         if nu == mu:
             mults[mu] = 1
             continue
-        nu_norm = den_ip(nu, nu)
+        nu_norm = norm_of(nu)
         total = 0
         for alpha, v, alpha_norm in roots:
-            pairing = sum(c * x for c, x in zip(nu, v))
-            k = 1
-            while nu_norm + k * (2 * pairing + k * alpha_norm) <= mu_norm:
-                xi = tuple(c + k * a for c, a in zip(nu, alpha))
-                m = mults.get(rs._dominant_rep(xi)[0], 0)
+            xi = nu
+            p = sum(map(mul, nu, v))
+            norm = nu_norm + 2 * p + alpha_norm
+            p += alpha_norm
+            while norm <= mu_norm:
+                xi = tuple(map(add, xi, alpha))
+                m = mults.get(dominant_form(xi))
                 if m:
-                    total += m * (pairing + k * alpha_norm)
-                k += 1
+                    total += m * p
+                norm += 2 * p + alpha_norm
+                p += alpha_norm
         if total:
-            denom = mu_rho_norm - rho_norm(nu)
-            m, r = divmod(2 * total, denom)
+            m, r = divmod(2 * total, mu_cas - cas(nu))
             if r:
                 raise AssertionError(f"non-integer Freudenthal multiplicity at {nu}")
             mults[nu] = m

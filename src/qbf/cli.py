@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -42,14 +43,29 @@ class CliError(ValueError):
     """Invalid command line input; rendered as a single actionable line."""
 
 
+def _parse_int(text: str) -> int:
+    """The integer written in text: ASCII digits with an optional sign, and
+    nothing else but surrounding whitespace; a ValueError otherwise."""
+    text = text.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Options declared with type=int are read by _parse_int; a bad value
+        # still reports "invalid int value".
+        self.register("type", int, _parse_int)
+
     def error(self, message):  # exit 1, single line, no usage dump
         raise CliError(message)
 
 
 def _parse_weight(text: str, rank: int, name: str) -> tuple[int, ...]:
     try:
-        coords = tuple(int(c.strip()) for c in str(text).split(","))
+        coords = tuple(_parse_int(c) for c in str(text).split(","))
     except ValueError:
         raise CliError(f"{name} must be comma-separated integers, got {text!r}")
     if len(coords) != rank:

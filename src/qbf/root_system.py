@@ -208,7 +208,8 @@ class RootSystem:
 
     * per-weight invariants: the scaled Casimir and norm^2, the Weyl dimension;
     * the Weyl orbit size of a dominant weight, keyed by its zero coordinates;
-    * the weight systems of :mod:`qbf.characters`;
+    * the weight systems of :mod:`qbf.characters`, and the dominant form of
+      each weight their Freudenthal recursion reads;
     * the packed-key tables of :mod:`qbf.fusion`, per field width: the packed
       Weyl orbit of each dominant weight, and a dict from each rho-shifted
       point key to (nu, sign) or None.
@@ -273,6 +274,7 @@ class RootSystem:
         self._dim_memo: dict[Weight, int] = {}
         self._orbit_size_memo: dict[tuple[int, ...], int] = {}
         self._char_memo: dict = {}  # Weight -> qbf.characters.Character
+        self._dominant_memo: dict[Weight, Weight] = {}  # weight -> its dominant form
         # Packed-key tables of qbf.fusion: (width, dominant weight) -> packed
         # Weyl orbit, and width -> {point key: (nu, sign) or None}.
         self._orbit_memo: dict[tuple[int, Weight], tuple[int, ...]] = {}
@@ -440,6 +442,27 @@ class RootSystem:
             for j in range(N):
                 y[j] -= c * A[j][i]
             sign = -sign
+
+    def _dominant_form(self, x: Weight) -> Weight:
+        """The dominant weight in the Weyl orbit of an already checked x, memoised.
+
+        The lean form of :meth:`_dominant_rep` for callers that need neither
+        the sign nor the wall flag: reflect in the first negative coordinate
+        until none is left.
+        """
+        v = self._dominant_memo.get(x)
+        if v is None:
+            y = x
+            roots = self.simple_roots
+            while True:
+                for i, c in enumerate(y):
+                    if c < 0:
+                        break
+                else:
+                    break
+                y = tuple(a - c * b for a, b in zip(y, roots[i]))
+            v = self._dominant_memo[x] = y
+        return v
 
     def _orbit_size(self, nu: Weight) -> int:
         """|W nu| for an already checked dominant weight, without building the orbit.

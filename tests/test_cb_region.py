@@ -133,6 +133,30 @@ class TestRegionEnumerate:
         with pytest.raises(ValueError, match="^height must be >= 0$"):
             cb_region_enumerate(rs, cfg, 5, -1)
 
+    @pytest.mark.parametrize("typ,q,beta,height", [
+        ("A2", "0.5", "2", 4),
+        ("B2", "0.9", "1.5", 4),
+        ("A1xA1", "0.5", "2", 4),   # (1, 1) has |lam| = 1: beta = 1/q is on its boundary
+        ("A1xA1", "0.3", "1", 2),
+    ])
+    def test_rows_are_the_single_decisions(self, typ, q, beta, height):
+        rs = build_root_system(typ)
+        cfg = SessionConfig(q)
+        rows = cb_region_enumerate(rs, cfg, beta, height)
+        singles = [cb_extends(rs, cfg, beta, lam) for lam in rs.dominant_weights_up_to(height)]
+        assert rows == singles
+        assert repr(rows) == repr(singles)
+
+    @pytest.mark.parametrize("typ,lam", [("A2", (1, 1)), ("B2", (0, 2)), ("A1xA1", (2, 1))])
+    def test_rows_at_a_boundary_beta(self, typ, lam):
+        rs = build_root_system(typ)
+        cfg = SessionConfig("0.7")
+        beta = cb_extends(rs, cfg, 1, lam).beta_min
+        rows = cb_region_enumerate(rs, cfg, beta, 3)
+        singles = [cb_extends(rs, cfg, beta, mu) for mu in rs.dominant_weights_up_to(3)]
+        assert repr(rows) == repr(singles)
+        assert any(d.lam == lam and d.extends and d.boundary for d in rows)
+
     def test_deterministic_order(self):
         rs = build_root_system("A2")
         cfg = SessionConfig("0.5")

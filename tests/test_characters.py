@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbf import characters, fusion
 from qbf.characters import (
@@ -37,6 +39,65 @@ def box_candidates(rs, mu):
     return found
 
 
+def reference_freudenthal(rs, mu):
+    """(dominant multiplicities, dimension) of V(mu) from the signed reflection
+    loop: each xi = nu + k a is built from scratch and reflected by
+    ``RootSystem._dominant_rep``, the norms come from ``_ip_scaled``."""
+    den_ip = rs._ip_scaled
+    mu_norm = den_ip(mu, mu)
+    shifted_mu = tuple(c + 1 for c in mu)
+    mu_rho_norm = den_ip(shifted_mu, shifted_mu)
+
+    def rho_norm(nu):
+        shifted = tuple(c + 1 for c in nu)
+        return den_ip(shifted, shifted)
+
+    candidates = sorted(_dominant_candidates(rs, mu), key=lambda nu: (-rho_norm(nu), nu))
+
+    # |nu + k a|^2 = |nu|^2 + 2k (nu, a) + k^2 |a|^2 and (nu + k a, a) =
+    # (nu, a) + k |a|^2, all scaled by _gram_den, from the pairing vectors.
+    roots = [(alpha, v, sum(a * c for a, c in zip(alpha, v)))
+             for alpha, v in zip(rs.positive_roots, rs._proot_pairing)]
+    mults = {}
+    for nu in candidates:
+        if nu == mu:
+            mults[mu] = 1
+            continue
+        nu_norm = den_ip(nu, nu)
+        total = 0
+        for alpha, v, alpha_norm in roots:
+            pairing = sum(c * x for c, x in zip(nu, v))
+            k = 1
+            while nu_norm + k * (2 * pairing + k * alpha_norm) <= mu_norm:
+                xi = tuple(c + k * a for c, a in zip(nu, alpha))
+                m = mults.get(rs._dominant_rep(xi)[0], 0)
+                if m:
+                    total += m * (pairing + k * alpha_norm)
+                k += 1
+        if total:
+            denom = mu_rho_norm - rho_norm(nu)
+            m, r = divmod(2 * total, denom)
+            if r:
+                raise AssertionError(f"non-integer Freudenthal multiplicity at {nu}")
+            mults[nu] = m
+
+    dim = sum(m * rs._orbit_size(nu) for nu, m in mults.items())
+    return mults, dim
+
+
+# Largest coordinate per type for the comparison with the reference recursion.
+REFERENCE_HEIGHTS = {"A1": 12, "A2": 5, "A3": 3, "B2": 5, "B3": 2, "C3": 2, "G2": 4,
+                     "A1xA1": 5, "B2xA1": 2}
+
+
+@st.composite
+def typed_weights(draw):
+    typ = draw(st.sampled_from(sorted(REFERENCE_HEIGHTS)))
+    rs = build_root_system(typ)
+    height = REFERENCE_HEIGHTS[typ]
+    return typ, tuple(draw(st.integers(0, height)) for _ in range(rs.rank))
+
+
 # Largest coordinate sum per type, chosen to keep the reference box small.
 DESCENT_SUMS = {"A1": 12, "A2": 6, "A3": 4, "A4": 3, "B2": 6, "B3": 4, "C3": 4, "C4": 2,
                 "D4": 2, "G2": 5, "F4": 2, "E6": 1, "B2xA1": 4}
@@ -57,6 +118,47 @@ class TestDominantDescent:
         char = weight_multiplicities(rs, omega8)
         assert char.dominant == {omega8: 1, (0,) * 8: 8}
         assert char.dim == 248
+
+
+class TestAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(typed_weights())
+    def test_small_heights(self, drawn):
+        typ, mu = drawn
+        rs = build_root_system(typ)
+        char = weight_multiplicities(rs, mu)
+        assert (dict(char.dominant), char.dim) == reference_freudenthal(rs, mu)
+
+    @pytest.mark.parametrize("typ", ["F4", "E6", "E7", "E8"])
+    def test_exceptional_fundamental_weights(self, typ):
+        rs = build_root_system(typ)
+        for i in range(rs.rank):
+            mu = tuple(int(i == j) for j in range(rs.rank))
+            char = weight_multiplicities(rs, mu)
+            assert (dict(char.dominant), char.dim) == reference_freudenthal(rs, mu), mu
+
+    def test_signed_reflection_loop_not_used(self, monkeypatch):
+        # Freudenthal reads only dominant forms, from their own memo.
+        interned = build_root_system("B2xA1")
+        weights = interned.dominant_weights_up_to(2)
+        expected = {mu: weight_multiplicities(interned, mu) for mu in weights}
+        fresh = RootSystem(LieType.parse("B2xA1"))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the signed reflection loop ran")
+
+        monkeypatch.setattr(RootSystem, "_dominant_rep", forbidden)
+        for mu in weights:
+            assert weight_multiplicities(fresh, mu) == expected[mu]
+        assert fresh._dominant_memo
+
+    def test_dominant_forms_agree_with_the_signed_loop(self):
+        rs = RootSystem(LieType.parse("G2"))
+        for mu in rs.dominant_weights_up_to(3):
+            weight_multiplicities(rs, mu)
+        assert rs._dominant_memo
+        for x, y in rs._dominant_memo.items():
+            assert y == rs._dominant_rep(x)[0]
 
 
 class TestWeightMultiplicities:
@@ -211,6 +313,10 @@ class TestWeightMultiplicities:
             assert dim == fresh.weyl_dim(mu) and weights_of_mu == expected[mu]
         for mu in weights:
             assert full_weights(fresh, mu) is weight_multiplicities(fresh, mu).weights
+        # The dominant-form memo the readers filled holds only true dominant forms.
+        assert fresh._dominant_memo
+        for x, y in fresh._dominant_memo.items():
+            assert y == fresh._dominant_rep(x)[0]
 
     def test_non_dominant_rejected(self):
         rs = build_root_system("A2")

@@ -154,6 +154,40 @@ class TestExitCodes:
         code, _, err = run_cli(["fusion", "--type", "A2", "--lambda", "x", "--mu", "0,1"], capsys)
         assert code == 1 and "error:" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("mu", ["1_0,0", "\u0661,0", "1,\uff10", "0x1,0", "1.0,0", "1e1,0",
+                                    "+-1,0", "1 0,0", ",0", "1,"])
+    def test_weight_read_strictly(self, mu, capsys):
+        code, out, err = run_cli(["character", "--type", "A2", "--mu", mu], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: --mu must be comma-separated integers, got {mu!r}\n"
+
+    @pytest.mark.parametrize("args,flag", [
+        (["casimir-check", "--type", "A1", "--height", "1_0"], "--height"),
+        (["casimir-check", "--type", "A1", "--height", "\u0662"], "--height"),
+        (["cb-region", "--type", "A1", "--q", "0.5", "--beta", "2", "--height", "2.0"], "--height"),
+        (["oracle-sl2", "--q", "0.5", "--m", "1_0", "--n", "1"], "--m"),
+        (["oracle-sl2", "--q", "0.5", "--m", "1", "--n", "\u0663"], "--n"),
+        (["--precision", "1_2"] + COMMANDS["fusion"], "--precision"),
+        (["--precision", "\u0661\u0662"] + COMMANDS["fusion"], "--precision"),
+    ])
+    def test_integer_option_read_strictly(self, args, flag, capsys):
+        code, out, err = run_cli(args, capsys)
+        value = args[args.index(flag) + 1]
+        assert code == 1 and out == ""
+        assert err == f"error: argument {flag}: invalid int value: {value!r}\n"
+
+    def test_integers_keep_sign_and_surrounding_whitespace(self, capsys):
+        _, plain, _ = run_cli(["--precision", "12", "character", "--type", "A2", "--mu", "2,1"],
+                              capsys)
+        code, out, _ = run_cli(["--precision", " +12 ", "character", "--type", "A2",
+                                "--mu", " +2 , 1\t"], capsys)
+        assert code == 0 and out == plain
+        code, _, err = run_cli(["character", "--type", "A2", "--mu=-1,0"], capsys)
+        assert code == 1 and "not dominant" in err
+        _, plain, _ = run_cli(["casimir-check", "--type", "A1", "--height", "2"], capsys)
+        code, out, _ = run_cli(["casimir-check", "--type", "A1", "--height", "+2 "], capsys)
+        assert code == 0 and out == plain
+
     def test_wrong_rank(self, capsys):
         code, _, err = run_cli(["fusion", "--type", "A2", "--lambda", "1", "--mu", "0,1"], capsys)
         assert code == 1 and "coordinates" in err
