@@ -34,6 +34,9 @@ from .root_system import RootSystem, Weight
 # exact value; the guard leaves a margin of about 10^18 over that rounding.
 BOUNDARY_GUARD = Decimal("1e-30")
 
+# Points m * lam, m = 1.._RAY_STEPS, on which sup_ratio_scan follows the ratio.
+_RAY_STEPS = 8
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -135,8 +138,7 @@ class ScanReport:
     consistent: bool
 
 
-def sup_ratio_scan(rs: RootSystem, cfg: SessionConfig, beta, lam, height: int,
-                   ray_steps: int = 8) -> ScanReport:
+def sup_ratio_scan(rs: RootSystem, cfg: SessionConfig, beta, lam, height: int) -> ScanReport:
     """Empirical scan of the log-ratio r(mu) = (lam,mu) log(1/q) - |mu| log(beta).
 
     Reports the maximum over all dominant mu up to the given height, the
@@ -162,7 +164,7 @@ def sup_ratio_scan(rs: RootSystem, cfg: SessionConfig, beta, lam, height: int,
         if best is None or r > best:
             best, argmax = r, mu
 
-    ray = tuple(log_ratio(tuple(m * c for c in lam)) for m in range(1, ray_steps + 1))
+    ray = tuple(log_ratio(tuple(m * c for c in lam)) for m in range(1, _RAY_STEPS + 1))
 
     eps = Decimal(10) ** -(precision.DIGITS - 10)
     if decision.extends:

@@ -27,10 +27,10 @@ Cauchy-Schwarz: |.| is a norm, and c(lam + mu) = c(lam) + c(mu) + 2(lam, mu)
 with (lam, mu) <= |lam| |mu| <= (c(lam) c(mu))^{1/2}, as c = |.|^2 + 2(., rho)
 is at least |.|^2 on dominant weights.  Hence Z2 of ``beta_norm`` with
 beta >= 1 and of ``lst`` with beta >= 0, and Casimir subadditivity, hold at
-every height.  The sweeps still earn each verdict: per pair they decide the
-triangle inequality once, at lam + mu, check the integer comparison
-f(nu) < f(lam + mu) on every other component, and fall back to the
-per-triple check for a pair where either fails.
+every height.  The sweeps still earn each verdict, through one pair verdict,
+``_triangle_violations``: it decides the triangle inequality once, at
+lam + mu, checks the integer comparison f(nu) < f(lam + mu) on every other
+component, and compares every component when either fails.
 
 Every violation records log values: log w(mu) and 0 for Z1, log w(nu) and
 log w(lam) + log w(mu) for Z2, log w(mu) and log w(conjugate(mu)) for SYM.
@@ -165,18 +165,26 @@ def _triangle_compare(a: Fraction, b: Fraction, c: Fraction) -> int:
     return -1 if d < 0 else (0 if d == 0 else 1)
 
 
-def _cartan_certificate(f, lam: Weight, mu: Weight, parts) -> bool:
-    """Whether f(nu)^{1/2} <= f(lam)^{1/2} + f(mu)^{1/2} holds on every component
-    nu of a decomposition by the dominance certificate: it holds at the Cartan
-    component lam + mu, and f(nu) < f(lam + mu) for every other component.
+def _triangle_violations(f, sense: int, lam: Weight, mu: Weight, parts) -> list[Weight] | None:
+    """The components nu of a decomposition, in the order of ``parts``, on which
+    sense * _triangle_compare(f(nu), f(lam), f(mu)) > 0; None when the pair is
+    decided at once.
 
-    f is a memoised scaled invariant of the root system; a False result says
-    only that the certificate does not apply.
+    f is a memoised scaled invariant of the root system.  With sense 0 nothing
+    can fail.  With sense > 0 the dominance certificate decides the pair when
+    it applies: the triangle inequality holds at the Cartan component lam + mu
+    and f(nu) < f(lam + mu) for every other component.
     """
-    top = tuple(a + b for a, b in zip(lam, mu))
-    f_top = f(top)
-    return (_triangle_compare(f_top, f(lam), f(mu)) <= 0
-            and all(f(nu) < f_top for nu in parts if nu != top))
+    if sense == 0:
+        return None
+    f_lam, f_mu = f(lam), f(mu)
+    if sense > 0:
+        top = tuple(a + b for a, b in zip(lam, mu))
+        f_top = f(top)
+        if (_triangle_compare(f_top, f_lam, f_mu) <= 0
+                and all(f(nu) < f_top for nu in parts if nu != top)):
+            return None
+    return [nu for nu in parts if sense * _triangle_compare(f(nu), f_lam, f_mu) > 0]
 
 
 def _z2_sense(spec: CentralWeightSpec) -> int | None:
@@ -203,7 +211,7 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
     For ``beta_norm`` with beta >= 1 and ``lst`` with beta >= 0, Z2 holds at
     every height by the dominance certificate (see the module docstring); the
     sweep still checks every component, per pair through the certificate,
-    and falls back to the per-triple check for a pair it does not cover.
+    and compares every component of a pair it does not cover.
     ``checked`` counts every triple either way.  A table must be nonempty
     with dominant keys of the right rank, and a report that made no
     comparison does not pass.
@@ -264,12 +272,7 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
             components = tensor_decompose(rs, lam, mu)._parts
             if sense is not None:
                 checked += len(orientations) * len(components)
-                if sense == 0 or (sense > 0 and _cartan_certificate(f, lam, mu, components)):
-                    bad = []
-                else:
-                    f_lam, f_mu = f(lam), f(mu)
-                    bad = [nu for nu in components
-                           if sense * _triangle_compare(f(nu), f_lam, f_mu) > 0]
+                bad = _triangle_violations(f, sense, lam, mu, components) or []
             else:
                 bad = []
                 for nu in components:
@@ -348,12 +351,11 @@ def casimir_subadditivity_check(rs: RootSystem, height: int) -> SubadditivityRep
     on the root system's memoised Casimirs scaled to integers; the reported
     slack is evaluated with high-precision square roots.  Subadditivity holds
     at every height by the dominance certificate (see the module docstring),
-    which also puts each pair's smallest slack at nu = lam + mu.  So per pair
-    the sweep decides the inequality once, at lam + mu, checks c(nu) <
-    c(lam + mu) for every other component, and takes the slack at lam + mu;
-    for a pair the certificate does not cover it checks every triple in
-    component order, so violations and the witness are the per-triple ones.
-    ``triples_checked`` counts every triple either way.
+    which also puts each pair's smallest slack at nu = lam + mu.  So one slack
+    loop runs per pair: over lam + mu alone for a pair the certificate
+    decides, and over every component in order for any other pair, whose
+    violations are then listed in that order.  The witness is thus the
+    per-triple one either way, and ``triples_checked`` counts every triple.
     """
     if height < 1:
         raise ValueError("truncation height must be >= 1")
@@ -375,19 +377,11 @@ def casimir_subadditivity_check(rs: RootSystem, height: int) -> SubadditivityRep
         for mu in weights[i:]:
             rhs = ctx.add(root_of(lam), root_of(mu))
             fd = tensor_decompose(rs, lam, mu)
-            if _cartan_certificate(cas, lam, mu, fd._parts):
-                checked += len(fd._parts)
-                top = tuple(a + b for a, b in zip(lam, mu))
-                slack = ctx.subtract(rhs, root_of(top))
-                if min_slack is None or slack < min_slack:
-                    min_slack = slack
-                    witness = (lam, mu, top)
-                continue
-            c_lam, c_mu = cas(lam), cas(mu)
-            for nu in fd.components:
-                checked += 1
-                if _triangle_compare(cas(nu), c_lam, c_mu) > 0:
-                    violations.append((lam, mu, nu))
+            checked += len(fd._parts)
+            bad = _triangle_violations(cas, 1, lam, mu, fd._parts)
+            scan = (tuple(a + b for a, b in zip(lam, mu)),) if bad is None else fd.components
+            violations.extend((lam, mu, nu) for nu in scan if bad and nu in bad)
+            for nu in scan:
                 slack = ctx.subtract(rhs, root_of(nu))
                 if min_slack is None or slack < min_slack:
                     min_slack = slack

@@ -18,6 +18,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 from . import precision
 from .cb_region import cb_region_enumerate
@@ -29,7 +30,7 @@ from .central_weights import (
 from .characters import weight_multiplicities
 from .fusion import tensor_decompose
 from .qnorm import QExponent, SessionConfig, lminus_norm_exponent, rmatrix_exponent_details
-from .root_system import LieTypeError, build_root_system
+from .root_system import build_root_system
 from .sl2_oracle import verify_norm_formula
 
 EXIT_OK = 0
@@ -90,14 +91,6 @@ def _weight_str(w) -> str:
     return ",".join(str(c) for c in w)
 
 
-class _Renderer:
-    def __init__(self, digits: int):
-        self.digits = digits
-
-    def real(self, x: Decimal) -> str:
-        return precision.render(x, self.digits)
-
-
 def _emit(args, payload: dict, headers: list[str], rows: list[list[str]]) -> None:
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
@@ -127,8 +120,9 @@ def _emit(args, payload: dict, headers: list[str], rows: list[list[str]]) -> Non
 
 
 # -- subcommands ---------------------------------------------------------------
+# Each takes the parsed args and render(x), x rendered at --precision digits.
 
-def _cmd_fusion(args, render: _Renderer) -> int:
+def _cmd_fusion(args, render) -> int:
     rs = build_root_system(args.type)
     lam = _parse_weight(args.lam, rs.rank, "--lambda")
     mu = _parse_weight(args.mu, rs.rank, "--mu")
@@ -143,7 +137,7 @@ def _cmd_fusion(args, render: _Renderer) -> int:
     return EXIT_OK
 
 
-def _cmd_character(args, render: _Renderer) -> int:
+def _cmd_character(args, render) -> int:
     rs = build_root_system(args.type)
     mu = _parse_weight(args.mu, rs.rank, "--mu")
     char = weight_multiplicities(rs, mu)
@@ -159,17 +153,14 @@ def _cmd_character(args, render: _Renderer) -> int:
     return EXIT_OK
 
 
-def _cmd_verify_weight(args, render: _Renderer) -> int:
+def _cmd_verify_weight(args, render) -> int:
     rs = build_root_system(args.type)
     _check_height_cap(rs, args.height, args.force)
-    if args.kind == "beta":
+    if args.kind in ("beta", "lst"):
         if args.beta is None:
-            raise CliError("--beta is required for --kind beta")
-        spec = CentralWeightSpec.beta_norm(args.beta)
-    elif args.kind == "lst":
-        if args.beta is None:
-            raise CliError("--beta is required for --kind lst")
-        spec = CentralWeightSpec.lst(args.beta)
+            raise CliError(f"--beta is required for --kind {args.kind}")
+        family = CentralWeightSpec.beta_norm if args.kind == "beta" else CentralWeightSpec.lst
+        spec = family(args.beta)
     else:
         if not args.table:
             raise CliError("--table FILE is required for --kind table")
@@ -186,15 +177,15 @@ def _cmd_verify_weight(args, render: _Renderer) -> int:
     payload = {
         "type": str(rs.lie_type),
         "kind": spec.kind,
-        "beta": None if spec.beta is None else render.real(spec.beta),
+        "beta": None if spec.beta is None else render(spec.beta),
         "height": report.truncation_height,
         "passed": report.passed,
         "violations": [
             {
                 "condition": v.condition,
                 "weights": [list(w) for w in v.weights],
-                "lhs": render.real(v.lhs),
-                "rhs": render.real(v.rhs),
+                "lhs": render(v.lhs),
+                "rhs": render(v.rhs),
             }
             for v in report.violations
         ],
@@ -202,14 +193,14 @@ def _cmd_verify_weight(args, render: _Renderer) -> int:
     }
     rows = [
         [v.condition, ";".join(_weight_str(w) for w in v.weights),
-         render.real(v.lhs), render.real(v.rhs)]
+         render(v.lhs), render(v.rhs)]
         for v in report.violations
     ]
     _emit(args, payload, ["condition", "weights", "lhs", "rhs"], rows)
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
-def _cmd_norm(args, render: _Renderer) -> int:
+def _cmd_norm(args, render) -> int:
     rs = build_root_system(args.type)
     cfg = SessionConfig(args.q)
     lam = _parse_weight(args.lam, rs.rank, "--lambda")
@@ -221,14 +212,14 @@ def _cmd_norm(args, render: _Renderer) -> int:
         exponents.append(e.value)
         routes["closed"] = {
             "exponent": _frac(e.value),
-            "q_power": render.real(e.q_power(cfg.q)),
+            "q_power": render(e.q_power(cfg.q)),
         }
     if args.route in ("rmatrix", "both"):
         details = rmatrix_exponent_details(rs, lam, mu)
         exponents.append(details.exponent)
         routes["rmatrix"] = {
             "exponent": _frac(details.exponent),
-            "q_power": render.real(QExponent(details.exponent).q_power(cfg.q)),
+            "q_power": render(QExponent(details.exponent).q_power(cfg.q)),
             "minimizer": list(details.minimizer),
             "ties": [list(t) for t in details.ties],
         }
@@ -249,7 +240,7 @@ def _cmd_norm(args, render: _Renderer) -> int:
     return EXIT_OK if match else EXIT_VIOLATION
 
 
-def _cmd_cb_region(args, render: _Renderer) -> int:
+def _cmd_cb_region(args, render) -> int:
     rs = build_root_system(args.type)
     _check_height_cap(rs, args.height, args.force)
     cfg = SessionConfig(args.q)
@@ -261,14 +252,14 @@ def _cmd_cb_region(args, render: _Renderer) -> int:
         if d.certificate.kind == "bound":
             cert = {
                 "kind": "bound",
-                "bound": render.real(d.certificate.bound),
+                "bound": render(d.certificate.bound),
                 "attained_at": list(d.certificate.attained_at),
             }
         else:
             cert = {
                 "kind": "divergence",
                 "ray_base": list(d.certificate.ray_base),
-                "growth_factor": render.real(d.certificate.growth_factor),
+                "growth_factor": render(d.certificate.growth_factor),
             }
         json_rows.append(
             {
@@ -276,18 +267,18 @@ def _cmd_cb_region(args, render: _Renderer) -> int:
                 "extends": d.extends,
                 "boundary": d.boundary,
                 "norm_sq": _frac(d.norm_sq),
-                "beta_min": render.real(d.beta_min),
+                "beta_min": render(d.beta_min),
                 "certificate": cert,
             }
         )
         rows.append(
             [_weight_str(d.lam), str(d.extends).lower(), str(d.boundary).lower(),
-             _frac(d.norm_sq), render.real(d.beta_min)]
+             _frac(d.norm_sq), render(d.beta_min)]
         )
     payload = {
         "type": str(rs.lie_type),
         "q": _frac(cfg.q),
-        "beta": render.real(beta),
+        "beta": render(beta),
         "height": args.height,
         "rows": json_rows,
     }
@@ -295,7 +286,7 @@ def _cmd_cb_region(args, render: _Renderer) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle_sl2(args, render: _Renderer) -> int:
+def _cmd_oracle_sl2(args, render) -> int:
     report = verify_norm_formula(args.q, args.m, args.n)
     payload = {
         "q": _frac(report.q),
@@ -303,15 +294,15 @@ def _cmd_oracle_sl2(args, render: _Renderer) -> int:
         "n": report.n,
         "passed": report.passed,
         "norm": {
-            "computed": render.real(report.norm_computed),
-            "expected": render.real(report.norm_expected),
+            "computed": render(report.norm_computed),
+            "expected": render(report.norm_expected),
         },
         "eigenvalues": [
             {
                 "nu": row.nu,
                 "exponent": row.exponent,
                 "multiplicity": row.multiplicity,
-                "value": render.real(row.value),
+                "value": render(row.value),
                 "verified_exact": row.verified_exact,
             }
             for row in report.eigen_rows
@@ -320,7 +311,7 @@ def _cmd_oracle_sl2(args, render: _Renderer) -> int:
         "failures": list(report.failures),
     }
     rows = [
-        [str(r.nu), str(r.exponent), str(r.multiplicity), render.real(r.value),
+        [str(r.nu), str(r.exponent), str(r.multiplicity), render(r.value),
          str(r.verified_exact).lower()]
         for r in report.eigen_rows
     ]
@@ -328,7 +319,7 @@ def _cmd_oracle_sl2(args, render: _Renderer) -> int:
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
-def _cmd_casimir_check(args, render: _Renderer) -> int:
+def _cmd_casimir_check(args, render) -> int:
     rs = build_root_system(args.type)
     _check_height_cap(rs, args.height, args.force)
     report = casimir_subadditivity_check(rs, args.height)
@@ -337,7 +328,7 @@ def _cmd_casimir_check(args, render: _Renderer) -> int:
         "height": report.truncation_height,
         "passed": report.passed,
         "triples": report.triples_checked,
-        "min_slack": render.real(report.min_slack),
+        "min_slack": render(report.min_slack),
         "witness": {
             "lambda": list(report.witness[0]),
             "mu": list(report.witness[1]),
@@ -350,7 +341,7 @@ def _cmd_casimir_check(args, render: _Renderer) -> int:
     }
     rows = [
         ["triples", str(report.triples_checked)],
-        ["min_slack", render.real(report.min_slack)],
+        ["min_slack", render(report.min_slack)],
         ["witness", ";".join(_weight_str(w) for w in report.witness)],
         ["passed", str(report.passed).lower()],
     ]
@@ -434,11 +425,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not 1 <= args.precision <= precision.DIGITS:
             raise CliError(f"--precision must be between 1 and {precision.DIGITS}")
-        return _DISPATCH[args.command](args, _Renderer(args.precision))
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (LieTypeError, ValueError, KeyError) as exc:
+        return _DISPATCH[args.command](args, partial(precision.render, digits=args.precision))
+    except (ValueError, KeyError) as exc:  # CliError and LieTypeError are ValueErrors
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return EXIT_USAGE

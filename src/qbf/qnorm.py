@@ -16,6 +16,7 @@ agree identically.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -50,9 +51,24 @@ class QExponent:
 # q is rendered exactly as p/q, and Python converts at most this many digits
 # of an int to a string.
 _Q_MAX_DIGITS = 4300
+_Q_OUT_OF_RANGE = "deformation parameter q must satisfy 0 < q < 1, got {}"
+_Q_TOO_LONG = ("deformation parameter q must be a rational with at most "
+               f"{_Q_MAX_DIGITS} digits in its denominator, got {{}}")
+
+# A decimal string as Fraction reads it: significand, exponent.
+_DECIMAL_Q = re.compile(r"\s*([+-]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?)"
+                        r"(?:[eE]([+-]?\d+(?:_\d+)*))?\s*")
 
 
 def _check_q(q) -> Fraction:
+    if isinstance(q, str) and (m := _DECIMAL_Q.fullmatch(q)):
+        # Fraction would build 10^|e|: decide from the adjusted exponent first,
+        # comparing exactly in Decimal, which reads an exponent of any length.
+        sig, exp = Decimal(m[1]), Decimal(m[2] or 0)
+        if sig <= 0 or exp >= -sig.adjusted():
+            raise ValueError(_Q_OUT_OF_RANGE.format(q))
+        if exp < -_Q_MAX_DIGITS - sig.adjusted():
+            raise ValueError(_Q_TOO_LONG.format(q))
     try:
         qf = Fraction(repr(q)) if isinstance(q, float) else Fraction(q)
     except (ValueError, ZeroDivisionError, OverflowError):
@@ -60,10 +76,9 @@ def _check_q(q) -> Fraction:
             f"deformation parameter q must be a rational in (0, 1) like 0.5 or 1/2, got {q!r}"
         ) from None
     if not 0 < qf < 1:
-        raise ValueError(f"deformation parameter q must satisfy 0 < q < 1, got {q}")
+        raise ValueError(_Q_OUT_OF_RANGE.format(q))
     if qf.denominator >= 10 ** _Q_MAX_DIGITS:
-        raise ValueError(f"deformation parameter q must be a rational with at most "
-                         f"{_Q_MAX_DIGITS} digits in its denominator, got {q}")
+        raise ValueError(_Q_TOO_LONG.format(q))
     return qf
 
 

@@ -411,9 +411,9 @@ class RootSystem:
     # -- Weyl group --------------------------------------------------------
 
     def _reflect(self, x: Weight, i: int) -> Weight:
+        """The simple reflection s_i(x) = x - x_i a_i."""
         c = x[i]
-        A = self.cartan
-        return tuple(x[j] - c * A[j][i] for j in range(self.rank))
+        return tuple(a - c * b for a, b in zip(x, self.simple_roots[i]))
 
     def dominant_representative(self, x) -> tuple[Weight, int, bool]:
         """Reflect x into the dominant chamber.
@@ -427,41 +427,20 @@ class RootSystem:
         return self._dominant_rep(self.check_weight(x))
 
     def _dominant_rep(self, x: Weight) -> tuple[Weight, int, bool]:
-        """:meth:`dominant_representative` of an already checked weight."""
-        y = list(x)
-        A = self.cartan
-        N = self.rank
+        """:meth:`dominant_representative` of an already checked weight: reflect
+        in the first negative coordinate until none is left."""
         sign = 1
-        while True:
-            for i in range(N):
-                if y[i] < 0:
-                    break
-            else:
-                return tuple(y), sign, any(c == 0 for c in y)
-            c = y[i]
-            for j in range(N):
-                y[j] -= c * A[j][i]
+        while min(x) < 0:
+            x = self._reflect(x, next(i for i, c in enumerate(x) if c < 0))
             sign = -sign
+        return x, sign, 0 in x
 
     def _dominant_form(self, x: Weight) -> Weight:
-        """The dominant weight in the Weyl orbit of an already checked x, memoised.
-
-        The lean form of :meth:`_dominant_rep` for callers that need neither
-        the sign nor the wall flag: reflect in the first negative coordinate
-        until none is left.
-        """
+        """The dominant weight in the Weyl orbit of an already checked x: the
+        first entry of :meth:`_dominant_rep`, memoised."""
         v = self._dominant_memo.get(x)
         if v is None:
-            y = x
-            roots = self.simple_roots
-            while True:
-                for i, c in enumerate(y):
-                    if c < 0:
-                        break
-                else:
-                    break
-                y = tuple(a - c * b for a, b in zip(y, roots[i]))
-            v = self._dominant_memo[x] = y
+            v = self._dominant_memo[x] = self._dominant_rep(x)[0]
         return v
 
     def _orbit_size(self, nu: Weight) -> int:

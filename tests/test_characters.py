@@ -85,6 +85,14 @@ def reference_freudenthal(rs, mu):
     return mults, dim
 
 
+def assert_true_dominant_forms(rs):
+    """The dominant-form memo is filled, and each entry x -> y has y dominant
+    and x in the Weyl orbit of y, built by its own frontier search."""
+    assert rs._dominant_memo
+    for x, y in rs._dominant_memo.items():
+        assert min(y) >= 0 and x in rs.weyl_orbit(y), (x, y)
+
+
 # Largest coordinate per type for the comparison with the reference recursion.
 REFERENCE_HEIGHTS = {"A1": 12, "A2": 5, "A3": 3, "B2": 5, "B3": 2, "C3": 2, "G2": 4,
                      "A1xA1": 5, "B2xA1": 2}
@@ -137,23 +145,16 @@ class TestAgainstReference:
             char = weight_multiplicities(rs, mu)
             assert (dict(char.dominant), char.dim) == reference_freudenthal(rs, mu), mu
 
-    def test_signed_reflection_loop_not_used(self, monkeypatch):
-        # Freudenthal reads only dominant forms, from their own memo.
+    def test_fresh_instance_fills_the_dominant_memo(self):
+        # A fresh instance computes every character anew, reading dominant
+        # forms through its own memo.
         interned = build_root_system("B2xA1")
         weights = interned.dominant_weights_up_to(2)
         expected = {mu: weight_multiplicities(interned, mu) for mu in weights}
         fresh = RootSystem(LieType.parse("B2xA1"))
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the signed reflection loop ran")
-
-        monkeypatch.setattr(RootSystem, "_dominant_rep", forbidden)
         for mu in weights:
             assert weight_multiplicities(fresh, mu) == expected[mu]
-        monkeypatch.undo()
-        assert fresh._dominant_memo
-        for x, y in fresh._dominant_memo.items():
-            assert y == fresh._dominant_rep(x)[0]
+        assert_true_dominant_forms(fresh)
 
 
 class TestWeightMultiplicities:
@@ -309,9 +310,7 @@ class TestWeightMultiplicities:
         for mu in weights:
             assert full_weights(fresh, mu) is weight_multiplicities(fresh, mu).weights
         # The dominant-form memo the readers filled holds only true dominant forms.
-        assert fresh._dominant_memo
-        for x, y in fresh._dominant_memo.items():
-            assert y == fresh._dominant_rep(x)[0]
+        assert_true_dominant_forms(fresh)
 
     def test_non_dominant_rejected(self):
         rs = build_root_system("A2")

@@ -28,6 +28,19 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+# The CLI in a child process with 1 GiB of address space.
+CAPPED = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+          "from qbf.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def run_cli_within_a_second(args):
+    """run_cli in a capped child process that is killed after 1 s, so a q
+    whose 10^|e| gets built fails the test without filling the memory."""
+    done = subprocess.run([sys.executable, "-c", CAPPED, *args], capture_output=True,
+                          text=True, timeout=1)
+    return done.returncode, done.stdout, done.stderr
+
+
 class TestJsonOutput:
     @pytest.mark.parametrize("name", sorted(COMMANDS))
     def test_validates_against_shipped_schema(self, name, capsys):
@@ -192,28 +205,35 @@ class TestExitCodes:
         code, _, err = run_cli(["fusion", "--type", "A2", "--lambda", "1", "--mu", "0,1"], capsys)
         assert code == 1 and "coordinates" in err
 
-    def test_bad_q(self, capsys):
-        for q in ("1.5", "0", "abc"):
-            code, _, err = run_cli(["norm", "--type", "A1", "--lambda", "1",
-                                    "--mu", "1", "--q", q], capsys)
-            assert code == 1 and "error:" in err
+    def test_bad_q(self):
+        out_of_range = "error: deformation parameter q must satisfy 0 < q < 1, got {}\n"
+        for q, line in (("1.5", out_of_range), ("0", out_of_range), ("5e99999999999", out_of_range),
+                        ("abc", "error: deformation parameter q must be a rational in (0, 1) "
+                                "like 0.5 or 1/2, got {!r}\n")):
+            code, out, err = run_cli_within_a_second(["norm", "--type", "A1", "--lambda", "1",
+                                                      "--mu", "1", "--q", q])
+            assert code == 1 and out == "" and err == line.format(q)
 
     @pytest.mark.parametrize("args", [
         ["norm", "--type", "A1", "--lambda", "1", "--mu", "1"],
         ["cb-region", "--type", "A1", "--beta", "2", "--height", "1"],
         ["oracle-sl2", "--m", "1", "--n", "1"]])
-    def test_q_beyond_rendering_range(self, args, capsys):
-        code, out, err = run_cli(args + ["--q", "1e-999999"], capsys)
-        assert code == 1 and out == "" and err.count("\n") == 1
-        assert "deformation parameter q" in err and "digits" in err
+    def test_q_beyond_rendering_range(self, args):
+        # A huge exponent is refused before 10^|e| is built.
+        for q in ("1e-999999", "1e-99999999999"):
+            code, out, err = run_cli_within_a_second(args + ["--q", q])
+            assert code == 1 and out == "" and err == (
+                "error: deformation parameter q must be a rational with at most 4300 digits "
+                f"in its denominator, got {q}\n")
 
     def test_bad_type(self, capsys):
         code, _, err = run_cli(["fusion", "--type", "Q7", "--lambda", "1", "--mu", "1"], capsys)
         assert code == 1 and "Q7" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unknown_flag(self, capsys):
         code, _, err = run_cli(COMMANDS["fusion"] + ["--bogus"], capsys)
-        assert code == 1 and "error:" in err
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
 
     def test_height_cap(self, capsys):
         code, _, err = run_cli(["cb-region", "--type", "G2", "--q", "0.5",
@@ -385,6 +405,7 @@ class TestExitCodes:
             assert "beta must be a decimal number" in err
 
     def test_missing_beta(self, capsys):
-        code, _, err = run_cli(["verify-weight", "--type", "A1", "--kind", "beta",
-                                "--height", "2"], capsys)
-        assert code == 1 and "--beta" in err
+        for kind in ("beta", "lst"):
+            code, _, err = run_cli(["verify-weight", "--type", "A1", "--kind", kind,
+                                    "--height", "2"], capsys)
+            assert code == 1 and err == f"error: --beta is required for --kind {kind}\n"
