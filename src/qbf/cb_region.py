@@ -21,9 +21,9 @@ ratio grows geometrically with factor exp((lam,lam) log(1/q) - |lam| log beta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import precision
 from .qnorm import SessionConfig
@@ -38,8 +38,7 @@ BOUNDARY_GUARD = Decimal("1e-30")
 _RAY_STEPS = 8
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     kind: str                      # "bound" | "divergence"
     bound: Decimal | None = None   # sup over mu of the ratio, <= 1
     attained_at: Weight | None = None
@@ -47,8 +46,7 @@ class Certificate:
     growth_factor: Decimal | None = None
 
 
-@dataclass(frozen=True)
-class CBDecision:
+class CBDecision(NamedTuple):
     lam: Weight
     beta: Decimal
     q: Fraction
@@ -126,8 +124,7 @@ def cb_region_enumerate(rs: RootSystem, cfg: SessionConfig, beta,
     return [cb_extends(rs, cfg, beta, lam, _shared=shared) for lam in weights]
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     lam: Weight
     beta: Decimal
     height: int

@@ -46,7 +46,6 @@ Built-in families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
@@ -58,8 +57,7 @@ from .root_system import RootSystem, Weight, _integral_weight
 LOG_TOLERANCE = Decimal("1e-12")
 
 
-@dataclass(frozen=True)
-class CentralWeightSpec:
+class CentralWeightSpec(NamedTuple):
     """Symbolic description of a candidate weight function on dominant weights."""
 
     kind: str  # "beta_norm" | "lst" | "table"
@@ -131,16 +129,14 @@ def _log_weight(rs: RootSystem, spec: CentralWeightSpec, mu: Weight, ctx: Contex
         return ctx.multiply(root, s)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     condition: str              # "Z1" | "Z2" | "SYM"
     weights: tuple[Weight, ...]  # (mu,) or (lam, mu, nu) or (mu, conj)
     lhs: Decimal                 # log values; see the module docstring
     rhs: Decimal
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     spec: CentralWeightSpec
     passed: bool
     violations: tuple[Violation, ...]
@@ -326,8 +322,7 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
     )
 
 
-@dataclass(frozen=True)
-class SubadditivityReport:
+class SubadditivityReport(NamedTuple):
     """Outcome of :func:`casimir_subadditivity_check`.
 
     ``min_slack`` is the smallest slack over every triple and ``witness`` the

@@ -21,7 +21,6 @@ stored only when complete, so concurrent readers never see partial results.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add, mul, sub
 from types import MappingProxyType
@@ -29,7 +28,10 @@ from types import MappingProxyType
 from .root_system import RootSystem, Weight
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, value=None):
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
 class Character:
     """Weight system of one irreducible.
 
@@ -37,14 +39,28 @@ class Character:
     over the Weyl orbits.  ``weights``, the orbit expansion, is built from
     the root system on first read.  Both mappings are read-only: instances
     are memoised on their root system and shared by every caller, and the
-    lazy fill is an idempotent write of a deterministic value.  Equality
-    does not look at the root system instance.
+    lazy fill is an idempotent write of a deterministic value.  Fields
+    cannot be reassigned, and equality does not look at the root system
+    instance.
     """
 
-    highest_weight: Weight
-    dominant: Mapping[Weight, int]
-    dim: int
-    _rs: RootSystem = field(compare=False, repr=False)
+    def __init__(self, highest_weight: Weight, dominant: Mapping[Weight, int], dim: int,
+                 _rs: RootSystem):
+        fields = self.__dict__
+        fields["highest_weight"], fields["dominant"] = highest_weight, dominant
+        fields["dim"], fields["_rs"] = dim, _rs
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __repr__(self) -> str:
+        return (f"Character(highest_weight={self.highest_weight!r}, "
+                f"dominant={self.dominant!r}, dim={self.dim!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not Character:
+            return NotImplemented
+        return (self.highest_weight, self.dominant, self.dim) == (
+            other.highest_weight, other.dominant, other.dim)
 
     @cached_property
     def weights(self) -> Mapping[Weight, int]:

@@ -165,9 +165,11 @@ def _cmd_verify_weight(args, render) -> int:
         if not args.table:
             raise CliError("--table FILE is required for --kind table")
         try:
-            with open(args.table) as fh:
+            with open(args.table, encoding="utf-8") as fh:
                 raw = json.load(fh, parse_float=Decimal)
-        except (OSError, json.JSONDecodeError) as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors; a deeply
+        # nested array ends in a RecursionError.
+        except (OSError, ValueError, RecursionError) as exc:
             raise CliError(f"cannot read weight table {args.table}: {exc}")
         try:
             spec = CentralWeightSpec.from_table([(entry["mu"], entry["w"]) for entry in raw])

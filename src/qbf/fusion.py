@@ -32,27 +32,35 @@ read every component of every pair but need no order, never pay for a sort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import isqrt
 
-from .characters import weight_multiplicities
+from .characters import _read_only, weight_multiplicities
 from .root_system import RootSystem, Weight
 
 
-@dataclass(frozen=True)
 class FusionDecomposition:
     """Multiplicities {nu: m_nu} of the irreducibles inside lam (x) mu.
 
     ``components`` is sorted by decreasing coordinate sum, then
     lexicographically; it is built from the unsorted ``_parts`` on first
-    read and then kept.  Equality compares the multiplicities, not their
-    order.
+    read and then kept.  Fields cannot be reassigned, and equality compares
+    the multiplicities, not their order.
     """
 
-    lam: Weight
-    mu: Weight
-    _parts: dict[Weight, int] = field(repr=False)
+    def __init__(self, lam: Weight, mu: Weight, _parts: dict[Weight, int]):
+        fields = self.__dict__
+        fields["lam"], fields["mu"], fields["_parts"] = lam, mu, _parts
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __repr__(self) -> str:
+        return f"FusionDecomposition(lam={self.lam!r}, mu={self.mu!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not FusionDecomposition:
+            return NotImplemented
+        return (self.lam, self.mu, self._parts) == (other.lam, other.mu, other._parts)
 
     @classmethod
     def from_parts(cls, rs: RootSystem, lam: Weight, mu: Weight,

@@ -17,17 +17,16 @@ agree identically.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import precision
 from .fusion import tensor_decompose
 from .root_system import RootSystem, Weight
 
 
-@dataclass(frozen=True)
-class QExponent:
+class QExponent(NamedTuple):
     """The quantity q^value for the session's q in (0, 1).
 
     Ordering of the represented norms is the reverse of the ordering of the
@@ -76,24 +75,33 @@ def _check_q(q) -> Fraction:
             f"deformation parameter q must be a rational in (0, 1) like 0.5 or 1/2, got {q!r}"
         ) from None
     if not 0 < qf < 1:
-        raise ValueError(_Q_OUT_OF_RANGE.format(q))
+        raise ValueError(_Q_OUT_OF_RANGE.format(_shown(q)))
     if qf.denominator >= 10 ** _Q_MAX_DIGITS:
-        raise ValueError(_Q_TOO_LONG.format(q))
+        raise ValueError(_Q_TOO_LONG.format(_shown(q)))
     return qf
 
 
-@dataclass(frozen=True)
-class SessionConfig:
+def _shown(q) -> str:
+    """q as a refusal shows it: exactly, or to 12 digits when an int in it is
+    too long for Python to convert to a string."""
+    try:
+        return str(q)
+    except ValueError:
+        qf, ctx = Fraction(q), Context(prec=12)
+        return f"about {ctx.divide(Decimal(qf.numerator), qf.denominator).normalize(ctx)}"
+
+
+class SessionConfig(NamedTuple("SessionConfig", [("q", Fraction)])):
     """Deformation parameter for a run.
 
     Floats are canonicalised through their decimal repr, so q=0.3 is exactly
     3/10.
     """
 
-    q: Fraction
+    __slots__ = ()
 
-    def __init__(self, q):
-        object.__setattr__(self, "q", _check_q(q))
+    def __new__(cls, q) -> "SessionConfig":
+        return super().__new__(cls, _check_q(q))
 
 
 def lminus_norm_exponent(rs: RootSystem, lam, mu) -> QExponent:
@@ -103,8 +111,7 @@ def lminus_norm_exponent(rs: RootSystem, lam, mu) -> QExponent:
     return QExponent(-rs.inner_product(lam, mu))
 
 
-@dataclass(frozen=True)
-class RMatrixExponentDetails:
+class RMatrixExponentDetails(NamedTuple):
     """Fusion-route exponent data: E(nu) per component and the minimiser."""
 
     lam: Weight

@@ -18,11 +18,11 @@ assembled block-diagonally with zero cross-factor form, e.g. ``"B2xA1"``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import lcm
+from typing import NamedTuple
 
 Weight = tuple[int, ...]
 
@@ -44,17 +44,17 @@ class LieTypeError(ValueError):
     """Raised for an invalid series/rank combination or a malformed type string."""
 
 
-@dataclass(frozen=True)
-class LieType:
+class LieType(NamedTuple("LieType", [("factors", tuple[tuple[str, int], ...])])):
     """An ordered product of simple factors, e.g. A2 or B2xA1."""
 
-    factors: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.factors:
+    def __new__(cls, factors: tuple[tuple[str, int], ...]) -> "LieType":
+        if not factors:
             raise LieTypeError("a Lie type needs at least one simple factor")
-        for series, rank in self.factors:
+        for series, rank in factors:
             _validate_factor(series, rank)
+        return super().__new__(cls, factors)
 
     @classmethod
     def parse(cls, text: str) -> "LieType":

@@ -39,12 +39,12 @@ decided by fraction-free (Bareiss) elimination on ints
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from . import precision
 from .qnorm import QExponent, _check_q, rmatrix_exponent_details
@@ -82,8 +82,7 @@ def _matmul(A, B) -> list[list[Fraction]]:
     return [[Fraction(sum(map(mul, row, col)), da * db) for col in cols] for row in rows]
 
 
-@dataclass(frozen=True)
-class Sl2Rep:
+class Sl2Rep(NamedTuple):
     """Irreducible U_q(sl2) representation of highest weight n (dimension n+1)."""
 
     q: Fraction
@@ -182,8 +181,7 @@ def _dsq_leg(q: Fraction, n: int, qint: list[Fraction]) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class RMatrixBlock:
+class RMatrixBlock(NamedTuple):
     """The R-matrix on V(m) (x) V(n) and the positive product block (R21 R).
 
     Both are stored per total-weight block, in the plain weight basis of the
@@ -250,8 +248,7 @@ def build_rmatrix_block(q, m: int, n: int) -> RMatrixBlock:
     )
 
 
-@dataclass(frozen=True)
-class EigenRow:
+class EigenRow(NamedTuple):
     nu: int                   # fusion component (m + n - 2j)
     exponent: int             # E(nu) for the inverse block
     multiplicity: int         # dim V(nu)
@@ -259,8 +256,7 @@ class EigenRow:
     verified_exact: bool
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     q: Fraction
     m: int
     n: int

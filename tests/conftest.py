@@ -1,6 +1,5 @@
 import pathlib
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -19,6 +18,6 @@ def corrupted_exponents(monkeypatch):
 
     def shifted(rs, lam, mu):
         details = exact(rs, lam, mu)
-        return replace(details, table=tuple((nu, m, e + 1) for nu, m, e in details.table))
+        return details._replace(table=tuple((nu, m, e + 1) for nu, m, e in details.table))
 
     monkeypatch.setattr(sl2_oracle, "rmatrix_exponent_details", shifted)

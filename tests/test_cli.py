@@ -338,6 +338,18 @@ class TestExitCodes:
                                   "--table", str(path), "--height", "1"], capsys)
         assert (code, out, err) == (1, "", "error: weight table repeats the weight (1,)\n")
 
+    @pytest.mark.parametrize("content,reason", [
+        (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0"),
+        (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+    ], ids=["not-utf-8", "nested-200000-deep"])
+    def test_unreadable_table(self, content, reason, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(["verify-weight", "--type", "A1", "--kind", "table",
+                                  "--table", str(path), "--height", "1"], capsys)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: cannot read weight table {path}: {reason}")
+
     @pytest.mark.parametrize("table", [[], [{"mu": [1, 2, 3], "w": 2}]])
     def test_table_checking_nothing_rejected(self, table, tmp_path, capsys):
         path = tmp_path / "table.json"

@@ -123,3 +123,13 @@ class TestQExponent:
     def test_malformed_q_is_value_error(self, bad):
         with pytest.raises(ValueError, match="q must be a rational"):
             SessionConfig(bad)
+
+    @pytest.mark.parametrize("q,refusal", [
+        (Fraction(1, 10 ** 4400), "at most 4300 digits in its denominator, got about 1E-4400$"),
+        (Fraction(10 ** 4400, 3), "must satisfy 0 < q < 1, got about 3.33333333333E[+]4399$"),
+    ], ids=["denominator-4401-digits", "numerator-4401-digits"])
+    def test_refusal_of_a_q_too_long_to_print(self, q, refusal):
+        # Python converts no int of more than 4300 digits to a string, so the
+        # message shows such a q to 12 digits.
+        with pytest.raises(ValueError, match=refusal):
+            SessionConfig(q)

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -277,7 +276,7 @@ class TestVerifyNormFormula:
             rows = [list(row) for row in blk.r21r[b]]
             rows[0][1] += Fraction(1, 10 ** 12)
             r21r = blk.r21r[:b] + (tuple(map(tuple, rows)),) + blk.r21r[b + 1:]
-            return replace(blk, r21r=r21r)
+            return blk._replace(r21r=r21r)
 
         monkeypatch.setattr(sl2_oracle, "build_rmatrix_block", perturbed)
         report = verify_norm_formula(Fraction(1, 2), m, n)
@@ -291,7 +290,7 @@ class TestVerifyNormFormula:
             details = exact(rs, lam, mu)
             lowest = min(e for _, _, e in details.table)  # -mn, at nu = m + n
             table = tuple((nu, mult, new_exponent(e, lowest)) for nu, mult, e in details.table)
-            return replace(details, table=table)
+            return details._replace(table=table)
 
         monkeypatch.setattr(sl2_oracle, "rmatrix_exponent_details", patched)
 
