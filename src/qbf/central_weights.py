@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from decimal import Context, Decimal
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, NamedTuple
 
 from . import precision
@@ -166,21 +167,24 @@ def _triangle_violations(f, sense: int, lam: Weight, mu: Weight, parts) -> list[
     sense * _triangle_compare(f(nu), f(lam), f(mu)) > 0; None when the pair is
     decided at once.
 
-    f is a memoised scaled invariant of the root system.  With sense 0 nothing
-    can fail.  With sense > 0 the dominance certificate decides the pair when
-    it applies: the triangle inequality holds at the Cartan component lam + mu
-    and f(nu) < f(lam + mu) for every other component.
+    f is a memoised scaled invariant of the root system, read once per
+    component into a list.  With sense 0 nothing can fail.  With sense > 0
+    the dominance certificate decides the pair when it applies: the triangle
+    inequality holds at the Cartan component lam + mu, and the list has its
+    maximum f(lam + mu) exactly once, which, as ``parts`` holds lam + mu,
+    is f(nu) < f(lam + mu) for every other component.  A tie is never
+    certified.
     """
     if sense == 0:
         return None
     f_lam, f_mu = f(lam), f(mu)
+    values = list(map(f, parts))
     if sense > 0:
-        top = tuple(a + b for a, b in zip(lam, mu))
-        f_top = f(top)
+        f_top = f(tuple(map(add, lam, mu)))
         if (_triangle_compare(f_top, f_lam, f_mu) <= 0
-                and all(f(nu) < f_top for nu in parts if nu != top)):
+                and max(values) == f_top and values.count(f_top) == 1):
             return None
-    return [nu for nu in parts if sense * _triangle_compare(f(nu), f_lam, f_mu) > 0]
+    return [nu for nu, v in zip(parts, values) if sense * _triangle_compare(v, f_lam, f_mu) > 0]
 
 
 def _z2_sense(spec: CentralWeightSpec) -> int | None:
@@ -262,8 +266,11 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
             if llam is None or lmu is None:
                 skipped += len(orientations)
                 continue
-            with precision.decimal_range("log w({}) + log w({})", lam, mu):
+            try:
                 rhs = ctx.add(llam, lmu)
+            except ArithmeticError:
+                with precision.decimal_range("log w({}) + log w({})", lam, mu):
+                    raise
             # Unsorted: the violations are sorted once, at the end.
             components = tensor_decompose(rs, lam, mu)._parts
             if sense is not None:
@@ -374,7 +381,7 @@ def casimir_subadditivity_check(rs: RootSystem, height: int) -> SubadditivityRep
             fd = tensor_decompose(rs, lam, mu)
             checked += len(fd._parts)
             bad = _triangle_violations(cas, 1, lam, mu, fd._parts)
-            scan = (tuple(a + b for a, b in zip(lam, mu)),) if bad is None else fd.components
+            scan = (tuple(map(add, lam, mu)),) if bad is None else fd.components
             violations.extend((lam, mu, nu) for nu in scan if bad and nu in bad)
             for nu in scan:
                 slack = ctx.subtract(rhs, root_of(nu))

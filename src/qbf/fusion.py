@@ -11,16 +11,18 @@ internal error, never a user error.
 The inner loop runs on packed integer keys.  A weight x is packed as
 sum x_i 2^(W i) over fields of W bits, plus a bias of 2^(W - 1) in every
 field for a point anchor + rho + w; so each weight of the expanded factor
-costs one integer add and one dict lookup.  The loop reads the dominant
-multiplicities of the expanded factor from its :class:`Character` and, for
-each dominant weight, its packed Weyl orbit.  Two memos on the root system
-serve it: the packed orbits, each packed once and shared between weight
-systems, and the reflection memo, which maps the key of a point to (nu,
-sign), nu + rho being its dominant form, or to None on a chamber wall.  Both
-are keyed by the field width W.  W is the smallest width, and at least 21
-bits, whose fields hold every coordinate of a point and of its dominant form;
-ordinary sweeps therefore share the 21-bit tables, while a huge anchor runs
-through the same loop with wider fields.
+costs one integer add and one dict lookup.  Three memos on the root system
+serve it, each keyed by the field width W.  The layout of an expanded
+factor pairs the packed Weyl orbit of each of its dominant weights with the
+weight's multiplicity; it is built once from the factor's :class:`Character`,
+so a decomposition does no per-weight setup.  The packed orbits are packed
+once and shared between layouts.  The reflection memo maps the key of a
+point to (nu, sign), nu + rho being its dominant form, or to None on a
+chamber wall, and computes a missing entry on lookup.  W is the smallest
+width, and at least 21 bits, whose fields hold every coordinate of a point
+and of its dominant form; ordinary sweeps therefore share the 21-bit tables,
+while a huge anchor runs through the same loop with wider fields.  Sums that
+cancel to zero are dropped only when the loop left one.
 
 Decompositions themselves are not cached: the sweeps decompose each
 unordered pair once, and a fusion cache measured a repeat ratio of 0.  The
@@ -32,11 +34,12 @@ read every component of every pair but need no order, never pay for a sort.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from math import isqrt
+from operator import add
 
 from .characters import _read_only, weight_multiplicities
-from .root_system import RootSystem, Weight
+from .root_system import RootSystem, Weight, _Memo
 
 
 class FusionDecomposition:
@@ -65,10 +68,10 @@ class FusionDecomposition:
     @classmethod
     def from_parts(cls, rs: RootSystem, lam: Weight, mu: Weight,
                    components: dict[Weight, int]) -> "FusionDecomposition":
-        cartan = tuple(a + b for a, b in zip(lam, mu))
+        cartan = tuple(map(add, lam, mu))
         if components.get(cartan) != 1:
             raise AssertionError(f"Cartan component {cartan} missing or mult != 1 in {components}")
-        if any(m <= 0 for m in components.values()):
+        if min(components.values()) <= 0:
             raise AssertionError(f"nonpositive fusion multiplicity in {components}")
         return cls(lam, mu, components)
 
@@ -120,32 +123,47 @@ def _reflect_packed(rs: RootSystem, key: int, width: int, bias: int):
     return None if singular else (tuple(c - 1 for c in y), sign)
 
 
+def _layout(rs: RootSystem, width: int, expand: Weight) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(packed Weyl orbit, multiplicity) per dominant weight of V(expand).
+
+    Each orbit is packed once per width and shared between layouts.  A
+    width's reflection memo is created with its first layout.
+    """
+    rs._reflection_memo.setdefault(
+        width, _Memo(partial(_reflect_packed, rs, width=width, bias=1 << (width - 1))))
+    orbits = rs._orbit_memo
+    layout = []
+    for eta, m in weight_multiplicities(rs, expand).dominant.items():
+        keys = orbits.get((width, eta))
+        if keys is None:
+            keys = orbits[(width, eta)] = tuple(_pack(w, width) for w in rs.weyl_orbit(eta))
+        layout.append((keys, m))
+    return tuple(layout)
+
+
 def tensor_decompose(rs: RootSystem, lam, mu) -> FusionDecomposition:
     """Brauer-Klimyk decomposition of V(lam) (x) V(mu)."""
     lam = rs.check_dominant(lam)
     mu = rs.check_dominant(mu)
     expand, anchor = (lam, mu) if rs._weyl_dim(lam) <= rs._weyl_dim(mu) else (mu, lam)
-    dominant = weight_multiplicities(rs, expand).dominant
     width = _field_width(rs, expand, anchor)
     bias = 1 << (width - 1)
+    layout = rs._layout_memo.get((width, expand))
+    if layout is None:
+        layout = rs._layout_memo[(width, expand)] = _layout(rs, width, expand)
+    reflection = rs._reflection_memo[width]
     base = _pack([c + 1 + bias for c in anchor], width)  # biased key of anchor + rho
-    memo = rs._reflection_memo.setdefault(width, {})
     acc: dict[Weight, int] = {}
-    for eta, m in dominant.items():
-        keys = rs._orbit_memo.get((width, eta))
-        if keys is None:
-            keys = rs._orbit_memo[(width, eta)] = tuple(
-                _pack(w, width) for w in rs.weyl_orbit(eta))
+    get = acc.get
+    for keys, m in layout:
         for k in keys:
-            key = base + k
-            try:
-                hit = memo[key]
-            except KeyError:
-                hit = memo[key] = _reflect_packed(rs, key, width, bias)
+            hit = reflection[base + k]
             if hit is not None:
                 nu, sign = hit
-                acc[nu] = acc.get(nu, 0) + sign * m
-    return FusionDecomposition.from_parts(rs, lam, mu, {nu: m for nu, m in acc.items() if m})
+                acc[nu] = get(nu, 0) + sign * m
+    if min(acc.values()) <= 0:  # a sum cancelled: drop the zeros, keep any error
+        acc = {nu: m for nu, m in acc.items() if m}
+    return FusionDecomposition.from_parts(rs, lam, mu, acc)
 
 
 def contains_trivial(rs: RootSystem, lam, mu) -> bool:

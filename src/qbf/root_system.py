@@ -199,25 +199,47 @@ def _is_positive_definite(mat: list[list[Fraction]]) -> bool:
     return all(p > 0 for p in _bareiss_pivots(mat, swap=False))
 
 
+class _Memo(dict):
+    """A dict that computes a missing entry as ``fill(key)`` on lookup and keeps it.
+
+    Its bound ``__getitem__`` serves as the memoised function: a hit is one
+    C-level dict lookup, and only a miss runs Python code, once per key.
+    """
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class RootSystem:
     """Immutable root-system data for a (product of) simple Lie type(s).
 
     Instances are created through :func:`build_root_system`, are safe to share
     between threads, and all methods are pure functions of their arguments.
-    Memoised in dicts on the instance:
+    Memoised in dicts on the instance, each empty when the instance is built:
 
-    * per-weight invariants: the scaled Casimir and norm^2, the Weyl dimension;
+    * per-weight invariants: the scaled Casimir and norm^2, the Weyl dimension
+      and the dominant form of a weight, each a :class:`_Memo` that computes
+      a missing entry on lookup, read through its bound ``__getitem__``
+      (``_casimir_scaled``, ``_norm_scaled``, ``_weyl_dim``, ``_dominant_form``);
     * the Weyl orbit size of a dominant weight, keyed by its zero coordinates;
-    * the weight systems of :mod:`qbf.characters`, and the dominant form of
-      each weight their Freudenthal recursion reads;
+    * the weight systems of :mod:`qbf.characters`;
     * the packed-key tables of :mod:`qbf.fusion`, per field width: the packed
-      Weyl orbit of each dominant weight, and a dict from each rho-shifted
-      point key to (nu, sign) or None.
+      Weyl orbit of each dominant weight, the layout of each expanded factor
+      (its packed orbits with their multiplicities), and a :class:`_Memo`
+      from each rho-shifted point key to (nu, sign) or None.
 
     Those dicts only ever receive idempotent writes of complete, read-only,
-    deterministic values (a per-width dict is created by one atomic
-    ``setdefault``), so concurrent readers and writers can at worst compute an
-    entry twice, and sharing stays safe.
+    deterministic values: a :class:`_Memo` stores an entry only once it is
+    computed, and a per-width table is created by one atomic ``setdefault``.
+    So concurrent readers and writers can at worst compute an entry twice,
+    and sharing stays safe.
     """
 
     def __init__(self, lie_type: LieType):
@@ -269,16 +291,26 @@ class RootSystem:
         self._rho_pairing = tuple(sum(v) for v in self._proot_pairing)
 
         # Per-weight memos, keyed by checked weights; see the class docstring.
-        self._casimir_memo: dict[Weight, int] = {}
-        self._norm_memo: dict[Weight, int] = {}
-        self._dim_memo: dict[Weight, int] = {}
+        # Each is read through its bound __getitem__, which takes an already
+        # checked weight (dominant for the Casimir and the Weyl dimension):
+        # (mu, mu + 2 rho) * _gram_den, (x, x) * _gram_den, dim V(mu), and
+        # the dominant weight in the Weyl orbit of x.
+        self._casimir_memo = _Memo(lambda mu: self._ip_scaled(mu, tuple(c + 2 for c in mu)))
+        self._norm_memo = _Memo(lambda x: self._ip_scaled(x, x))
+        self._dim_memo = _Memo(self._weyl_dimension)
+        self._dominant_memo = _Memo(lambda x: self._dominant_rep(x)[0])
+        self._casimir_scaled = self._casimir_memo.__getitem__
+        self._norm_scaled = self._norm_memo.__getitem__
+        self._weyl_dim = self._dim_memo.__getitem__
+        self._dominant_form = self._dominant_memo.__getitem__
         self._orbit_size_memo: dict[tuple[int, ...], int] = {}
         self._char_memo: dict = {}  # Weight -> qbf.characters.Character
-        self._dominant_memo: dict[Weight, Weight] = {}  # weight -> its dominant form
         # Packed-key tables of qbf.fusion: (width, dominant weight) -> packed
-        # Weyl orbit, and width -> {point key: (nu, sign) or None}.
+        # Weyl orbit, (width, expanded factor) -> layout, and width -> _Memo
+        # from a point key to (nu, sign) or None.
         self._orbit_memo: dict[tuple[int, Weight], tuple[int, ...]] = {}
-        self._reflection_memo: dict[int, dict[int, tuple[Weight, int] | None]] = {}
+        self._layout_memo: dict[tuple[int, Weight], tuple] = {}
+        self._reflection_memo: dict[int, _Memo] = {}
 
         self._self_check()
 
@@ -331,7 +363,7 @@ class RootSystem:
             )
         for lo, hi in self._factor_slices:
             shortest = min(
-                self._norm_scaled(a) for a in self.positive_roots
+                self._ip_scaled(a, a) for a in self.positive_roots
                 if any(a[i] for i in range(lo, hi))
             )
             if shortest != 2 * self._gram_den:
@@ -356,7 +388,7 @@ class RootSystem:
 
     def check_dominant(self, x) -> Weight:
         t = self.check_weight(x)
-        if any(c < 0 for c in t):
+        if min(t) < 0:
             raise ValueError(f"weight {t} is not dominant")
         return t
 
@@ -373,40 +405,24 @@ class RootSystem:
         """(x, x); the squared length |x|^2, always a nonnegative rational."""
         return Fraction(self._norm_scaled(self.check_weight(x)), self._gram_den)
 
-    def _norm_scaled(self, x: Weight) -> int:
-        """(x, x) * _gram_den for an already checked weight, memoised."""
-        v = self._norm_memo.get(x)
-        if v is None:
-            v = self._norm_memo[x] = self._ip_scaled(x, x)
-        return v
-
     def casimir(self, mu) -> Fraction:
         """Quadratic Casimir eigenvalue (mu, mu + 2 rho) of a dominant weight."""
         return Fraction(self._casimir_scaled(self.check_dominant(mu)), self._gram_den)
-
-    def _casimir_scaled(self, mu: Weight) -> int:
-        """(mu, mu + 2 rho) * _gram_den for an already checked dominant weight, memoised."""
-        v = self._casimir_memo.get(mu)
-        if v is None:
-            v = self._casimir_memo[mu] = self._ip_scaled(mu, tuple(c + 2 for c in mu))
-        return v
 
     def weyl_dim(self, mu) -> int:
         """Dimension of the irreducible with highest weight mu (Weyl formula)."""
         return self._weyl_dim(self.check_dominant(mu))
 
-    def _weyl_dim(self, mu: Weight) -> int:
-        """Weyl dimension of an already checked dominant weight, memoised."""
-        v = self._dim_memo.get(mu)
-        if v is None:
-            shifted = tuple(c + 1 for c in mu)
-            dim = Fraction(1)
-            for w, rho_a in zip(self._proot_pairing, self._rho_pairing):
-                dim *= Fraction(sum(shifted[i] * w[i] for i in range(self.rank)), rho_a)
-            if dim.denominator != 1:
-                raise AssertionError(f"Weyl dimension of {mu} is not an integer: {dim}")
-            v = self._dim_memo[mu] = int(dim)
-        return v
+    def _weyl_dimension(self, mu: Weight) -> int:
+        """Weyl dimension of an already checked dominant weight; memoised as
+        ``_weyl_dim``."""
+        shifted = tuple(c + 1 for c in mu)
+        dim = Fraction(1)
+        for w, rho_a in zip(self._proot_pairing, self._rho_pairing):
+            dim *= Fraction(sum(shifted[i] * w[i] for i in range(self.rank)), rho_a)
+        if dim.denominator != 1:
+            raise AssertionError(f"Weyl dimension of {mu} is not an integer: {dim}")
+        return int(dim)
 
     # -- Weyl group --------------------------------------------------------
 
@@ -434,14 +450,6 @@ class RootSystem:
             x = self._reflect(x, next(i for i, c in enumerate(x) if c < 0))
             sign = -sign
         return x, sign, 0 in x
-
-    def _dominant_form(self, x: Weight) -> Weight:
-        """The dominant weight in the Weyl orbit of an already checked x: the
-        first entry of :meth:`_dominant_rep`, memoised."""
-        v = self._dominant_memo.get(x)
-        if v is None:
-            v = self._dominant_memo[x] = self._dominant_rep(x)[0]
-        return v
 
     def _orbit_size(self, nu: Weight) -> int:
         """|W nu| for an already checked dominant weight, without building the orbit.

@@ -13,10 +13,12 @@ from qbf.central_weights import (
     Violation,
     _log_weight,
     _triangle_compare,
+    _triangle_violations,
     casimir_subadditivity_check,
     eval_weight,
     validate_central_weight,
 )
+from qbf.characters import full_weights
 from qbf.fusion import FusionDecomposition, tensor_decompose
 from qbf.root_system import LieType, RootSystem, build_root_system
 
@@ -476,6 +478,68 @@ def test_sweeps_decide_each_pair_once(sweep, monkeypatch):
     assert sweep(rs) == reference
     n = len(rs.dominant_weights_up_to(3))
     assert len(calls) == n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("invariant", ["_casimir_scaled", "_norm_scaled"])
+def test_certificate_never_certifies_a_tie(invariant):
+    # In A2, (2, 1) = lam + mu and (1, 2) share their Casimir and their norm:
+    # a component other than lam + mu with f(nu) = f(lam + mu) sends the pair
+    # to the comparison of every component, which finds no violation.
+    rs = build_root_system("A2")
+    f = getattr(rs, invariant)
+    lam, mu = (1, 0), (1, 1)
+    parts = tensor_decompose(rs, lam, mu)._parts
+    assert f((1, 2)) == f((2, 1)) and (1, 2) not in parts
+    assert _triangle_violations(f, 1, lam, mu, parts) is None
+    assert _triangle_violations(f, 1, lam, mu, {**parts, (1, 2): 1}) == []
+    assert _triangle_violations(f, 1, lam, mu, {(1, 2): 1, **parts}) == []
+
+
+def test_overflowing_z2_sum_names_the_pair():
+    # log w((1,)) = 5e999999 (3/2)^(1/2) fits the decimal range; its double does not.
+    rs = build_root_system("A1")
+    with pytest.raises(ValueError) as raised:
+        validate_central_weight(rs, CentralWeightSpec.lst("5e999999"), 1)
+    assert str(raised.value) == ("log w((1,)) + log w((1,)) is out of the decimal range "
+                                 "(exponent above 999999)")
+
+
+def raw_brauer_klimyk(rs, lam, mu):
+    """Brauer-Klimyk sums over the weight system of lam, zeros kept."""
+    acc = {}
+    for w, m in full_weights(rs, lam).items():
+        y, sign, singular = rs.dominant_representative(tuple(a + 1 + c for a, c in zip(mu, w)))
+        if not singular:
+            nu = tuple(c - 1 for c in y)
+            acc[nu] = acc.get(nu, 0) + sign * m
+    return acc
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda rs: casimir_subadditivity_check(rs, 4),
+    lambda rs: validate_central_weight(rs, CentralWeightSpec.lst(1), 4),
+], ids=["casimir", "lst"])
+def test_sweeps_decompose_each_unordered_pair_once(sweep, monkeypatch):
+    # The sweeps decompose through the central_weights binding, which the
+    # component-injection tests and bench/tracer.py replace.  The A2 height-4
+    # sweep has cancellations: (0, 1) sums to 0 in (0, 2) (x) (0, 2).
+    rs = build_root_system("A2")
+    assert raw_brauer_klimyk(rs, (0, 2), (0, 2))[(0, 1)] == 0
+    decompositions = []
+
+    def recording(rs_, lam, mu):
+        fd = tensor_decompose(rs_, lam, mu)
+        decompositions.append(fd)
+        return fd
+
+    monkeypatch.setattr(central_weights, "tensor_decompose", recording)
+    sweep(rs)
+    weights = rs.dominant_weights_up_to(4)
+    assert ([(fd.lam, fd.mu) for fd in decompositions]
+            == [(lam, mu) for i, lam in enumerate(weights) for mu in weights[i:]])
+    assert all(min(fd._parts.values()) > 0 for fd in decompositions)
+    cancelled = next(fd for fd in decompositions if fd.lam == fd.mu == (0, 2))
+    assert (0, 1) not in cancelled._parts
 
 
 def inject_components(monkeypatch, pair):

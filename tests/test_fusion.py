@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbf import fusion
 from qbf.characters import character_product_decompose, full_weights, weight_multiplicities
 from qbf.fusion import (
     _MIN_FIELD,
@@ -159,10 +160,10 @@ class TestPackedPath:
             top = rs.dominant_weights_up_to(2 * height)[-1]
             assert _field_width(rs, top, top) == _MIN_FIELD  # sweeps share one width
 
-    def test_reflection_memo_lives_on_its_root_system(self):
+    def test_layout_memo_lives_on_its_root_system(self, monkeypatch):
         shared = build_root_system("B2")
         fresh = RootSystem(LieType.parse("B2"))
-        assert fresh._reflection_memo == fresh._orbit_memo == {}
+        assert fresh._layout_memo == fresh._orbit_memo == fresh._reflection_memo == {}
         assert (tensor_decompose(fresh, (2, 1), (1, 2)).components
                 == tensor_decompose(shared, (2, 1), (1, 2)).components)
         shared_sizes = {w: len(t) for w, t in shared._reflection_memo.items()}
@@ -171,8 +172,22 @@ class TestPackedPath:
         tensor_decompose(fresh, (FIELD_EDGE, 3), (1, 0))
         expanded.append((_field_width(fresh, (1, 0), (FIELD_EDGE, 3)), (1, 0)))
         orbits_before = dict(fresh._orbit_memo)
-        tensor_decompose(fresh, (3, 3), (2, 2))
+        layouts_before = dict(fresh._layout_memo)
+        built = []
+        original = fusion.weight_multiplicities
+
+        def counting(rs, mu):
+            built.append(mu)
+            return original(rs, mu)
+
+        monkeypatch.setattr(fusion, "weight_multiplicities", counting)
+        for lam, mu in (((3, 3), (2, 2)), ((2, 2), (4, 4)), ((1, 2), (2, 1))):
+            tensor_decompose(fresh, lam, mu)
         expanded.append((_MIN_FIELD, (2, 2)))
+        # one weight system read per new layout, none for a layout already built
+        assert built == [(2, 2)]
+        assert set(fresh._layout_memo) == set(expanded)
+        assert all(fresh._layout_memo[key] is layout for key, layout in layouts_before.items())
         assert len(fresh._reflection_memo) == 2 and min(fresh._reflection_memo) == _MIN_FIELD
         for width, table in fresh._reflection_memo.items():
             bias = 1 << (width - 1)
@@ -187,15 +202,18 @@ class TestPackedPath:
         for (width, nu), orbit in fresh._orbit_memo.items():
             assert type(orbit) is tuple and all(type(k) is int for k in orbit)
             assert len(orbit) == len(fresh.weyl_orbit(nu))
-        # each orbit is stored once and shared by the weight systems holding it:
+        # each orbit is stored once and shared by the layouts holding it:
         # (2, 2) reuses the orbits (1, 2) already packed, as the same objects
         assert all(fresh._orbit_memo[key] is orbit for key, orbit in orbits_before.items())
         assert (set(fresh._orbit_memo) - set(orbits_before)
                 == {(_MIN_FIELD, nu) for nu in ((2, 2), (3, 0), (0, 4))})
         for width, weight in expanded:
             dominant = weight_multiplicities(fresh, weight).dominant
-            assert (sum(m * len(fresh._orbit_memo[(width, nu)]) for nu, m in dominant.items())
-                    == fresh.weyl_dim(weight))
+            layout = fresh._layout_memo[(width, weight)]
+            assert [m for _, m in layout] == list(dominant.values())
+            for nu, (orbit, _) in zip(dominant, layout):
+                assert orbit is fresh._orbit_memo[(width, nu)]
+            assert sum(m * len(orbit) for orbit, m in layout) == fresh.weyl_dim(weight)
         # the shared instance saw none of the fresh instance's new points
         assert {w: len(t) for w, t in shared._reflection_memo.items()} == shared_sizes
 

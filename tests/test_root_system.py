@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qbf.central_weights import _triangle_compare
 from qbf.fusion import tensor_decompose
-from qbf.root_system import LieType, LieTypeError, build_root_system
+from qbf.root_system import LieType, LieTypeError, RootSystem, build_root_system
 
 ACCEPTANCE_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"]
 
@@ -324,6 +324,43 @@ def test_memoised_scaled_invariants_match_fraction_definitions(drawn):
     for scaled, exact in ((rs._casimir_scaled, rs.casimir), (rs._norm_scaled, rs.norm_sq)):
         assert (_triangle_compare(scaled(nu), scaled(lam), scaled(mu))
                 == _triangle_compare(exact(nu), exact(lam), exact(mu)))
+
+
+MEMOS = {"_casimir_memo": "_casimir_scaled", "_norm_memo": "_norm_scaled",
+         "_dim_memo": "_weyl_dim", "_dominant_memo": "_dominant_form"}
+
+
+@pytest.mark.parametrize("typ", MEMO_TYPES)
+def test_self_filling_memos_fill_each_value_once(typ):
+    # A fresh instance starts with every memo empty, its construction
+    # included; each memo is read through its bound __getitem__ and computes
+    # a missing entry once.
+    interned = build_root_system(typ)
+    fresh = RootSystem(LieType.parse(typ))
+    assert all(vars(fresh)[memo] == {} for memo in MEMOS)
+    assert fresh._orbit_memo == fresh._layout_memo == fresh._reflection_memo == {}
+    fills = {memo: [] for memo in MEMOS}
+
+    def counting(filled, fill):
+        def fill_and_count(key):
+            filled.append(key)
+            return fill(key)
+        return fill_and_count
+
+    for memo in MEMOS:
+        table = vars(fresh)[memo]
+        table.fill = counting(fills[memo], table.fill)
+    weights = fresh.dominant_weights_up_to(2)
+    lattice = [tuple(c - 1 for c in w) for w in weights]
+    for _ in range(2):  # the first pass fills the memos, the second reads them
+        for memo, read in MEMOS.items():
+            for w in lattice if memo in ("_norm_memo", "_dominant_memo") else weights:
+                assert getattr(fresh, read)(w) == getattr(interned, read)(w)
+    for memo in MEMOS:
+        filled = fills[memo]
+        assert len(filled) == len(set(filled)) == len(vars(fresh)[memo]), memo
+    assert fresh.casimir((1,) * fresh.rank) == interned.casimir((1,) * fresh.rank)
+    assert fills["_casimir_memo"].count((1,) * fresh.rank) == 1
 
 
 class TestWeylGroup:
