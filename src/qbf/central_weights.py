@@ -48,12 +48,13 @@ from __future__ import annotations
 
 from decimal import Context, Decimal
 from fractions import Fraction
+from functools import partial
 from operator import add
 from typing import Iterable, Mapping, NamedTuple
 
 from . import precision
 from .fusion import tensor_decompose
-from .root_system import RootSystem, Weight, _integral_weight
+from .root_system import RootSystem, Weight, _integral_weight, _Memo
 
 LOG_TOLERANCE = Decimal("1e-12")
 
@@ -230,12 +231,7 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
     weights = rs.dominant_weights_up_to(height)
     zero = (0,) * rs.rank
 
-    logs: dict[Weight, Decimal | None] = {}
-
-    def log_of(mu: Weight) -> Decimal | None:
-        if mu not in logs:
-            logs[mu] = _log_weight(rs, spec, mu, ctx)
-        return logs[mu]
+    log_of = _Memo(partial(_log_weight, rs, spec, ctx=ctx)).__getitem__
 
     checked = skipped = 0
     # The built-in families decide Z1 and Z2 exactly; their Decimal logs are
@@ -364,12 +360,8 @@ def casimir_subadditivity_check(rs: RootSystem, height: int) -> SubadditivityRep
     ctx = precision.make_context()
     weights = rs.dominant_weights_up_to(height)
     cas = rs._casimir_scaled
-    roots: dict[Weight, Decimal] = {}
-
-    def root_of(mu: Weight) -> Decimal:
-        if mu not in roots:
-            roots[mu] = precision.sqrt_fraction(Fraction(cas(mu), rs._gram_den), ctx)
-        return roots[mu]
+    roots = _Memo(lambda mu: precision.sqrt_fraction(Fraction(cas(mu), rs._gram_den), ctx))
+    root_of = roots.__getitem__
 
     checked = 0
     min_slack: Decimal | None = None

@@ -1,8 +1,17 @@
 """Command-line front end with deterministic JSON, CSV and table output.
 
+Every subcommand runs through one runner, ``_run``.  It reads the shared
+options in a fixed order, so an input with two faults always reports the
+same one: ``--precision``, then the Lie type of ``--type``, the height cap
+on ``--height`` (lifted by ``--force``), ``--q`` for the commands that take
+a type, then ``--lambda`` and ``--mu``.  The subcommand then checks its own
+options and returns its payload, table rows and verdict; the runner writes
+them in the ``--format`` asked for and turns the verdict into the exit code.
+
 Exit codes: 0 on success, 1 on validation failure (bad flags, malformed
-weights, out-of-range parameters), 2 when a mathematical property or oracle
-check fails, so CI pipelines can gate on the theorem checks directly.
+weights, out-of-range parameters) or output that cannot be written, 2 when a
+mathematical property or oracle check fails, so CI pipelines can gate on the
+theorem checks directly.
 Identical inputs produce byte-identical output: all enumerations are sorted,
 rationals are rendered as p/q strings, and reals are rendered at a fixed
 number of significant digits (``--precision``, default 12).
@@ -11,6 +20,7 @@ number of significant digits (``--precision``, default 12).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -74,16 +84,7 @@ def _parse_weight(text: str, rank: int, name: str) -> tuple[int, ...]:
     return coords
 
 
-def _check_height_cap(rs, height: int, force: bool) -> None:
-    cap = min(_HEIGHT_CAPS[s] for s, _ in rs.lie_type.factors)
-    if height > cap and not force:
-        raise CliError(
-            f"height {height} exceeds the cap {cap} for type {rs.lie_type}; pass --force to override"
-        )
-
-
 def _frac(x: Fraction) -> str:
-    x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -109,53 +110,53 @@ def _emit(args, payload: dict, headers: list[str], rows: list[list[str]]) -> Non
         for row in rows:
             lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
         text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise CliError(f"cannot write output file: {exc}")
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:
+            # Closed, stdout is not flushed again at exit, which would fail on
+            # the same buffered text and report it a second time.
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        raise CliError(f"cannot write output{' file' if args.out else ''}: {exc}")
 
 
 # -- subcommands ---------------------------------------------------------------
-# Each takes the parsed args and render(x), x rendered at --precision digits.
+# Each takes the parsed args, in which _run has read --q (for a command with
+# --type), --lambda and --mu, the root system of --type (None without one)
+# and render(x), x rendered at --precision digits.  It returns the JSON
+# payload, the table headers and rows, and whether its check passed.
 
-def _cmd_fusion(args, render) -> int:
-    rs = build_root_system(args.type)
-    lam = _parse_weight(args.lam, rs.rank, "--lambda")
-    mu = _parse_weight(args.mu, rs.rank, "--mu")
-    fd = tensor_decompose(rs, lam, mu)
+def _cmd_fusion(args, rs, render):
+    fd = tensor_decompose(rs, args.lam, args.mu)
     payload = {
-        "lambda": list(lam),
-        "mu": list(mu),
+        "lambda": list(args.lam),
+        "mu": list(args.mu),
         "components": [{"nu": list(nu), "mult": m} for nu, m in fd.components.items()],
     }
     rows = [[_weight_str(nu), str(m)] for nu, m in fd.components.items()]
-    _emit(args, payload, ["nu", "mult"], rows)
-    return EXIT_OK
+    return payload, ["nu", "mult"], rows, True
 
 
-def _cmd_character(args, render) -> int:
-    rs = build_root_system(args.type)
-    mu = _parse_weight(args.mu, rs.rank, "--mu")
-    char = weight_multiplicities(rs, mu)
+def _cmd_character(args, rs, render):
+    char = weight_multiplicities(rs, args.mu)
     ordered = sorted(char.dominant.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
     payload = {
         "type": str(rs.lie_type),
-        "mu": list(mu),
+        "mu": list(args.mu),
         "dim": char.dim,
         "dominant_weights": [{"weight": list(w), "mult": m} for w, m in ordered],
     }
     rows = [[_weight_str(w), str(m)] for w, m in ordered]
-    _emit(args, payload, ["weight", "mult"], rows)
-    return EXIT_OK
+    return payload, ["weight", "mult"], rows, True
 
 
-def _cmd_verify_weight(args, render) -> int:
-    rs = build_root_system(args.type)
-    _check_height_cap(rs, args.height, args.force)
+def _cmd_verify_weight(args, rs, render):
     if args.kind in ("beta", "lst"):
         if args.beta is None:
             raise CliError(f"--beta is required for --kind {args.kind}")
@@ -198,71 +199,49 @@ def _cmd_verify_weight(args, render) -> int:
          render(v.lhs), render(v.rhs)]
         for v in report.violations
     ]
-    _emit(args, payload, ["condition", "weights", "lhs", "rhs"], rows)
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+    return payload, ["condition", "weights", "lhs", "rhs"], rows, report.passed
 
 
-def _cmd_norm(args, render) -> int:
-    rs = build_root_system(args.type)
-    cfg = SessionConfig(args.q)
-    lam = _parse_weight(args.lam, rs.rank, "--lambda")
-    mu = _parse_weight(args.mu, rs.rank, "--mu")
+def _cmd_norm(args, rs, render):
+    q = args.q.q
     routes: dict[str, dict] = {}
-    exponents: list[Fraction] = []
     if args.route in ("closed", "both"):
-        e = lminus_norm_exponent(rs, lam, mu)
-        exponents.append(e.value)
-        routes["closed"] = {
-            "exponent": _frac(e.value),
-            "q_power": render(e.q_power(cfg.q)),
-        }
+        e = lminus_norm_exponent(rs, args.lam, args.mu)
+        routes["closed"] = {"exponent": _frac(e.value), "q_power": render(e.q_power(q))}
     if args.route in ("rmatrix", "both"):
-        details = rmatrix_exponent_details(rs, lam, mu)
-        exponents.append(details.exponent)
+        details = rmatrix_exponent_details(rs, args.lam, args.mu)
         routes["rmatrix"] = {
             "exponent": _frac(details.exponent),
-            "q_power": render(QExponent(details.exponent).q_power(cfg.q)),
+            "q_power": render(QExponent(details.exponent).q_power(q)),
             "minimizer": list(details.minimizer),
             "ties": [list(t) for t in details.ties],
         }
-    match = len(set(exponents)) == 1
+    # _frac writes each rational in lowest terms, so equal strings mean equal exponents.
+    match = len({info["exponent"] for info in routes.values()}) == 1
     payload = {
         "type": str(rs.lie_type),
-        "lambda": list(lam),
-        "mu": list(mu),
-        "q": _frac(cfg.q),
+        "lambda": list(args.lam),
+        "mu": list(args.mu),
+        "q": _frac(q),
         "routes": routes,
         "match": match,
     }
-    rows = [
-        [name, info["exponent"], info["q_power"]]
-        for name, info in routes.items()
-    ]
-    _emit(args, payload, ["route", "exponent", "q_power"], rows)
-    return EXIT_OK if match else EXIT_VIOLATION
+    rows = [[name, info["exponent"], info["q_power"]] for name, info in routes.items()]
+    return payload, ["route", "exponent", "q_power"], rows, match
 
 
-def _cmd_cb_region(args, render) -> int:
-    rs = build_root_system(args.type)
-    _check_height_cap(rs, args.height, args.force)
-    cfg = SessionConfig(args.q)
+def _cmd_cb_region(args, rs, render):
     beta = precision.to_decimal(args.beta, precision.make_context(), "beta")
-    decisions = cb_region_enumerate(rs, cfg, beta, args.height)
+    decisions = cb_region_enumerate(rs, args.q, beta, args.height)
     json_rows = []
     rows = []
     for d in decisions:
-        if d.certificate.kind == "bound":
-            cert = {
-                "kind": "bound",
-                "bound": render(d.certificate.bound),
-                "attained_at": list(d.certificate.attained_at),
-            }
+        c = d.certificate
+        if c.kind == "bound":
+            cert = {"kind": "bound", "bound": render(c.bound), "attained_at": list(c.attained_at)}
         else:
-            cert = {
-                "kind": "divergence",
-                "ray_base": list(d.certificate.ray_base),
-                "growth_factor": render(d.certificate.growth_factor),
-            }
+            cert = {"kind": "divergence", "ray_base": list(c.ray_base),
+                    "growth_factor": render(c.growth_factor)}
         json_rows.append(
             {
                 "lambda": list(d.lam),
@@ -279,16 +258,16 @@ def _cmd_cb_region(args, render) -> int:
         )
     payload = {
         "type": str(rs.lie_type),
-        "q": _frac(cfg.q),
+        "q": _frac(args.q.q),
         "beta": render(beta),
         "height": args.height,
         "rows": json_rows,
     }
-    _emit(args, payload, ["lambda", "extends", "boundary", "norm_sq", "beta_min"], rows)
-    return EXIT_OK
+    return payload, ["lambda", "extends", "boundary", "norm_sq", "beta_min"], rows, True
 
 
-def _cmd_oracle_sl2(args, render) -> int:
+def _cmd_oracle_sl2(args, rs, render):
+    # q stays unread here: the oracle checks its spin labels before q.
     report = verify_norm_formula(args.q, args.m, args.n)
     payload = {
         "q": _frac(report.q),
@@ -317,13 +296,11 @@ def _cmd_oracle_sl2(args, render) -> int:
          str(r.verified_exact).lower()]
         for r in report.eigen_rows
     ]
-    _emit(args, payload, ["nu", "exponent", "multiplicity", "value", "verified_exact"], rows)
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+    return (payload, ["nu", "exponent", "multiplicity", "value", "verified_exact"], rows,
+            report.passed)
 
 
-def _cmd_casimir_check(args, render) -> int:
-    rs = build_root_system(args.type)
-    _check_height_cap(rs, args.height, args.force)
+def _cmd_casimir_check(args, rs, render):
     report = casimir_subadditivity_check(rs, args.height)
     payload = {
         "type": str(rs.lie_type),
@@ -347,8 +324,7 @@ def _cmd_casimir_check(args, render) -> int:
         ["witness", ";".join(_weight_str(w) for w in report.witness)],
         ["passed", str(report.passed).lower()],
     ]
-    _emit(args, payload, ["key", "value"], rows)
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+    return payload, ["key", "value"], rows, report.passed
 
 
 def build_parser() -> _Parser:
@@ -356,6 +332,15 @@ def build_parser() -> _Parser:
     parser.add_argument("--precision", type=int, default=12,
                         help="significant digits for rendered reals (default 12)")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, run, summary, *shared):
+        """The subparser of a subcommand run by run, with the required shared
+        options among --type, --lambda, --mu and --q that _run reads."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        for flag in shared:
+            p.add_argument(flag, dest="lam" if flag == "--lambda" else None, required=True)
+        return p
 
     def common(p, height=False):
         p.add_argument("--format", choices=("json", "csv", "table"), default="table")
@@ -365,69 +350,66 @@ def build_parser() -> _Parser:
             p.add_argument("--force", action="store_true",
                            help="override the documented height caps")
 
-    p = sub.add_parser("fusion", help="tensor product decomposition")
-    p.add_argument("--type", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    common(p)
+    common(command("fusion", _cmd_fusion, "tensor product decomposition",
+                   "--type", "--lambda", "--mu"))
+    common(command("character", _cmd_character, "weight multiplicities of an irreducible",
+                   "--type", "--mu"))
 
-    p = sub.add_parser("character", help="weight multiplicities of an irreducible")
-    p.add_argument("--type", required=True)
-    p.add_argument("--mu", required=True)
-    common(p)
-
-    p = sub.add_parser("verify-weight", help="Z1/Z2/symmetry validation of a weight family")
-    p.add_argument("--type", required=True)
+    p = command("verify-weight", _cmd_verify_weight,
+                "Z1/Z2/symmetry validation of a weight family", "--type")
     p.add_argument("--kind", choices=("beta", "lst", "table"), required=True)
     p.add_argument("--beta")
     p.add_argument("--table", help="JSON file with [{'mu': [..], 'w': value}, ...]")
     common(p, height=True)
 
-    p = sub.add_parser("norm", help="norm exponent of the dual generator matrix")
-    p.add_argument("--type", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--q", required=True)
+    p = command("norm", _cmd_norm, "norm exponent of the dual generator matrix",
+                "--type", "--lambda", "--mu", "--q")
     p.add_argument("--route", choices=("closed", "rmatrix", "both"), default="both")
     common(p)
 
-    p = sub.add_parser("cb-region", help="completely-bounded extension region")
-    p.add_argument("--type", required=True)
-    p.add_argument("--q", required=True)
+    p = command("cb-region", _cmd_cb_region, "completely-bounded extension region",
+                "--type", "--q")
     p.add_argument("--beta", required=True)
     common(p, height=True)
 
-    p = sub.add_parser("oracle-sl2", help="exact rank-one check of the norm formula")
-    p.add_argument("--q", required=True)
+    p = command("oracle-sl2", _cmd_oracle_sl2, "exact rank-one check of the norm formula",
+                "--q")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     common(p)
 
-    p = sub.add_parser("casimir-check", help="Casimir square-root subadditivity sweep")
-    p.add_argument("--type", required=True)
-    common(p, height=True)
-
+    common(command("casimir-check", _cmd_casimir_check,
+                   "Casimir square-root subadditivity sweep", "--type"), height=True)
     return parser
 
 
-_DISPATCH = {
-    "fusion": _cmd_fusion,
-    "character": _cmd_character,
-    "verify-weight": _cmd_verify_weight,
-    "norm": _cmd_norm,
-    "cb-region": _cmd_cb_region,
-    "oracle-sl2": _cmd_oracle_sl2,
-    "casimir-check": _cmd_casimir_check,
-}
+def _run(args) -> int:
+    """Read the shared options in the order of the module docstring, run the
+    subcommand, write its output and return its exit code."""
+    if not 1 <= args.precision <= precision.DIGITS:
+        raise CliError(f"--precision must be between 1 and {precision.DIGITS}")
+    given = vars(args)
+    rs = None
+    if "type" in given:
+        rs = build_root_system(args.type)
+        cap = min(_HEIGHT_CAPS[s] for s, _ in rs.lie_type.factors)
+        if given.get("height", 0) > cap and not args.force:
+            raise CliError(f"height {args.height} exceeds the cap {cap} for type {rs.lie_type}; "
+                           "pass --force to override")
+        if "q" in given:
+            args.q = SessionConfig(args.q)
+        for dest, flag in (("lam", "--lambda"), ("mu", "--mu")):
+            if dest in given:
+                given[dest] = _parse_weight(given[dest], rs.rank, flag)
+    payload, headers, rows, passed = args.run(
+        args, rs, partial(precision.render, digits=args.precision))
+    _emit(args, payload, headers, rows)
+    return EXIT_OK if passed else EXIT_VIOLATION
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if not 1 <= args.precision <= precision.DIGITS:
-            raise CliError(f"--precision must be between 1 and {precision.DIGITS}")
-        return _DISPATCH[args.command](args, partial(precision.render, digits=args.precision))
+        return _run(build_parser().parse_args(argv))
     except (ValueError, KeyError) as exc:  # CliError and LieTypeError are ValueErrors
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)

@@ -228,7 +228,8 @@ class RootSystem:
       and the dominant form of a weight, each a :class:`_Memo` that computes
       a missing entry on lookup, read through its bound ``__getitem__``
       (``_casimir_scaled``, ``_norm_scaled``, ``_weyl_dim``, ``_dominant_form``);
-    * the Weyl orbit size of a dominant weight, keyed by its zero coordinates;
+    * the Weyl orbit size of a dominant weight, a :class:`_Memo` keyed by its
+      zero coordinates;
     * the weight systems of :mod:`qbf.characters`;
     * the packed-key tables of :mod:`qbf.fusion`, per field width: the packed
       Weyl orbit of each dominant weight, the layout of each expanded factor
@@ -303,7 +304,7 @@ class RootSystem:
         self._norm_scaled = self._norm_memo.__getitem__
         self._weyl_dim = self._dim_memo.__getitem__
         self._dominant_form = self._dominant_memo.__getitem__
-        self._orbit_size_memo: dict[tuple[int, ...], int] = {}
+        self._orbit_size_memo = _Memo(self._stabiliser_index)
         self._char_memo: dict = {}  # Weight -> qbf.characters.Character
         # Packed-key tables of qbf.fusion: (width, dominant weight) -> packed
         # Weyl orbit, (width, expanded factor) -> layout, and width -> _Memo
@@ -320,32 +321,27 @@ class RootSystem:
         """The heights and the positive roots in fundamental-weight
         coordinates, sorted by height, then by those coordinates.
 
-        Works on ints in simple-root coordinates: s_i permutes the positive
-        roots other than a_i (Humphreys, Lie Algebras, 10.2 Lemma B), and
-        every positive root of height > 1 is s_i of a lower one, so closing
-        the simple roots under s_i(b) = b - <b, a_i^v> a_i for b != a_i gives
-        every positive root and nothing else.
+        s_i permutes the positive roots other than a_i (Humphreys, Lie
+        Algebras, 10.2 Lemma B), and every positive root of height > 1 is s_i
+        of a lower one, so closing the simple roots under :meth:`_reflect`,
+        s_i(b) = b - b_i a_i for b != a_i, gives every positive root and
+        nothing else.  Each reflection takes b_i simple roots a_i off b, so
+        ht(s_i b) = ht(b) - b_i.
         """
-        N, A = self.rank, self.cartan
-        simple = [tuple(int(i == j) for j in range(N)) for i in range(N)]
-        roots = set(simple)
-        frontier = simple
+        heights = dict.fromkeys(self.simple_roots, 1)
+        frontier = list(self.simple_roots)
         while frontier:
             nxt = []
             for b in frontier:
-                for i in range(N):
-                    p = sum(A[i][j] * b[j] for j in range(N))
-                    if p and b != simple[i]:
-                        s = b[:i] + (b[i] - p,) + b[i + 1:]
-                        if s not in roots:
-                            roots.add(s)
+                for i, a in enumerate(self.simple_roots):
+                    if b[i] and b != a:
+                        s = self._reflect(b, i)
+                        if s not in heights:
+                            heights[s] = heights[b] - b[i]
                             nxt.append(s)
             frontier = nxt
-        positive = sorted(
-            (sum(b), tuple(sum(A[j][i] * b[i] for i in range(N)) for j in range(N)))
-            for b in roots
-        )
-        return tuple(h for h, _ in positive), tuple(r for _, r in positive)
+        positive = sorted((h, b) for b, h in heights.items())
+        return tuple(h for h, _ in positive), tuple(b for _, b in positive)
 
     def _self_check(self) -> None:
         N = self.rank
@@ -452,28 +448,31 @@ class RootSystem:
         return x, sign, 0 in x
 
     def _orbit_size(self, nu: Weight) -> int:
-        """|W nu| for an already checked dominant weight, without building the orbit.
+        """|W nu| for an already checked dominant weight, without building the
+        orbit: the index |W|/|W_J| of its stabiliser W_J, J = {i : nu_i = 0},
+        memoised by J in ``_orbit_size_memo``."""
+        return self._orbit_size_memo[tuple(i for i, c in enumerate(nu) if c == 0)]
 
-        The stabiliser of nu is the parabolic subgroup W_J, J = {i : nu_i = 0},
-        whose positive roots are those orthogonal to nu.  The order of a Weyl
-        group is the product of (ht a + 1)/ht a over its positive roots (its
-        Poincare polynomial at t = 1: Macdonald, "The Poincare series of a
-        Coxeter group", Math. Ann. 1972), and heights in W_J are heights in W,
-        so |W nu| = |W|/|W_J| is a product over the positive roots with
-        (nu, a) != 0.  Memoised by J.
+    def _stabiliser_index(self, J: tuple[int, ...]) -> int:
+        """|W|/|W_J| for the parabolic subgroup W_J of the simple reflections in J.
+
+        The positive roots of W_J are those orthogonal to a dominant nu with
+        zero set J.  As (nu, a) sums nu_i (omega_i, a) with every term >= 0,
+        they are the roots a whose pairing vector is zero outside J.  The order of a Weyl group is the
+        product of (ht a + 1)/ht a over its positive roots (its Poincare
+        polynomial at t = 1: Macdonald, "The Poincare series of a Coxeter
+        group", Math. Ann. 1972), and heights in W_J are heights in W, so
+        |W|/|W_J| is a product over the other positive roots.
         """
-        key = tuple(i for i, c in enumerate(nu) if c == 0)
-        v = self._orbit_size_memo.get(key)
-        if v is None:
-            num = den = 1
-            for h, w in zip(self._proot_heights, self._proot_pairing):
-                if any(c * x for c, x in zip(nu, w)):
-                    num *= h + 1
-                    den *= h
-            v, r = divmod(num, den)
-            if r:
-                raise AssertionError(f"Weyl orbit size of {nu} is not an integer: {num}/{den}")
-            self._orbit_size_memo[key] = v
+        num = den = 1
+        for h, w in zip(self._proot_heights, self._proot_pairing):
+            if any(x for i, x in enumerate(w) if i not in J):
+                num *= h + 1
+                den *= h
+        v, r = divmod(num, den)
+        if r:
+            raise AssertionError(f"Weyl orbit size for the zero set {J} is not an integer: "
+                                 f"{num}/{den}")
         return v
 
     def conjugate_weight(self, mu) -> Weight:

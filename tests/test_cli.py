@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -421,3 +425,84 @@ class TestExitCodes:
             code, _, err = run_cli(["verify-weight", "--type", "A1", "--kind", kind,
                                     "--height", "2"], capsys)
             assert code == 1 and err == f"error: --beta is required for --kind {kind}\n"
+
+
+class TestRunner:
+    """Every subcommand runs through one runner that reads the shared options
+    in a fixed order, writes the output and picks the exit code."""
+
+    # Inputs with two faults: the runner reports the first in its order.
+    @pytest.mark.parametrize("args,line", [
+        pytest.param(["fusion", "--type", "Z2", "--lambda", "x", "--mu", "0,1"],
+                     "cannot parse Lie type factor 'Z2'", id="type-before-lambda"),
+        pytest.param(["fusion", "--type", "A2", "--lambda", "1,0,0", "--mu", "x"],
+                     "--lambda has 3 coordinates, expected 2", id="lambda-before-mu"),
+        pytest.param(["norm", "--type", "A2", "--lambda", "x", "--mu", "0,1", "--q", "2"],
+                     "deformation parameter q must satisfy 0 < q < 1, got 2",
+                     id="q-before-lambda"),
+        pytest.param(["cb-region", "--type", "G2", "--q", "2", "--beta", "2", "--height", "7"],
+                     "height 7 exceeds the cap 6 for type G2; pass --force to override",
+                     id="cap-before-q"),
+        pytest.param(["cb-region", "--type", "A2", "--q", "2", "--beta", "x", "--height", "2"],
+                     "deformation parameter q must satisfy 0 < q < 1, got 2", id="q-before-beta"),
+        pytest.param(["oracle-sl2", "--q", "2", "--m", "9", "--n", "1"],
+                     "spin label m = 9 must be >= 0 and within the oracle cap 8",
+                     id="labels-before-q"),
+        pytest.param(["verify-weight", "--type", "E8", "--kind", "table", "--height", "9"],
+                     "height 9 exceeds the cap 6 for type E8; pass --force to override",
+                     id="cap-before-table"),
+    ])
+    def test_check_order_on_double_faults(self, args, line, capsys):
+        assert run_cli(args, capsys) == (1, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("args,code", [
+        *(pytest.param(COMMANDS[name], 0, id=name) for name in sorted(COMMANDS)),
+        pytest.param(["verify-weight", "--type", "A1", "--kind", "beta", "--beta", "0.5",
+                      "--height", "2"], 2, id="verify-weight-failing")])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_out_file_carries_the_stdout_bytes(self, args, code, fmt, tmp_path, capsys):
+        _, out, _ = printed = run_cli(args + ["--format", fmt], capsys)
+        target = tmp_path / "out.txt"
+        assert printed[0] == code and out
+        assert run_cli(args + ["--format", fmt, "--out", str(target)], capsys) == (code, "", "")
+        assert target.read_bytes() == out.encode()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("args", [
+        ["fusion", "--type", "A1", "--lambda", "1", "--mu", "1"],
+        ["cb-region", "--type", "A2", "--q", "0.5", "--beta", "2", "--height", "12",
+         "--format", "json"]], ids=["fusion", "cb-region"])
+    def test_unwritable_stdout_is_one_line(self, args, unbuffered):
+        # A short table stays in a buffered stdout until the flush; a long one
+        # fails on the write.  Either way nothing is reported again at exit.
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "qbf", *args], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+        assert (done.returncode, done.stderr) == (
+            1, "error: cannot write output: [Errno 28] No space left on device\n")
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The ``qbf ...`` lines of the README's "Command line" sh block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("qbf ")]
+
+
+def test_readme_lists_every_subcommand():
+    assert sorted({args[0] for args in readme_commands()}) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("args", readme_commands(), ids=" ".join)
+def test_readme_example_runs(args, tmp_path, monkeypatch, capsys):
+    (tmp_path / "weights.json").write_text('[{"mu":[0],"w":1},{"mu":[1],"w":2},{"mu":[2],"w":3}]')
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (0, "") and out

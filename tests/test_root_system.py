@@ -327,14 +327,16 @@ def test_memoised_scaled_invariants_match_fraction_definitions(drawn):
 
 
 MEMOS = {"_casimir_memo": "_casimir_scaled", "_norm_memo": "_norm_scaled",
-         "_dim_memo": "_weyl_dim", "_dominant_memo": "_dominant_form"}
+         "_dim_memo": "_weyl_dim", "_dominant_memo": "_dominant_form",
+         "_orbit_size_memo": "_orbit_size"}
 
 
 @pytest.mark.parametrize("typ", MEMO_TYPES)
 def test_self_filling_memos_fill_each_value_once(typ):
     # A fresh instance starts with every memo empty, its construction
-    # included; each memo is read through its bound __getitem__ and computes
-    # a missing entry once.
+    # included; each memo is read through its bound __getitem__ (the orbit
+    # sizes through _orbit_size, which keys them by the zero coordinates) and
+    # computes a missing entry once.
     interned = build_root_system(typ)
     fresh = RootSystem(LieType.parse(typ))
     assert all(vars(fresh)[memo] == {} for memo in MEMOS)
