@@ -1,11 +1,13 @@
 """Weight systems of irreducible representations.
 
 Multiplicities are computed on the dominant chamber with Freudenthal's
-recursion; the expansion to full Weyl orbits is built on first read.  The
-dominant weights below a highest weight are found by descent: subtract every
-positive root and keep the dominant results.  The recursion walks each string
-xi = nu + k a by adding a, with the norms and pairings on scaled ints, and
-reads the multiplicity at the dominant form of xi; those forms come from a
+recursion, on the packed integer keys of :mod:`qbf.root_system`; the
+expansion to full Weyl orbits is built on first read, from the root system's
+orbits.  The dominant weights below a highest weight are found by descent on
+keys: subtract every packed positive root and keep the keys whose fields are
+all nonnegative.  The recursion walks each string xi = nu + k a by adding the
+packed a, with the norms and pairings on scaled ints, and reads the
+multiplicity at the key of the dominant form of xi; those keys come from a
 memo on the root system, shared by every weight system built on it, and the
 order and the denominators come from its memoised Casimirs.  The dimension is
 checked against Weyl's formula as sum m(nu) |W nu|, from the orbit sizes of
@@ -22,10 +24,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import cached_property
-from operator import add, mul, sub
+from operator import mul
 from types import MappingProxyType
 
-from .root_system import RootSystem, Weight
+from .root_system import RootSystem, Weight, _Fields
 
 
 def _read_only(self, name, value=None):
@@ -71,23 +73,32 @@ class Character:
         return self.weights.get(rs.check_weight(weight), 0)
 
 
-def _dominant_candidates(rs: RootSystem, mu: Weight) -> set[Weight]:
-    """Dominant nu with mu - nu a nonnegative integer combination of simple roots.
+def _candidate_keys(fields: _Fields, key: int) -> set[int]:
+    """Keys of the dominant nu with mu - nu a nonnegative integer combination
+    of simple roots, mu the weight of ``key``.
 
     Each cover of the dominance order on dominant weights is a positive root
     (Stembridge, "The partial order of dominant weights", 1998), so descent
     from mu by positive roots through dominant weights reaches every such nu.
+    A key is dominant when ``~key & top`` is zero: every field's top bit is set.
     """
-    found = {mu}
-    stack = [mu]
+    top, roots = fields.top, fields.positive
+    found = {key}
+    stack = [key]
     while stack:
         nu = stack.pop()
-        for alpha in rs.positive_roots:
-            x = tuple(map(sub, nu, alpha))
-            if min(x) >= 0 and x not in found:
+        for alpha in roots:
+            x = nu - alpha
+            if not ~x & top and x not in found:
                 found.add(x)
                 stack.append(x)
     return found
+
+
+def _dominant_candidates(rs: RootSystem, mu: Weight) -> set[Weight]:
+    """:func:`_candidate_keys` of a checked dominant weight, as weights."""
+    fields = rs._fields[rs._width(rs._ip_scaled(mu, mu))]
+    return set(map(fields.weight, _candidate_keys(fields, fields.key(mu))))
 
 
 def weight_multiplicities(rs: RootSystem, mu) -> Character:
@@ -110,30 +121,36 @@ def _weight_multiplicities(rs: RootSystem, mu: Weight) -> Character:
     norm_of = rs._norm_scaled
     mu_cas = cas(mu)
     mu_norm = norm_of(mu)
-    candidates = sorted(_dominant_candidates(rs, mu), key=lambda nu: (-cas(nu), nu))
+    # Every xi below has |xi| <= |mu|, so one field width holds its orbit.
+    width = rs._width(mu_norm)
+    fields = rs._fields[width]
+    candidates = sorted(((fields.weight(k), k) for k in _candidate_keys(fields, fields.key(mu))),
+                        key=lambda nk: (-cas(nk[0]), nk[0]))
 
-    # Along the string xi = nu + k a, k = 1, 2, ..., the scaled pairing
-    # p = (xi, a) grows by |a|^2 per step and |xi|^2 by 2 p + |a|^2, all on
-    # ints from the pairing vectors.  Only the dominant form of xi is read,
-    # from the root system's memo.
-    dominant_form = rs._dominant_form
-    roots = [(alpha, v, sum(map(mul, alpha, v)))
-             for alpha, v in zip(rs.positive_roots, rs._proot_pairing)]
+    # Along the string xi = nu + k a, k = 1, 2, ..., the key of xi grows by
+    # the packed a, the scaled pairing p = (xi, a) by |a|^2 and |xi|^2 by
+    # 2 p + |a|^2, all on ints.  Only the dominant form of xi is read, as a
+    # key from the root system's memo, and the multiplicities are keyed by
+    # the keys of the dominant weights.
+    dominant = rs._dominant_keys[width].__getitem__
+    roots = [(alpha, v, sum(map(mul, a, v)))
+             for alpha, a, v in zip(fields.positive, rs.positive_roots, rs._proot_pairing)]
+    by_key: dict[int, int] = {}
     mults: dict[Weight, int] = {}
-    for nu in candidates:
+    for nu, key in candidates:
         if nu == mu:
-            mults[mu] = 1
+            by_key[key] = mults[mu] = 1
             continue
         nu_norm = norm_of(nu)
         total = 0
         for alpha, v, alpha_norm in roots:
-            xi = nu
+            xi = key
             p = sum(map(mul, nu, v))
             norm = nu_norm + 2 * p + alpha_norm
             p += alpha_norm
             while norm <= mu_norm:
-                xi = tuple(map(add, xi, alpha))
-                m = mults.get(dominant_form(xi))
+                xi += alpha
+                m = by_key.get(dominant(xi))
                 if m:
                     total += m * p
                 norm += 2 * p + alpha_norm
@@ -142,7 +159,7 @@ def _weight_multiplicities(rs: RootSystem, mu: Weight) -> Character:
             m, r = divmod(2 * total, mu_cas - cas(nu))
             if r:
                 raise AssertionError(f"non-integer Freudenthal multiplicity at {nu}")
-            mults[nu] = m
+            by_key[key] = mults[nu] = m
 
     dim = sum(m * rs._orbit_size(nu) for nu, m in mults.items())
     expected = rs._weyl_dim(mu)

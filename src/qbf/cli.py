@@ -69,6 +69,9 @@ class _Parser(argparse.ArgumentParser):
         # Options declared with type=int are read by _parse_int; a bad value
         # still reports "invalid int value".
         self.register("type", int, _parse_int)
+        # A value such as "-1,0" is read as a weight, not taken for an
+        # option, so the weight check can name what is wrong with it.
+        self._negative_number_matcher = re.compile(r"^-\d+(,[+-]?\d+)*$|^-\d*\.\d+$")
 
     def error(self, message):  # exit 1, single line, no usage dump
         raise CliError(message)

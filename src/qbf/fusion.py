@@ -8,21 +8,23 @@ dominant chamber; contributions on a chamber wall cancel and are dropped.
 Negative intermediate sums are normal; a nonpositive final entry would be an
 internal error, never a user error.
 
-The inner loop runs on packed integer keys.  A weight x is packed as
-sum x_i 2^(W i) over fields of W bits, plus a bias of 2^(W - 1) in every
-field for a point anchor + rho + w; so each weight of the expanded factor
-costs one integer add and one dict lookup.  Three memos on the root system
-serve it, each keyed by the field width W.  The layout of an expanded
-factor pairs the packed Weyl orbit of each of its dominant weights with the
-weight's multiplicity; it is built once from the factor's :class:`Character`,
-so a decomposition does no per-weight setup.  The packed orbits are packed
-once and shared between layouts.  The reflection memo maps the key of a
-point to (nu, sign), nu + rho being its dominant form, or to None on a
-chamber wall, and computes a missing entry on lookup.  W is the smallest
-width, and at least 21 bits, whose fields hold every coordinate of a point
-and of its dominant form; ordinary sweeps therefore share the 21-bit tables,
-while a huge anchor runs through the same loop with wider fields.  Sums that
-cancel to zero are dropped only when the loop left one.
+The inner loop runs on the packed integer keys of :mod:`qbf.root_system`:
+the biased key of the point anchor + rho plus the unbiased key of a weight w
+of the expanded factor is the key of anchor + rho + w, so each weight costs
+one integer add and one dict lookup.  The layout of an expanded factor pairs
+the packed Weyl orbit of each of its dominant weights, taken from the root
+system's orbit memo, with the weight's multiplicity; it is built once from
+the factor's :class:`Character`, so a decomposition does no per-weight
+setup.  The reflection memo maps the key of a point to (nu, sign), nu + rho
+being its dominant form, or to None on a chamber wall; the loop computes a
+missing entry when its lookup fails.  Both are kept on the root system per
+field width W, the smallest width, and at least 21 bits, whose fields hold
+every coordinate of a point and of its dominant form; ordinary sweeps
+therefore share the 21-bit tables, while a huge anchor runs through the same
+loop with wider fields.  Per pair, the weights are checked only when the root system
+did not produce or check them itself, and their dimensions, the radius terms
+of the width and the anchor's key are read from the root system's per-weight
+memo.  Sums that cancel to zero are dropped only when the loop left one.
 
 Decompositions themselves are not cached: the sweeps decompose each
 unordered pair once, and a fusion cache measured a repeat ratio of 0.  The
@@ -34,12 +36,11 @@ read every component of every pair but need no order, never pay for a sort.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
-from math import isqrt
+from functools import cached_property
 from operator import add
 
 from .characters import _read_only, weight_multiplicities
-from .root_system import RootSystem, Weight, _Memo
+from .root_system import _MIN_FIELD, RootSystem, Weight, _Fields
 
 
 class FusionDecomposition:
@@ -86,14 +87,8 @@ class FusionDecomposition:
         return iter(self.components.items())
 
 
-# Ordinary sweeps keep every rho-shifted coordinate far below 2^20, so they
-# all share the tables of this field width.
-_MIN_FIELD = 21
-
-
-def _pack(x, width: int) -> int:
-    """sum x_i 2^(width i): injective while every |x_i| < 2^(width - 1)."""
-    return sum(c << (width * i) for i, c in enumerate(x))
+# _field_width exceeds _MIN_FIELD exactly when the radius terms sum to this or more.
+_WIDE = (1 << (_MIN_FIELD - 1)) - 2
 
 
 def _field_width(rs: RootSystem, expand: Weight, anchor: Weight) -> int:
@@ -102,62 +97,66 @@ def _field_width(rs: RootSystem, expand: Weight, anchor: Weight) -> int:
     Every simple root a_i has (a_i, a_i) >= 2, so a coordinate of x, or of its
     dominant form y, is at most sqrt(2) |y| = sqrt(2) |x|, and
     |x| <= |anchor + rho| + |expand| because a weight w of V(expand) has
-    |w| <= |expand|.  The squared norms come from the memoised invariants,
-    |anchor + rho|^2 being c(anchor) + |rho|^2.
+    |w| <= |expand|.  The two roots, rounded down, are the radius terms that
+    ``RootSystem._fusion_terms`` memoises per weight; 2 covers the rounding.
     """
-    den = rs._gram_den
-    shifted = rs._casimir_scaled(anchor) + rs._norm_scaled(rs.rho)
-    bound = isqrt(2 * shifted // den) + isqrt(2 * rs._norm_scaled(expand) // den) + 2
-    return max(_MIN_FIELD, bound.bit_length() + 1)
+    radius = rs._fusion_terms(anchor)[1] + rs._fusion_terms(expand)[2] + 2
+    return max(_MIN_FIELD, radius.bit_length() + 1)
 
 
-def _unpack(key: int, width: int, bias: int, rank: int) -> Weight:
-    """Inverse of ``_pack`` on a key biased by ``bias`` in every field."""
-    mask = (1 << width) - 1
-    return tuple(((key >> (width * i)) & mask) - bias for i in range(rank))
-
-
-def _reflect_packed(rs: RootSystem, key: int, width: int, bias: int):
-    """(nu, sign) with nu + rho the dominant form of the point key; None when singular."""
-    y, sign, singular = rs._dominant_rep(_unpack(key, width, bias, rs.rank))
-    return None if singular else (tuple(c - 1 for c in y), sign)
+def _reflect_point(fields: _Fields, key: int):
+    """(nu, sign) with nu + rho the dominant form of the point key; None on a wall."""
+    key, sign = fields.dominant(key)
+    nu = fields.weight(key - fields.top // fields.bias)  # top // bias packs rho
+    return None if -1 in nu else (nu, sign)
 
 
 def _layout(rs: RootSystem, width: int, expand: Weight) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(packed Weyl orbit, multiplicity) per dominant weight of V(expand).
 
-    Each orbit is packed once per width and shared between layouts.  A
-    width's reflection memo is created with its first layout.
+    The orbits come from the root system's orbit memo, shared between
+    layouts.  A width's reflection memo is created with its first layout.
     """
-    rs._reflection_memo.setdefault(
-        width, _Memo(partial(_reflect_packed, rs, width=width, bias=1 << (width - 1))))
+    rs._reflection_memo.setdefault(width, {})
     orbits = rs._orbit_memo
-    layout = []
-    for eta, m in weight_multiplicities(rs, expand).dominant.items():
-        keys = orbits.get((width, eta))
-        if keys is None:
-            keys = orbits[(width, eta)] = tuple(_pack(w, width) for w in rs.weyl_orbit(eta))
-        layout.append((keys, m))
-    return tuple(layout)
+    return tuple((orbits[(width, eta)], m)
+                 for eta, m in weight_multiplicities(rs, expand).dominant.items())
 
 
 def tensor_decompose(rs: RootSystem, lam, mu) -> FusionDecomposition:
     """Brauer-Klimyk decomposition of V(lam) (x) V(mu)."""
-    lam = rs.check_dominant(lam)
-    mu = rs.check_dominant(mu)
-    expand, anchor = (lam, mu) if rs._weyl_dim(lam) <= rs._weyl_dim(mu) else (mu, lam)
-    width = _field_width(rs, expand, anchor)
-    bias = 1 << (width - 1)
+    checked = rs._checked
+    try:  # the weights of a sweep were checked when they were enumerated
+        known = checked.get(lam) is lam and checked.get(mu) is mu
+    except TypeError:  # unhashable: refused or converted by the check
+        known = False
+    if not known:
+        lam, mu = rs.check_dominant(lam), rs.check_dominant(mu)
+    dim_lam, anchor_lam, expand_lam, key_lam = rs._fusion_terms(lam)
+    dim_mu, anchor_mu, expand_mu, key_mu = rs._fusion_terms(mu)
+    if dim_lam <= dim_mu:
+        expand, anchor, radius, base = lam, mu, anchor_mu + expand_lam, key_mu
+    else:
+        expand, anchor, radius, base = mu, lam, anchor_lam + expand_mu, key_lam
+    width = _MIN_FIELD
+    if radius >= _WIDE:  # a huge weight: the same loop with wider fields
+        width = _field_width(rs, expand, anchor)
+        base = rs._fields[width].key([c + 1 for c in anchor])
     layout = rs._layout_memo.get((width, expand))
     if layout is None:
         layout = rs._layout_memo[(width, expand)] = _layout(rs, width, expand)
+    # A plain dict, filled on a miss here: CPython specialises subscripts of
+    # exact dicts only, and this lookup is the loop.
     reflection = rs._reflection_memo[width]
-    base = _pack([c + 1 + bias for c in anchor], width)  # biased key of anchor + rho
     acc: dict[Weight, int] = {}
     get = acc.get
     for keys, m in layout:
         for k in keys:
-            hit = reflection[base + k]
+            point = base + k
+            try:
+                hit = reflection[point]
+            except KeyError:
+                hit = reflection[point] = _reflect_point(rs._fields[width], point)
             if hit is not None:
                 nu, sign = hit
                 acc[nu] = get(nu, 0) + sign * m

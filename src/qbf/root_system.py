@@ -13,6 +13,17 @@ weights.  Conventions:
 
 Semisimple (non-simple) types are supported as products of simple factors,
 assembled block-diagonally with zero cross-factor form, e.g. ``"B2xA1"``.
+
+Every Weyl-group operation runs here, on packed integer keys (:class:`_Fields`):
+a weight x is the int sum (x_i + 2^(W-1)) 2^(W i) over fields of W bits, so
+adding two keys adds the weights, and a field's top bit is set exactly when
+its coordinate is >= 0.  One reflection loop, :meth:`_Fields.dominant`, takes
+a key to the dominant chamber; one breadth-first search, :meth:`_Fields.orbit`,
+builds a Weyl orbit.  The tuple API (:meth:`RootSystem.dominant_representative`,
+:meth:`RootSystem.conjugate_weight`, :meth:`RootSystem.weyl_orbit`) packs and
+unpacks around them, and the characters and fusion modules work on the keys
+directly.  The width W is at least 21 bits, and wider for a weight whose
+orbit would not fit.
 """
 
 from __future__ import annotations
@@ -21,7 +32,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import lcm
+from math import isqrt, lcm
+from operator import add, lshift
 from typing import NamedTuple
 
 Weight = tuple[int, ...]
@@ -217,6 +229,77 @@ class _Memo(dict):
         return value
 
 
+# Ordinary weights, and every point of the sweeps, keep their coordinates far
+# below 2^20, so they all share the keys of this field width.
+_MIN_FIELD = 21
+
+
+class _Fields:
+    """Packed integer keys of weights at one field width.
+
+    The key of x is sum (x_i + bias) 2^(width i), bias = 2^(width - 1); it
+    stands for x while every coordinate has |x_i| < bias.  ``top``, the bias
+    in every field, is the key of the zero weight and also the mask of every
+    field's top bit, which is set exactly when that coordinate is >= 0.  The
+    roots are packed without the bias, so ``key + root`` is the key of the sum.
+    """
+
+    __slots__ = ("width", "mask", "bias", "top", "shifts", "simple", "positive")
+
+    def __init__(self, width: int, simple: tuple[Weight, ...], positive: tuple[Weight, ...]):
+        self.width, self.mask, self.bias = width, (1 << width) - 1, 1 << (width - 1)
+        self.shifts = shifts = tuple(range(0, width * len(simple), width))
+        self.top = sum(self.bias << s for s in shifts)
+        self.simple = tuple(sum(map(lshift, a, shifts)) for a in simple)
+        self.positive = tuple(sum(map(lshift, a, shifts)) for a in positive)
+
+    def key(self, x) -> int:
+        return sum(map(lshift, x, self.shifts), self.top)
+
+    def weight(self, key: int) -> Weight:
+        mask, bias = self.mask, self.bias
+        return tuple([((key >> s) & mask) - bias for s in self.shifts])
+
+    def dominant(self, key: int) -> tuple[int, int]:
+        """(key of the dominant form, (-1)^(number of reflections)).
+
+        The lowest set bit of ``~key & top`` is the top bit of the first
+        negative field, the simple reflection s_i(x) = x - x_i a_i there is
+        one subtraction, and the loop ends when no field is negative.
+        """
+        width, mask, bias, top, simple = self.width, self.mask, self.bias, self.top, self.simple
+        sign = 1
+        negative = ~key & top
+        while negative:
+            shift = (negative & -negative).bit_length() - width
+            key -= (((key >> shift) & mask) - bias) * simple[shift // width]
+            sign = -sign
+            negative = ~key & top
+        return key, sign
+
+    def orbit(self, nu: Weight) -> tuple[int, ...]:
+        """The keys of the Weyl orbit of the dominant weight nu, with the bias
+        taken off, so that adding one to a key adds the orbit point.
+
+        Breadth-first from nu, reflecting only in positive coordinates: s_i
+        of a weight y with y_i < 0 is higher and has a positive i-th
+        coordinate, so every orbit point is reached that way.
+        """
+        mask, bias, top = self.mask, self.bias, self.top
+        steps = tuple(zip(self.shifts, self.simple))
+        orbit = [self.key(nu)]
+        seen = set(orbit)
+        for y in orbit:
+            for shift, root in steps:
+                c = ((y >> shift) & mask) - bias
+                if c > 0:
+                    z = y - c * root
+                    if z not in seen:
+                        seen.add(z)
+                        orbit.append(z)
+        return tuple([k - top for k in orbit])
+
+
 class RootSystem:
     """Immutable root-system data for a (product of) simple Lie type(s).
 
@@ -225,16 +308,23 @@ class RootSystem:
     Memoised in dicts on the instance, each empty when the instance is built:
 
     * per-weight invariants: the scaled Casimir and norm^2, the Weyl dimension
-      and the dominant form of a weight, each a :class:`_Memo` that computes
-      a missing entry on lookup, read through its bound ``__getitem__``
-      (``_casimir_scaled``, ``_norm_scaled``, ``_weyl_dim``, ``_dominant_form``);
+      and the fusion terms of a weight (:meth:`_fusion_terms_of`), each a
+      :class:`_Memo` that computes a missing entry on lookup, read through its
+      bound ``__getitem__`` (``_casimir_scaled``, ``_norm_scaled``,
+      ``_weyl_dim``, ``_fusion_terms``);
     * the Weyl orbit size of a dominant weight, a :class:`_Memo` keyed by its
       zero coordinates;
+    * ``_checked``, every dominant weight this instance checked or produced,
+      mapped to itself: a weight ``x`` with ``_checked.get(x) is x`` needs no
+      second check;
+    * per field width: the :class:`_Fields` (``_fields``), a :class:`_Memo`
+      from a key to the key of its dominant form (``_dominant_keys[width]``),
+      and, keyed by (width, dominant weight), the keys of its Weyl orbit with
+      the bias taken off (``_orbit_memo``);
     * the weight systems of :mod:`qbf.characters`;
-    * the packed-key tables of :mod:`qbf.fusion`, per field width: the packed
-      Weyl orbit of each dominant weight, the layout of each expanded factor
-      (its packed orbits with their multiplicities), and a :class:`_Memo`
-      from each rho-shifted point key to (nu, sign) or None.
+    * the tables of :mod:`qbf.fusion`: the layout of each expanded factor
+      (its packed orbits with their multiplicities) per width, and per width
+      a dict from each rho-shifted point key to (nu, sign) or None.
 
     Those dicts only ever receive idempotent writes of complete, read-only,
     deterministic values: a :class:`_Memo` stores an entry only once it is
@@ -293,25 +383,29 @@ class RootSystem:
 
         # Per-weight memos, keyed by checked weights; see the class docstring.
         # Each is read through its bound __getitem__, which takes an already
-        # checked weight (dominant for the Casimir and the Weyl dimension):
+        # checked weight (dominant but for the norm):
         # (mu, mu + 2 rho) * _gram_den, (x, x) * _gram_den, dim V(mu), and
-        # the dominant weight in the Weyl orbit of x.
+        # the fusion terms of mu.
         self._casimir_memo = _Memo(lambda mu: self._ip_scaled(mu, tuple(c + 2 for c in mu)))
         self._norm_memo = _Memo(lambda x: self._ip_scaled(x, x))
         self._dim_memo = _Memo(self._weyl_dimension)
-        self._dominant_memo = _Memo(lambda x: self._dominant_rep(x)[0])
+        self._terms_memo = _Memo(self._fusion_terms_of)
         self._casimir_scaled = self._casimir_memo.__getitem__
         self._norm_scaled = self._norm_memo.__getitem__
         self._weyl_dim = self._dim_memo.__getitem__
-        self._dominant_form = self._dominant_memo.__getitem__
+        self._fusion_terms = self._terms_memo.__getitem__
         self._orbit_size_memo = _Memo(self._stabiliser_index)
+        self._checked: dict[Weight, Weight] = {}
+        # Packed keys, per field width; see the class docstring.
+        self._fields = _Memo(lambda width: _Fields(width, self.simple_roots, self.positive_roots))
+        self._dominant_keys = _Memo(
+            lambda width: _Memo(lambda key: self._fields[width].dominant(key)[0]))
+        self._orbit_memo = _Memo(lambda width_nu: self._fields[width_nu[0]].orbit(width_nu[1]))
         self._char_memo: dict = {}  # Weight -> qbf.characters.Character
-        # Packed-key tables of qbf.fusion: (width, dominant weight) -> packed
-        # Weyl orbit, (width, expanded factor) -> layout, and width -> _Memo
-        # from a point key to (nu, sign) or None.
-        self._orbit_memo: dict[tuple[int, Weight], tuple[int, ...]] = {}
+        # Tables of qbf.fusion: (width, expanded factor) -> layout, and
+        # width -> dict from a point key to (nu, sign) or None.
         self._layout_memo: dict[tuple[int, Weight], tuple] = {}
-        self._reflection_memo: dict[int, _Memo] = {}
+        self._reflection_memo: dict[int, dict] = {}
 
         self._self_check()
 
@@ -323,24 +417,30 @@ class RootSystem:
 
         s_i permutes the positive roots other than a_i (Humphreys, Lie
         Algebras, 10.2 Lemma B), and every positive root of height > 1 is s_i
-        of a lower one, so closing the simple roots under :meth:`_reflect`,
-        s_i(b) = b - b_i a_i for b != a_i, gives every positive root and
-        nothing else.  Each reflection takes b_i simple roots a_i off b, so
-        ht(s_i b) = ht(b) - b_i.
+        of a lower one, so closing the simple roots under the simple
+        reflections, s_i(b) = b - b_i a_i for b != a_i, gives every positive
+        root and nothing else; it runs on the keys of :class:`_Fields`, as
+        every reflection does.  Each reflection takes b_i simple roots a_i
+        off b, so ht(s_i b) = ht(b) - b_i.
         """
-        heights = dict.fromkeys(self.simple_roots, 1)
-        frontier = list(self.simple_roots)
+        fields = _Fields(_MIN_FIELD, self.simple_roots, ())
+        mask, bias = fields.mask, fields.bias
+        simple = [fields.key(a) for a in self.simple_roots]
+        steps = tuple(zip(fields.shifts, fields.simple, simple))
+        heights = dict.fromkeys(simple, 1)
+        frontier = simple
         while frontier:
             nxt = []
             for b in frontier:
-                for i, a in enumerate(self.simple_roots):
-                    if b[i] and b != a:
-                        s = self._reflect(b, i)
+                for shift, root, a in steps:
+                    c = ((b >> shift) & mask) - bias
+                    if c and b != a:
+                        s = b - c * root
                         if s not in heights:
-                            heights[s] = heights[b] - b[i]
+                            heights[s] = heights[b] - c
                             nxt.append(s)
             frontier = nxt
-        positive = sorted((h, b) for b, h in heights.items())
+        positive = sorted((h, fields.weight(b)) for b, h in heights.items())
         return tuple(h for h, _ in positive), tuple(b for _, b in positive)
 
     def _self_check(self) -> None:
@@ -383,10 +483,12 @@ class RootSystem:
         return t
 
     def check_dominant(self, x) -> Weight:
+        """x as a checked dominant weight: the tuple of ints that ``_checked``
+        holds for it."""
         t = self.check_weight(x)
         if min(t) < 0:
             raise ValueError(f"weight {t} is not dominant")
-        return t
+        return self._checked.setdefault(t, t)
 
     def inner_product(self, x, y) -> Fraction:
         """Bilinear form (x, y) in the normalisation with short roots of length^2 = 2."""
@@ -422,10 +524,29 @@ class RootSystem:
 
     # -- Weyl group --------------------------------------------------------
 
-    def _reflect(self, x: Weight, i: int) -> Weight:
-        """The simple reflection s_i(x) = x - x_i a_i."""
-        c = x[i]
-        return tuple(a - c * b for a, b in zip(x, self.simple_roots[i]))
+    def _width(self, norm: int) -> int:
+        """The field width for the Weyl orbits of the weights of scaled
+        squared norm <= norm, with room for a root added to any of them.
+
+        A coordinate of y is y_i = 2 (y, a_i)/(a_i, a_i), and (a_i, a_i) >= 2,
+        so |y_i| <= sqrt(2) |y|; a root adds at most 3 to a coordinate.
+        """
+        return max(_MIN_FIELD, (isqrt(2 * norm // self._gram_den) + 4).bit_length() + 1)
+
+    def _fusion_terms_of(self, mu: Weight) -> tuple[int, int, int, int | None]:
+        """(dim V(mu), sqrt(2) |mu + rho|, sqrt(2) |mu|, key of mu + rho at
+        ``_MIN_FIELD``) for an already checked dominant weight, the roots
+        rounded down; the key is None when the first root does not fit
+        the field.  Memoised as ``_fusion_terms``; :mod:`qbf.fusion` sizes
+        its fields from the roots and anchors its points at the key.
+        """
+        den = self._gram_den
+        anchor = isqrt(2 * (self._casimir_scaled(mu) + self._norm_scaled(self.rho)) // den)
+        expand = isqrt(2 * self._norm_scaled(mu) // den)
+        key = None
+        if anchor < 1 << (_MIN_FIELD - 1):
+            key = self._fields[_MIN_FIELD].key(map(add, mu, self.rho))
+        return self._weyl_dim(mu), anchor, expand, key
 
     def dominant_representative(self, x) -> tuple[Weight, int, bool]:
         """Reflect x into the dominant chamber.
@@ -439,13 +560,12 @@ class RootSystem:
         return self._dominant_rep(self.check_weight(x))
 
     def _dominant_rep(self, x: Weight) -> tuple[Weight, int, bool]:
-        """:meth:`dominant_representative` of an already checked weight: reflect
-        in the first negative coordinate until none is left."""
-        sign = 1
-        while min(x) < 0:
-            x = self._reflect(x, next(i for i, c in enumerate(x) if c < 0))
-            sign = -sign
-        return x, sign, 0 in x
+        """:meth:`dominant_representative` of an already checked weight,
+        through :meth:`_Fields.dominant`."""
+        fields = self._fields[self._width(self._ip_scaled(x, x))]
+        key, sign = fields.dominant(fields.key(x))
+        y = fields.weight(key)
+        return y, sign, 0 in y
 
     def _orbit_size(self, nu: Weight) -> int:
         """|W nu| for an already checked dominant weight, without building the
@@ -482,20 +602,11 @@ class RootSystem:
 
     def weyl_orbit(self, x) -> list[Weight]:
         """The full Weyl orbit of x, sorted for determinism."""
-        start = self.check_weight(x)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i in range(self.rank):
-                    if w[i] != 0:
-                        r = self._reflect(w, i)
-                        if r not in seen:
-                            seen.add(r)
-                            nxt.append(r)
-            frontier = nxt
-        return sorted(seen)
+        x = self.check_weight(x)
+        fields = self._fields[self._width(self._ip_scaled(x, x))]
+        top, weight = fields.top, fields.weight
+        nu = weight(fields.dominant(fields.key(x))[0])
+        return sorted(weight(k + top) for k in self._orbit_memo[(fields.width, nu)])
 
     # -- enumeration -------------------------------------------------------
 
@@ -503,7 +614,8 @@ class RootSystem:
         """All dominant weights with every coordinate <= height.
 
         Sorted by total coordinate sum, then lexicographically; this is the
-        deterministic enumeration order used by validators and the CLI.
+        deterministic enumeration order used by validators and the CLI.  The
+        weights are the ones ``_checked`` holds, so they need no second check.
         """
         if height < 0:
             raise ValueError("height must be >= 0")
@@ -515,7 +627,8 @@ class RootSystem:
             )
         weights = list(iproduct(range(height + 1), repeat=self.rank))
         weights.sort(key=lambda w: (sum(w), w))
-        return [tuple(w) for w in weights]
+        checked = self._checked
+        return [checked.setdefault(w, w) for w in weights]
 
     def __repr__(self) -> str:
         return f"RootSystem({self.lie_type})"

@@ -15,7 +15,7 @@ from qbf.characters import (
     weight_multiplicities,
 )
 from qbf.fusion import tensor_decompose
-from qbf.root_system import LieType, RootSystem, build_root_system
+from qbf.root_system import _MIN_FIELD, LieType, RootSystem, build_root_system
 
 
 def sl2_ladder(n):
@@ -86,11 +86,16 @@ def reference_freudenthal(rs, mu):
 
 
 def assert_true_dominant_forms(rs):
-    """The dominant-form memo is filled, and each entry x -> y has y dominant
-    and x in the Weyl orbit of y, built by its own frontier search."""
-    assert rs._dominant_memo
-    for x, y in rs._dominant_memo.items():
-        assert min(y) >= 0 and x in rs.weyl_orbit(y), (x, y)
+    """The dominant-key memo is filled, and each entry x -> y, read back as
+    weights, has y dominant and x in the Weyl orbit of y, built by the orbit
+    search and not by the reflection loop that filled the memo."""
+    assert rs._dominant_keys
+    for width, table in rs._dominant_keys.items():
+        fields = rs._fields[width]
+        assert table
+        for x, y in table.items():
+            x, y = fields.weight(x), fields.weight(y)
+            assert min(y) >= 0 and x in rs.weyl_orbit(y), (x, y)
 
 
 # Largest coordinate per type for the comparison with the reference recursion.
@@ -147,13 +152,14 @@ class TestAgainstReference:
 
     def test_fresh_instance_fills_the_dominant_memo(self):
         # A fresh instance computes every character anew, reading dominant
-        # forms through its own memo.
+        # forms through its own memo, as keys of the 21-bit fields only.
         interned = build_root_system("B2xA1")
         weights = interned.dominant_weights_up_to(2)
         expected = {mu: weight_multiplicities(interned, mu) for mu in weights}
         fresh = RootSystem(LieType.parse("B2xA1"))
         for mu in weights:
             assert weight_multiplicities(fresh, mu) == expected[mu]
+        assert list(fresh._dominant_keys) == [_MIN_FIELD]
         assert_true_dominant_forms(fresh)
 
 
@@ -277,6 +283,7 @@ class TestWeightMultiplicities:
             char = weight_multiplicities(fresh, mu)
             assert char.dominant == expected[mu]
             assert char.dim == fresh.weyl_dim(mu)
+        assert fresh._orbit_memo == {}
         with pytest.raises(AssertionError, match="orbit was built"):
             char.weights
 

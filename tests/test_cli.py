@@ -205,6 +205,18 @@ class TestExitCodes:
         code, out, _ = run_cli(["casimir-check", "--type", "A1", "--height", "+2 "], capsys)
         assert code == 0 and out == plain
 
+    @pytest.mark.parametrize("args", [
+        ["character", "--type", "A2", "--mu", "-1,0"],
+        ["fusion", "--type", "A2", "--lambda", "-1,0", "--mu", "1,0"],
+        ["fusion", "--type", "A2", "--lambda", "1,0", "--mu", "-1,0"],
+        ["norm", "--type", "A2", "--lambda", "-1,0", "--mu", "1,0", "--q", "0.5"],
+        ["norm", "--type", "A2", "--lambda", "1,0", "--mu", "-1,0", "--q", "0.5"],
+    ])
+    def test_negative_weight_reaches_the_weight_check(self, args, capsys):
+        # "-1,0" is a value, not an option, so the weight check names the fault.
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, err) == (1, "", "error: weight (-1, 0) is not dominant\n")
+
     def test_wrong_rank(self, capsys):
         code, _, err = run_cli(["fusion", "--type", "A2", "--lambda", "1", "--mu", "0,1"], capsys)
         assert code == 1 and "coordinates" in err

@@ -6,15 +6,8 @@ from hypothesis import strategies as st
 
 from qbf import fusion
 from qbf.characters import character_product_decompose, full_weights, weight_multiplicities
-from qbf.fusion import (
-    _MIN_FIELD,
-    FusionDecomposition,
-    _field_width,
-    _unpack,
-    contains_trivial,
-    tensor_decompose,
-)
-from qbf.root_system import LieType, RootSystem, _invert_rational, build_root_system
+from qbf.fusion import FusionDecomposition, _field_width, contains_trivial, tensor_decompose
+from qbf.root_system import _MIN_FIELD, LieType, RootSystem, _invert_rational, build_root_system
 
 
 def triangle_violated(ns_nu, ns_lam, ns_mu):
@@ -190,23 +183,23 @@ class TestPackedPath:
         assert all(fresh._layout_memo[key] is layout for key, layout in layouts_before.items())
         assert len(fresh._reflection_memo) == 2 and min(fresh._reflection_memo) == _MIN_FIELD
         for width, table in fresh._reflection_memo.items():
-            bias = 1 << (width - 1)
             for key, hit in table.items():
-                y, sign, singular = fresh.dominant_representative(
-                    _unpack(key, width, bias, fresh.rank))
+                y, sign, singular = fresh.dominant_representative(fresh._fields[width].weight(key))
                 if singular:
                     assert hit is None
                 else:
                     assert type(hit) is tuple and type(hit[0]) is tuple
                     assert hit == (tuple(c - 1 for c in y), sign)
-        for (width, nu), orbit in fresh._orbit_memo.items():
-            assert type(orbit) is tuple and all(type(k) is int for k in orbit)
-            assert len(orbit) == len(fresh.weyl_orbit(nu))
-        # each orbit is stored once and shared by the layouts holding it:
-        # (2, 2) reuses the orbits (1, 2) already packed, as the same objects
+        # each orbit is stored once, in the root system's orbit memo, and
+        # shared by the layouts holding it: (2, 2) reuses the orbits (1, 2)
+        # already packed, as the same objects
         assert all(fresh._orbit_memo[key] is orbit for key, orbit in orbits_before.items())
         assert (set(fresh._orbit_memo) - set(orbits_before)
                 == {(_MIN_FIELD, nu) for nu in ((2, 2), (3, 0), (0, 4))})
+        for (width, nu), orbit in list(fresh._orbit_memo.items()):
+            assert type(orbit) is tuple and all(type(k) is int for k in orbit)
+            fields = fresh._fields[width]
+            assert sorted(fields.weight(k + fields.top) for k in orbit) == fresh.weyl_orbit(nu)
         for width, weight in expanded:
             dominant = weight_multiplicities(fresh, weight).dominant
             layout = fresh._layout_memo[(width, weight)]
@@ -338,6 +331,41 @@ class TestTensorDecompose:
         rs = build_root_system("A2")
         with pytest.raises(ValueError, match="dominant"):
             tensor_decompose(rs, (1, -1), (1, 0))
+
+    @pytest.mark.parametrize("bad,match", [
+        ((True, 0), r"weight \(True, 0\) has a coordinate that is not an integer"),
+        ((1, False), r"weight \(1, False\) has a coordinate that is not an integer"),
+        ((1.5, 0), r"weight \(1.5, 0\) has a coordinate that is not an integer"),
+        ((1, 0, 0), r"weight \(1, 0, 0\) has length 3, expected rank 2"),
+        ((-1, 0), r"weight \(-1, 0\) is not dominant"),
+        (([1], 0), r"weight \(\[1\], 0\) has a coordinate that is not an integer"),
+    ])
+    def test_sweep_weights_skip_the_check_but_inputs_do_not(self, bad, match):
+        # A sweep's weights come from dominant_weights_up_to and are not
+        # checked again; an input equal to one of them in value still is.
+        rs = RootSystem(LieType.parse("A2"))
+        weights = rs.dominant_weights_up_to(2)
+        calls = []
+        original = rs.check_dominant
+
+        def counting(x):
+            calls.append(x)
+            return original(x)
+
+        rs.check_dominant = counting
+        for _ in range(2):  # the second sweep finds every weight system built
+            calls.clear()
+            for i, lam in enumerate(weights):
+                for mu in weights[i:]:
+                    tensor_decompose(rs, lam, mu)
+        assert calls == []
+        for lam, mu in ((bad, (1, 0)), ((1, 0), bad)):
+            with pytest.raises(ValueError, match=match):
+                tensor_decompose(rs, lam, mu)
+        # an equal weight that is not the checked object is checked, then read
+        assert (tensor_decompose(rs, [1.0, 0], (0, 1)).components
+                == tensor_decompose(rs, (1, 0), (0, 1)).components == {(1, 1): 1, (0, 0): 1})
+        assert [1.0, 0] in calls
 
     def test_product_type_factorises(self):
         # fusion on B2xA1 is the product of the factor fusions

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qbf.central_weights import _triangle_compare
 from qbf.fusion import tensor_decompose
-from qbf.root_system import LieType, LieTypeError, RootSystem, build_root_system
+from qbf.root_system import _MIN_FIELD, LieType, LieTypeError, RootSystem, build_root_system
 
 ACCEPTANCE_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"]
 
@@ -327,8 +327,17 @@ def test_memoised_scaled_invariants_match_fraction_definitions(drawn):
 
 
 MEMOS = {"_casimir_memo": "_casimir_scaled", "_norm_memo": "_norm_scaled",
-         "_dim_memo": "_weyl_dim", "_dominant_memo": "_dominant_form",
+         "_dim_memo": "_weyl_dim", "_terms_memo": "_fusion_terms",
          "_orbit_size_memo": "_orbit_size"}
+# Memos keyed by field width, or by a width and a weight.
+WIDTH_MEMOS = ("_fields", "_dominant_keys", "_orbit_memo")
+
+
+def counting(filled, fill):
+    def fill_and_count(key):
+        filled.append(key)
+        return fill(key)
+    return fill_and_count
 
 
 @pytest.mark.parametrize("typ", MEMO_TYPES)
@@ -339,16 +348,9 @@ def test_self_filling_memos_fill_each_value_once(typ):
     # computes a missing entry once.
     interned = build_root_system(typ)
     fresh = RootSystem(LieType.parse(typ))
-    assert all(vars(fresh)[memo] == {} for memo in MEMOS)
-    assert fresh._orbit_memo == fresh._layout_memo == fresh._reflection_memo == {}
+    assert all(vars(fresh)[memo] == {} for memo in (*MEMOS, *WIDTH_MEMOS))
+    assert fresh._layout_memo == fresh._reflection_memo == fresh._checked == {}
     fills = {memo: [] for memo in MEMOS}
-
-    def counting(filled, fill):
-        def fill_and_count(key):
-            filled.append(key)
-            return fill(key)
-        return fill_and_count
-
     for memo in MEMOS:
         table = vars(fresh)[memo]
         table.fill = counting(fills[memo], table.fill)
@@ -356,13 +358,51 @@ def test_self_filling_memos_fill_each_value_once(typ):
     lattice = [tuple(c - 1 for c in w) for w in weights]
     for _ in range(2):  # the first pass fills the memos, the second reads them
         for memo, read in MEMOS.items():
-            for w in lattice if memo in ("_norm_memo", "_dominant_memo") else weights:
+            for w in lattice if memo == "_norm_memo" else weights:
                 assert getattr(fresh, read)(w) == getattr(interned, read)(w)
     for memo in MEMOS:
         filled = fills[memo]
         assert len(filled) == len(set(filled)) == len(vars(fresh)[memo]), memo
     assert fresh.casimir((1,) * fresh.rank) == interned.casimir((1,) * fresh.rank)
     assert fills["_casimir_memo"].count((1,) * fresh.rank) == 1
+
+
+@pytest.mark.parametrize("typ", MEMO_TYPES)
+def test_width_memos_fill_each_value_once(typ):
+    # The fields, dominant keys and packed orbits of a fresh instance are
+    # filled on first read, once per width (and key or weight), and agree
+    # with the tuple API of the interned instance.
+    interned = build_root_system(typ)
+    fresh = RootSystem(LieType.parse(typ))
+    fills = {memo: [] for memo in WIDTH_MEMOS}
+    for memo in WIDTH_MEMOS:
+        table = vars(fresh)[memo]
+        table.fill = counting(fills[memo], table.fill)
+    weights = fresh.dominant_weights_up_to(2)
+    lattice = [tuple(c - 1 for c in w) for w in weights]
+    wide = _MIN_FIELD + 9
+    for _ in range(2):  # the first pass fills the memos, the second reads them
+        for width in (_MIN_FIELD, wide):
+            fields = fresh._fields[width]
+            dominant_keys = fresh._dominant_keys[width]
+            for x in lattice:
+                y = fields.weight(dominant_keys[fields.key(x)])
+                assert y == interned.dominant_representative(x)[0]
+            for nu in weights:
+                orbit = fresh._orbit_memo[(width, nu)]
+                assert sorted(fields.weight(k + fields.top) for k in orbit) == interned.weyl_orbit(nu)
+    assert fills["_fields"] == fills["_dominant_keys"] == [_MIN_FIELD, wide]
+    assert sorted(fills["_orbit_memo"]) == sorted((w, nu) for w in (_MIN_FIELD, wide)
+                                                  for nu in weights)
+    for width in (_MIN_FIELD, wide):
+        table = fresh._dominant_keys[width]
+        filled = []
+        table.fill = counting(filled, table.fill)
+        fields = fresh._fields[width]
+        for x in lattice:
+            table[fields.key(x)]
+        assert filled == []
+        assert len(table) == len(lattice)
 
 
 class TestWeylGroup:
