@@ -49,11 +49,10 @@ from __future__ import annotations
 from decimal import Context, Decimal
 from fractions import Fraction
 from functools import partial
-from operator import add
 from typing import Iterable, Mapping, NamedTuple
 
 from . import precision
-from .fusion import tensor_decompose
+from .fusion import FusionDecomposition, tensor_decompose
 from .root_system import RootSystem, Weight, _integral_weight, _Memo
 
 LOG_TOLERANCE = Decimal("1e-12")
@@ -163,25 +162,26 @@ def _triangle_compare(a: Fraction, b: Fraction, c: Fraction) -> int:
     return -1 if d < 0 else (0 if d == 0 else 1)
 
 
-def _triangle_violations(f, sense: int, lam: Weight, mu: Weight, parts) -> list[Weight] | None:
-    """The components nu of a decomposition, in the order of ``parts``, on which
-    sense * _triangle_compare(f(nu), f(lam), f(mu)) > 0; None when the pair is
-    decided at once.
+def _triangle_violations(f, sense: int, fd: FusionDecomposition) -> list[Weight] | None:
+    """The components nu of lam (x) mu, in the order of its unsorted parts, on
+    which sense * _triangle_compare(f(nu), f(lam), f(mu)) > 0; None when the
+    pair is decided at once.
 
     f is a memoised scaled invariant of the root system, read once per
     component into a list.  With sense 0 nothing can fail.  With sense > 0
     the dominance certificate decides the pair when it applies: the triangle
     inequality holds at the Cartan component lam + mu, and the list has its
-    maximum f(lam + mu) exactly once, which, as ``parts`` holds lam + mu,
-    is f(nu) < f(lam + mu) for every other component.  A tie is never
+    maximum f(lam + mu) exactly once, which, as the parts hold lam + mu, is
+    f(nu) < f(lam + mu) for every other component.  A tie is never
     certified.
     """
     if sense == 0:
         return None
-    f_lam, f_mu = f(lam), f(mu)
+    parts = fd._parts
+    f_lam, f_mu = f(fd.lam), f(fd.mu)
     values = list(map(f, parts))
     if sense > 0:
-        f_top = f(tuple(map(add, lam, mu)))
+        f_top = f(fd.cartan)
         if (_triangle_compare(f_top, f_lam, f_mu) <= 0
                 and max(values) == f_top and values.count(f_top) == 1):
             return None
@@ -267,14 +267,13 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
             except ArithmeticError:
                 with precision.decimal_range("log w({}) + log w({})", lam, mu):
                     raise
-            # Unsorted: the violations are sorted once, at the end.
-            components = tensor_decompose(rs, lam, mu)._parts
+            fd = tensor_decompose(rs, lam, mu)
             if sense is not None:
-                checked += len(orientations) * len(components)
-                bad = _triangle_violations(f, sense, lam, mu, components) or []
+                checked += len(orientations) * len(fd._parts)
+                bad = _triangle_violations(f, sense, fd) or []
             else:
                 bad = []
-                for nu in components:
+                for nu in fd._parts:  # unsorted: the violations are sorted once, at the end
                     lnu = log_of(nu)
                     if lnu is None:
                         skipped += len(orientations)
@@ -372,8 +371,8 @@ def casimir_subadditivity_check(rs: RootSystem, height: int) -> SubadditivityRep
             rhs = ctx.add(root_of(lam), root_of(mu))
             fd = tensor_decompose(rs, lam, mu)
             checked += len(fd._parts)
-            bad = _triangle_violations(cas, 1, lam, mu, fd._parts)
-            scan = (tuple(map(add, lam, mu)),) if bad is None else fd.components
+            bad = _triangle_violations(cas, 1, fd)
+            scan = (fd.cartan,) if bad is None else fd.components
             violations.extend((lam, mu, nu) for nu in scan if bad and nu in bad)
             for nu in scan:
                 slack = ctx.subtract(rhs, root_of(nu))

@@ -7,14 +7,14 @@ orbits.  The dominant weights below a highest weight are found by descent on
 keys: subtract every packed positive root and keep the keys whose fields are
 all nonnegative.  The recursion walks each string xi = nu + k a by adding the
 packed a, with the norms and pairings on scaled ints, and reads the
-multiplicity at the key of the dominant form of xi; those keys come from a
-memo on the root system, shared by every weight system built on it, and the
-order and the denominators come from its memoised Casimirs.  The dimension is
-checked against Weyl's formula as sum m(nu) |W nu|, from the orbit sizes of
-the root system, so no orbit is built for it.  The module also provides a
-character-product decomposition (multiply two weight systems pointwise, then
-repeatedly strip the highest remaining weight) which serves as an independent
-cross-check for the fusion algorithm at small heights.
+multiplicity at the key of the dominant form of xi; those keys come from the
+memo of the root system's fields, shared by every weight system built on it,
+and the order and the denominators come from its memoised Casimirs.  The
+dimension is checked against Weyl's formula as sum m(nu) |W nu|, from the
+orbit sizes of the root system, so no orbit is built for it.  The module
+also provides a character-product decomposition (multiply two weight systems
+pointwise, then repeatedly strip the highest remaining weight) which serves
+as an independent cross-check for the fusion algorithm at small heights.
 
 Each weight system is memoised once, in a dict on its :class:`RootSystem`, and
 stored only when complete, so concurrent readers never see partial results.
@@ -122,17 +122,16 @@ def _weight_multiplicities(rs: RootSystem, mu: Weight) -> Character:
     mu_cas = cas(mu)
     mu_norm = norm_of(mu)
     # Every xi below has |xi| <= |mu|, so one field width holds its orbit.
-    width = rs._width(mu_norm)
-    fields = rs._fields[width]
+    fields = rs._fields[rs._width(mu_norm)]
     candidates = sorted(((fields.weight(k), k) for k in _candidate_keys(fields, fields.key(mu))),
                         key=lambda nk: (-cas(nk[0]), nk[0]))
 
     # Along the string xi = nu + k a, k = 1, 2, ..., the key of xi grows by
     # the packed a, the scaled pairing p = (xi, a) by |a|^2 and |xi|^2 by
     # 2 p + |a|^2, all on ints.  Only the dominant form of xi is read, as a
-    # key from the root system's memo, and the multiplicities are keyed by
-    # the keys of the dominant weights.
-    dominant = rs._dominant_keys[width].__getitem__
+    # key from the fields' memo, and the multiplicities are keyed by the keys
+    # of the dominant weights.
+    dominant = fields.dominant_keys.__getitem__
     roots = [(alpha, v, sum(map(mul, a, v)))
              for alpha, a, v in zip(fields.positive, rs.positive_roots, rs._proot_pairing)]
     by_key: dict[int, int] = {}

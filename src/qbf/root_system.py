@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import isqrt, lcm
-from operator import add, lshift
+from operator import lshift
 from typing import NamedTuple
 
 Weight = tuple[int, ...]
@@ -225,13 +225,17 @@ class _Memo(dict):
         self.fill = fill
 
     def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
+        return self.setdefault(key, self.fill(key))
 
 
 # Ordinary weights, and every point of the sweeps, keep their coordinates far
 # below 2^20, so they all share the keys of this field width.
 _MIN_FIELD = 21
+
+
+def _width_for(radius: int) -> int:
+    """The field width for weights whose coordinates c all have |c| < radius."""
+    return max(_MIN_FIELD, radius.bit_length() + 1)
 
 
 class _Fields:
@@ -241,17 +245,28 @@ class _Fields:
     stands for x while every coordinate has |x_i| < bias.  ``top``, the bias
     in every field, is the key of the zero weight and also the mask of every
     field's top bit, which is set exactly when that coordinate is >= 0.  The
-    roots are packed without the bias, so ``key + root`` is the key of the sum.
+    roots and ``rho`` are packed without the bias, so ``key + root`` is the
+    key of the sum.  Each memo of keys at this width lives here:
+    ``dominant_keys`` (key -> key of its dominant form), ``orbits`` (dominant
+    weight -> :meth:`orbit`) and ``anchors`` (dominant mu -> key of mu + rho),
+    each a :class:`_Memo`, and the tables that :mod:`qbf.fusion` fills.
     """
 
-    __slots__ = ("width", "mask", "bias", "top", "shifts", "simple", "positive")
+    __slots__ = ("width", "mask", "bias", "top", "rho", "shifts", "simple", "positive",
+                 "dominant_keys", "orbits", "anchors", "layouts", "reflection")
 
     def __init__(self, width: int, simple: tuple[Weight, ...], positive: tuple[Weight, ...]):
         self.width, self.mask, self.bias = width, (1 << width) - 1, 1 << (width - 1)
         self.shifts = shifts = tuple(range(0, width * len(simple), width))
         self.top = sum(self.bias << s for s in shifts)
+        self.rho = self.top // self.bias
         self.simple = tuple(sum(map(lshift, a, shifts)) for a in simple)
         self.positive = tuple(sum(map(lshift, a, shifts)) for a in positive)
+        self.dominant_keys = _Memo(lambda key: self.dominant(key)[0])
+        self.orbits = _Memo(self.orbit)
+        self.anchors = _Memo(lambda mu: self.key(mu) + self.rho)
+        self.layouts: dict[Weight, tuple] = {}
+        self.reflection: dict[int, tuple | None] = {}
 
     def key(self, x) -> int:
         return sum(map(lshift, x, self.shifts), self.top)
@@ -317,20 +332,15 @@ class RootSystem:
     * ``_checked``, every dominant weight this instance checked or produced,
       mapped to itself: a weight ``x`` with ``_checked.get(x) is x`` needs no
       second check;
-    * per field width: the :class:`_Fields` (``_fields``), a :class:`_Memo`
-      from a key to the key of its dominant form (``_dominant_keys[width]``),
-      and, keyed by (width, dominant weight), the keys of its Weyl orbit with
-      the bias taken off (``_orbit_memo``);
-    * the weight systems of :mod:`qbf.characters`;
-    * the tables of :mod:`qbf.fusion`: the layout of each expanded factor
-      (its packed orbits with their multiplicities) per width, and per width
-      a dict from each rho-shifted point key to (nu, sign) or None.
+    * ``_fields``, the :class:`_Fields` of each field width, which hold
+      every memo of packed keys, fusion's tables included;
+    * the weight systems of :mod:`qbf.characters`.
 
     Those dicts only ever receive idempotent writes of complete, read-only,
-    deterministic values: a :class:`_Memo` stores an entry only once it is
-    computed, and a per-width table is created by one atomic ``setdefault``.
-    So concurrent readers and writers can at worst compute an entry twice,
-    and sharing stays safe.
+    deterministic values: a :class:`_Memo` stores an entry, by one atomic
+    ``setdefault``, only once it is computed.  So concurrent readers and
+    writers can at worst compute an entry twice (a width's :class:`_Fields`
+    too), and sharing stays safe.
     """
 
     def __init__(self, lie_type: LieType):
@@ -396,16 +406,9 @@ class RootSystem:
         self._fusion_terms = self._terms_memo.__getitem__
         self._orbit_size_memo = _Memo(self._stabiliser_index)
         self._checked: dict[Weight, Weight] = {}
-        # Packed keys, per field width; see the class docstring.
+        # Packed keys and their memos, per field width; see the class docstring.
         self._fields = _Memo(lambda width: _Fields(width, self.simple_roots, self.positive_roots))
-        self._dominant_keys = _Memo(
-            lambda width: _Memo(lambda key: self._fields[width].dominant(key)[0]))
-        self._orbit_memo = _Memo(lambda width_nu: self._fields[width_nu[0]].orbit(width_nu[1]))
         self._char_memo: dict = {}  # Weight -> qbf.characters.Character
-        # Tables of qbf.fusion: (width, expanded factor) -> layout, and
-        # width -> dict from a point key to (nu, sign) or None.
-        self._layout_memo: dict[tuple[int, Weight], tuple] = {}
-        self._reflection_memo: dict[int, dict] = {}
 
         self._self_check()
 
@@ -531,22 +534,18 @@ class RootSystem:
         A coordinate of y is y_i = 2 (y, a_i)/(a_i, a_i), and (a_i, a_i) >= 2,
         so |y_i| <= sqrt(2) |y|; a root adds at most 3 to a coordinate.
         """
-        return max(_MIN_FIELD, (isqrt(2 * norm // self._gram_den) + 4).bit_length() + 1)
+        return _width_for(isqrt(2 * norm // self._gram_den) + 4)
 
-    def _fusion_terms_of(self, mu: Weight) -> tuple[int, int, int, int | None]:
-        """(dim V(mu), sqrt(2) |mu + rho|, sqrt(2) |mu|, key of mu + rho at
-        ``_MIN_FIELD``) for an already checked dominant weight, the roots
-        rounded down; the key is None when the first root does not fit
-        the field.  Memoised as ``_fusion_terms``; :mod:`qbf.fusion` sizes
-        its fields from the roots and anchors its points at the key.
+    def _fusion_terms_of(self, mu: Weight) -> tuple[int, int, int]:
+        """(dim V(mu), anchor radius, expand radius) of an already checked
+        dominant weight: the radii are sqrt(2) |mu + rho| and sqrt(2) |mu|,
+        each rounded down and plus one, so strictly above the root.
+        Memoised as ``_fusion_terms``; :mod:`qbf.fusion` sizes its fields
+        from the radii.
         """
         den = self._gram_den
         anchor = isqrt(2 * (self._casimir_scaled(mu) + self._norm_scaled(self.rho)) // den)
-        expand = isqrt(2 * self._norm_scaled(mu) // den)
-        key = None
-        if anchor < 1 << (_MIN_FIELD - 1):
-            key = self._fields[_MIN_FIELD].key(map(add, mu, self.rho))
-        return self._weyl_dim(mu), anchor, expand, key
+        return self._weyl_dim(mu), anchor + 1, isqrt(2 * self._norm_scaled(mu) // den) + 1
 
     def dominant_representative(self, x) -> tuple[Weight, int, bool]:
         """Reflect x into the dominant chamber.
@@ -606,7 +605,7 @@ class RootSystem:
         fields = self._fields[self._width(self._ip_scaled(x, x))]
         top, weight = fields.top, fields.weight
         nu = weight(fields.dominant(fields.key(x))[0])
-        return sorted(weight(k + top) for k in self._orbit_memo[(fields.width, nu)])
+        return sorted(weight(k + top) for k in fields.orbits[nu])
 
     # -- enumeration -------------------------------------------------------
 

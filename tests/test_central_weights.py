@@ -488,11 +488,12 @@ def test_certificate_never_certifies_a_tie(invariant):
     rs = build_root_system("A2")
     f = getattr(rs, invariant)
     lam, mu = (1, 0), (1, 1)
-    parts = tensor_decompose(rs, lam, mu)._parts
-    assert f((1, 2)) == f((2, 1)) and (1, 2) not in parts
-    assert _triangle_violations(f, 1, lam, mu, parts) is None
-    assert _triangle_violations(f, 1, lam, mu, {**parts, (1, 2): 1}) == []
-    assert _triangle_violations(f, 1, lam, mu, {(1, 2): 1, **parts}) == []
+    fd = tensor_decompose(rs, lam, mu)
+    parts = fd._parts
+    assert f((1, 2)) == f((2, 1)) == f(fd.cartan) and (1, 2) not in parts
+    assert _triangle_violations(f, 1, fd) is None
+    for tied in ({**parts, (1, 2): 1}, {(1, 2): 1, **parts}):
+        assert _triangle_violations(f, 1, FusionDecomposition(lam, mu, tied)) == []
 
 
 def test_overflowing_z2_sum_names_the_pair():

@@ -1,3 +1,5 @@
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import strategies as st
 
 from qbf import fusion
 from qbf.characters import character_product_decompose, full_weights, weight_multiplicities
-from qbf.fusion import FusionDecomposition, _field_width, contains_trivial, tensor_decompose
-from qbf.root_system import _MIN_FIELD, LieType, RootSystem, _invert_rational, build_root_system
+from qbf.fusion import FusionDecomposition, contains_trivial, tensor_decompose
+from qbf.root_system import (_MIN_FIELD, LieType, RootSystem, _invert_rational, _width_for,
+                             build_root_system)
 
 
 def triangle_violated(ns_nu, ns_lam, ns_mu):
@@ -106,6 +109,12 @@ PACKED_HEIGHTS = {"A2": 4, "B2": 4, "G2": 3, "A3": 2, "B3": 2}
 FIELD_EDGE = 2 ** (_MIN_FIELD - 1)
 
 
+def per_width(rs, table):
+    """{(width, key): value} over one table of the fields of every width."""
+    return {(width, key): value for width, fields in rs._fields.items()
+            for key, value in getattr(fields, table).items()}
+
+
 @st.composite
 def packed_pairs(draw):
     """A pair from one of PACKED_HEIGHTS, or a small weight against an anchor
@@ -142,30 +151,75 @@ class TestPackedPath:
         assert tensor_decompose(rs, lam, mu).components == brauer_klimyk(rs, mu, lam)
 
     def test_width_rule(self):
-        # (1,) against the anchor a bounds every coordinate by a + 4: |a + rho|
-        # and |(1,)| give a + 1 and 1 exactly, plus a rounding slack of 2.
-        rs = build_root_system("A1")
-        assert _field_width(rs, (1,), (FIELD_EDGE - 5,)) == _MIN_FIELD
-        assert _field_width(rs, (1,), (FIELD_EDGE - 4,)) == _MIN_FIELD + 1
-        assert _field_width(rs, (1,), (10 ** 14,)) == (10 ** 14 + 4).bit_length() + 1
+        # One rule sizes every field: the smallest width >= 21 whose fields
+        # hold each coordinate below the radius.
+        assert _width_for(FIELD_EDGE - 1) == _MIN_FIELD
+        assert _width_for(FIELD_EDGE) == _MIN_FIELD + 1
+        # Fusion takes as radius the anchor radius of the anchor plus the
+        # expand radius of the expanded factor.  (1,) against the anchor a
+        # bounds every coordinate by a + 4: |a + rho| and |(1,)| give a + 1
+        # and 1 exactly, plus one per radius for the rounding.  The width a
+        # decomposition used is the one whose reflection table it filled.
+        for a, width in ((FIELD_EDGE - 5, _MIN_FIELD), (FIELD_EDGE - 4, _MIN_FIELD + 1),
+                         (10 ** 14, (10 ** 14 + 4).bit_length() + 1)):
+            fresh = RootSystem(LieType.parse("A1"))
+            assert tensor_decompose(fresh, (a,), (1,)).components == {(a + 1,): 1, (a - 1,): 1}
+            assert [w for w, fields in fresh._fields.items() if fields.reflection] == [width]
         for typ, height in PACKED_HEIGHTS.items():
             rs = build_root_system(typ)
             top = rs.dominant_weights_up_to(2 * height)[-1]
-            assert _field_width(rs, top, top) == _MIN_FIELD  # sweeps share one width
+            radius = rs._fusion_terms(top)[1] + rs._fusion_terms(top)[2]
+            assert _width_for(radius) == _MIN_FIELD  # sweeps share one width
+
+    def test_concurrent_first_decompositions_agree(self):
+        # Threads racing on a fresh instance may build a width's fields, a
+        # layout or a reflection entry twice; every reader still gets the
+        # complete value, and one set of fields serves every width.
+        shared = build_root_system("B2")
+        weights = shared.dominant_weights_up_to(2)
+        pairs = [(lam, mu) for lam in weights for mu in weights]
+        expected = {pair: tensor_decompose(shared, *pair).components for pair in pairs}
+        fresh = RootSystem(LieType.parse("B2"))
+        results = []
+
+        def work():
+            for lam, mu in pairs:
+                results.append(((lam, mu), tensor_decompose(fresh, lam, mu).components))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8 * len(pairs)
+        assert all(components == expected[pair] for pair, components in results)
+        fields = fresh._fields[_MIN_FIELD]
+        assert list(fresh._fields) == [_MIN_FIELD]
+        assert set(fields.layouts) == {min(pair, key=fresh.weyl_dim) for pair in pairs}
+        for key, hit in fields.reflection.items():
+            y, sign, singular = fresh.dominant_representative(fields.weight(key))
+            assert hit == (None if singular else (tuple(c - 1 for c in y), sign))
 
     def test_layout_memo_lives_on_its_root_system(self, monkeypatch):
         shared = build_root_system("B2")
         fresh = RootSystem(LieType.parse("B2"))
-        assert fresh._layout_memo == fresh._orbit_memo == fresh._reflection_memo == {}
+        assert fresh._fields == {}
         assert (tensor_decompose(fresh, (2, 1), (1, 2)).components
                 == tensor_decompose(shared, (2, 1), (1, 2)).components)
-        shared_sizes = {w: len(t) for w, t in shared._reflection_memo.items()}
+        shared_sizes = {w: len(fields.reflection) for w, fields in shared._fields.items()}
         # (width, expanded factor) of each decomposition: the factor of smaller dimension
         expanded = [(_MIN_FIELD, (1, 2))]
         tensor_decompose(fresh, (FIELD_EDGE, 3), (1, 0))
-        expanded.append((_field_width(fresh, (1, 0), (FIELD_EDGE, 3)), (1, 0)))
-        orbits_before = dict(fresh._orbit_memo)
-        layouts_before = dict(fresh._layout_memo)
+        terms = fresh._fusion_terms
+        expanded.append((_width_for(terms((FIELD_EDGE, 3))[1] + terms((1, 0))[2]), (1, 0)))
+        orbits_before = per_width(fresh, "orbits")
+        layouts_before = per_width(fresh, "layouts")
         built = []
         original = fusion.weight_multiplicities
 
@@ -179,10 +233,14 @@ class TestPackedPath:
         expanded.append((_MIN_FIELD, (2, 2)))
         # one weight system read per new layout, none for a layout already built
         assert built == [(2, 2)]
-        assert set(fresh._layout_memo) == set(expanded)
-        assert all(fresh._layout_memo[key] is layout for key, layout in layouts_before.items())
-        assert len(fresh._reflection_memo) == 2 and min(fresh._reflection_memo) == _MIN_FIELD
-        for width, table in fresh._reflection_memo.items():
+        layouts = per_width(fresh, "layouts")
+        assert set(layouts) == set(expanded)
+        assert all(layouts[key] is layout for key, layout in layouts_before.items())
+        reflecting = {w: fields.reflection for w, fields in fresh._fields.items()
+                      if fields.reflection}
+        assert set(reflecting) == {w for w, _ in expanded}
+        assert len(reflecting) == 2 and min(reflecting) == _MIN_FIELD
+        for width, table in reflecting.items():
             for key, hit in table.items():
                 y, sign, singular = fresh.dominant_representative(fresh._fields[width].weight(key))
                 if singular:
@@ -193,22 +251,23 @@ class TestPackedPath:
         # each orbit is stored once, in the root system's orbit memo, and
         # shared by the layouts holding it: (2, 2) reuses the orbits (1, 2)
         # already packed, as the same objects
-        assert all(fresh._orbit_memo[key] is orbit for key, orbit in orbits_before.items())
-        assert (set(fresh._orbit_memo) - set(orbits_before)
+        orbits = per_width(fresh, "orbits")
+        assert all(orbits[key] is orbit for key, orbit in orbits_before.items())
+        assert (set(orbits) - set(orbits_before)
                 == {(_MIN_FIELD, nu) for nu in ((2, 2), (3, 0), (0, 4))})
-        for (width, nu), orbit in list(fresh._orbit_memo.items()):
+        for (width, nu), orbit in orbits.items():
             assert type(orbit) is tuple and all(type(k) is int for k in orbit)
             fields = fresh._fields[width]
             assert sorted(fields.weight(k + fields.top) for k in orbit) == fresh.weyl_orbit(nu)
         for width, weight in expanded:
             dominant = weight_multiplicities(fresh, weight).dominant
-            layout = fresh._layout_memo[(width, weight)]
+            layout = layouts[(width, weight)]
             assert [m for _, m in layout] == list(dominant.values())
             for nu, (orbit, _) in zip(dominant, layout):
-                assert orbit is fresh._orbit_memo[(width, nu)]
+                assert orbit is orbits[(width, nu)]
             assert sum(m * len(orbit) for orbit, m in layout) == fresh.weyl_dim(weight)
         # the shared instance saw none of the fresh instance's new points
-        assert {w: len(t) for w, t in shared._reflection_memo.items()} == shared_sizes
+        assert {w: len(fields.reflection) for w, fields in shared._fields.items()} == shared_sizes
 
     @settings(max_examples=60, deadline=None)
     @given(sweep_pairs())
@@ -238,6 +297,19 @@ class TestTensorDecompose:
         assert fd.dimension(rs) == rs.weyl_dim((2, 1)) * rs.weyl_dim((1, 1))
         # equality compares multiplicities, not their order
         assert fd == FusionDecomposition(fd.lam, fd.mu, dict(reversed(fd._parts.items())))
+
+    def test_from_parts_is_the_one_check(self):
+        # it drops the sums that cancelled to zero, keeps lam + mu as the
+        # Cartan component, and refuses a negative sum or a Cartan
+        # multiplicity other than 1
+        rs = build_root_system("A2")
+        fd = FusionDecomposition.from_parts(rs, (1, 0), (0, 1), {(1, 1): 1, (2, 2): 0, (0, 0): 1})
+        assert fd._parts == {(1, 1): 1, (0, 0): 1} and fd.cartan == (1, 1)
+        with pytest.raises(AssertionError, match="nonpositive"):
+            FusionDecomposition.from_parts(rs, (1, 0), (0, 1), {(1, 1): 1, (0, 0): -1})
+        for parts in ({(1, 1): 2, (0, 0): 1}, {(1, 1): 0, (0, 0): 1}):
+            with pytest.raises(AssertionError, match="Cartan component"):
+                FusionDecomposition.from_parts(rs, (1, 0), (0, 1), parts)
 
     def test_unit(self):
         rs = build_root_system("G2")

@@ -2,9 +2,12 @@
 
 ``golden_queries.json`` maps each command line to the stdout and exit code
 it had when recorded: the E8 adjoint and small exceptional characters,
-fusions (one of them beyond the 21-bit packed fields), ``norm --route
-both``, ``oracle-sl2`` and ``cb-region``, all in json.  The sweeps are
-replayed from ``bench/expected.json`` by ``test_expected_output.py``.
+fusions, ``norm --route both``, ``oracle-sl2`` and ``cb-region``, all in
+json.  One fusion has an anchor beyond the 21-bit packed fields, and the two
+A1 fusions with lambda = 2^20 - 5 and 2^20 - 4 against mu = 1 straddle the
+switch from 21-bit to 22-bit fields (``test_width_rule`` in
+``test_fusion.py``).  The sweeps are replayed from ``bench/expected.json``
+by ``test_expected_output.py``.
 """
 
 import json

@@ -132,7 +132,7 @@ def test_orbits_match_the_frontier_search(typ):
         expected = orbit(rs, nu)
         assert rs.weyl_orbit(nu) == expected, nu
         fields = rs._fields[_MIN_FIELD]
-        packed = rs._orbit_memo[(_MIN_FIELD, nu)]
+        packed = fields.orbits[nu]
         assert len(packed) == len(set(packed)) == rs._orbit_size(nu)
         assert sorted(fields.weight(k + fields.top) for k in packed) == expected
         # any point of the orbit gives the same sorted orbit
@@ -156,7 +156,7 @@ def test_dominant_form_sign_and_wall(drawn):
         fields = rs._fields[width]
         key, sign = fields.dominant(fields.key(x))
         assert (fields.weight(key), sign) == expected[:2]
-        assert fields.weight(rs._dominant_keys[width][fields.key(x)]) == expected[0]
+        assert fields.weight(fields.dominant_keys[fields.key(x)]) == expected[0]
 
 
 # Coordinates far beyond the 21-bit fields, which need wider ones.

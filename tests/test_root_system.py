@@ -329,8 +329,9 @@ def test_memoised_scaled_invariants_match_fraction_definitions(drawn):
 MEMOS = {"_casimir_memo": "_casimir_scaled", "_norm_memo": "_norm_scaled",
          "_dim_memo": "_weyl_dim", "_terms_memo": "_fusion_terms",
          "_orbit_size_memo": "_orbit_size"}
-# Memos keyed by field width, or by a width and a weight.
-WIDTH_MEMOS = ("_fields", "_dominant_keys", "_orbit_memo")
+# The memos of keys that the fields of each width hold, and fusion's tables there.
+WIDTH_MEMOS = ("dominant_keys", "orbits", "anchors")
+FUSION_TABLES = ("layouts", "reflection")
 
 
 def counting(filled, fill):
@@ -348,8 +349,13 @@ def test_self_filling_memos_fill_each_value_once(typ):
     # computes a missing entry once.
     interned = build_root_system(typ)
     fresh = RootSystem(LieType.parse(typ))
-    assert all(vars(fresh)[memo] == {} for memo in (*MEMOS, *WIDTH_MEMOS))
-    assert fresh._layout_memo == fresh._reflection_memo == fresh._checked == {}
+    assert all(vars(fresh)[memo] == {} for memo in MEMOS)
+    assert fresh._fields == fresh._checked == fresh._char_memo == {}
+    # _fields is the one per-width table: every other dict is a memo above
+    assert ({name for name, value in vars(fresh).items() if isinstance(value, dict)}
+            == {*MEMOS, "_fields", "_checked", "_char_memo"})
+    fields = fresh._fields[_MIN_FIELD]
+    assert all(getattr(fields, table) == {} for table in (*WIDTH_MEMOS, *FUSION_TABLES))
     fills = {memo: [] for memo in MEMOS}
     for memo in MEMOS:
         table = vars(fresh)[memo]
@@ -369,40 +375,46 @@ def test_self_filling_memos_fill_each_value_once(typ):
 
 @pytest.mark.parametrize("typ", MEMO_TYPES)
 def test_width_memos_fill_each_value_once(typ):
-    # The fields, dominant keys and packed orbits of a fresh instance are
-    # filled on first read, once per width (and key or weight), and agree
-    # with the tuple API of the interned instance.
+    # The fields of a fresh instance, and their dominant keys, packed orbits
+    # and anchor keys, are filled on first read, once per width (and key or
+    # weight), and agree with the tuple API of the interned instance.
     interned = build_root_system(typ)
     fresh = RootSystem(LieType.parse(typ))
-    fills = {memo: [] for memo in WIDTH_MEMOS}
-    for memo in WIDTH_MEMOS:
-        table = vars(fresh)[memo]
-        table.fill = counting(fills[memo], table.fill)
+    widths = []
+    fresh._fields.fill = counting(widths, fresh._fields.fill)
+    fills = {}
+
+    def fields_of(width):
+        fields = fresh._fields[width]
+        if width not in fills:
+            fills[width] = {memo: [] for memo in WIDTH_MEMOS}
+            for memo in WIDTH_MEMOS:
+                table = getattr(fields, memo)
+                table.fill = counting(fills[width][memo], table.fill)
+        return fields
+
     weights = fresh.dominant_weights_up_to(2)
     lattice = [tuple(c - 1 for c in w) for w in weights]
     wide = _MIN_FIELD + 9
     for _ in range(2):  # the first pass fills the memos, the second reads them
         for width in (_MIN_FIELD, wide):
-            fields = fresh._fields[width]
-            dominant_keys = fresh._dominant_keys[width]
+            fields = fields_of(width)
             for x in lattice:
-                y = fields.weight(dominant_keys[fields.key(x)])
+                y = fields.weight(fields.dominant_keys[fields.key(x)])
                 assert y == interned.dominant_representative(x)[0]
             for nu in weights:
-                orbit = fresh._orbit_memo[(width, nu)]
+                orbit = fields.orbits[nu]
                 assert sorted(fields.weight(k + fields.top) for k in orbit) == interned.weyl_orbit(nu)
-    assert fills["_fields"] == fills["_dominant_keys"] == [_MIN_FIELD, wide]
-    assert sorted(fills["_orbit_memo"]) == sorted((w, nu) for w in (_MIN_FIELD, wide)
-                                                  for nu in weights)
+                anchor = fields.anchors[nu]
+                assert anchor == fields.key(tuple(c + 1 for c in nu))
+                assert fields.weight(anchor - fields.rho) == nu
+    assert widths == [_MIN_FIELD, wide]
     for width in (_MIN_FIELD, wide):
-        table = fresh._dominant_keys[width]
-        filled = []
-        table.fill = counting(filled, table.fill)
         fields = fresh._fields[width]
-        for x in lattice:
-            table[fields.key(x)]
-        assert filled == []
-        assert len(table) == len(lattice)
+        assert fills[width]["dominant_keys"] == [fields.key(x) for x in lattice]
+        assert fills[width]["orbits"] == fills[width]["anchors"] == weights
+        for memo in WIDTH_MEMOS:
+            assert len(getattr(fields, memo)) == len(fills[width][memo])
 
 
 class TestWeylGroup:
