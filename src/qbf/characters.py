@@ -27,6 +27,7 @@ from functools import cached_property
 from operator import mul
 from types import MappingProxyType
 
+from . import fusion
 from .root_system import RootSystem, Weight, _Fields
 
 
@@ -181,7 +182,7 @@ def _height_key(rs: RootSystem, w: Weight) -> tuple:
     return (-rs._ip_scaled(w, rho), tuple(-c for c in w))
 
 
-def character_product_decompose(rs: RootSystem, lam, mu) -> "FusionDecomposition":
+def character_product_decompose(rs: RootSystem, lam, mu) -> fusion.FusionDecomposition:
     """Decompose the pointwise product of two characters.
 
     Computes the product's dominant multiplicities by convolving the smaller
@@ -189,8 +190,6 @@ def character_product_decompose(rs: RootSystem, lam, mu) -> "FusionDecomposition
     remaining weight.  Contract-identical to fusion.tensor_decompose; intended
     as an independent cross-check at small heights.
     """
-    from .fusion import FusionDecomposition  # deferred: fusion imports this module
-
     lam = rs.check_dominant(lam)
     mu = rs.check_dominant(mu)
     small, big = (lam, mu) if rs.weyl_dim(lam) <= rs.weyl_dim(mu) else (mu, lam)
@@ -222,4 +221,4 @@ def character_product_decompose(rs: RootSystem, lam, mu) -> "FusionDecomposition
     leftovers = {w: m for w, m in remaining.items() if m}
     if leftovers:
         raise AssertionError(f"character product did not resolve: {leftovers}")
-    return FusionDecomposition.from_parts(rs, lam, mu, components)
+    return fusion.FusionDecomposition.from_parts(lam, mu, components)

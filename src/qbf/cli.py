@@ -30,18 +30,8 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 
-from . import precision
-from .cb_region import cb_region_enumerate
-from .central_weights import (
-    CentralWeightSpec,
-    casimir_subadditivity_check,
-    validate_central_weight,
-)
-from .characters import weight_multiplicities
-from .fusion import tensor_decompose
-from .qnorm import QExponent, SessionConfig, lminus_norm_exponent, rmatrix_exponent_details
-from .root_system import build_root_system
-from .sl2_oracle import verify_norm_formula
+from . import (cb_region, central_weights, characters, fusion, precision, qnorm, root_system,
+               sl2_oracle)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -136,7 +126,7 @@ def _emit(args, payload: dict, headers: list[str], rows: list[list[str]]) -> Non
 # payload, the table headers and rows, and whether its check passed.
 
 def _cmd_fusion(args, rs, render):
-    fd = tensor_decompose(rs, args.lam, args.mu)
+    fd = fusion.tensor_decompose(rs, args.lam, args.mu)
     payload = {
         "lambda": list(args.lam),
         "mu": list(args.mu),
@@ -147,7 +137,7 @@ def _cmd_fusion(args, rs, render):
 
 
 def _cmd_character(args, rs, render):
-    char = weight_multiplicities(rs, args.mu)
+    char = characters.weight_multiplicities(rs, args.mu)
     ordered = sorted(char.dominant.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
     payload = {
         "type": str(rs.lie_type),
@@ -160,6 +150,7 @@ def _cmd_character(args, rs, render):
 
 
 def _cmd_verify_weight(args, rs, render):
+    CentralWeightSpec = central_weights.CentralWeightSpec
     if args.kind in ("beta", "lst"):
         if args.beta is None:
             raise CliError(f"--beta is required for --kind {args.kind}")
@@ -179,7 +170,7 @@ def _cmd_verify_weight(args, rs, render):
             spec = CentralWeightSpec.from_table([(entry["mu"], entry["w"]) for entry in raw])
         except (TypeError, KeyError):
             raise CliError('weight table must be a list of {"mu": [..], "w": value} entries')
-    report = validate_central_weight(rs, spec, args.height)
+    report = central_weights.validate_central_weight(rs, spec, args.height)
     payload = {
         "type": str(rs.lie_type),
         "kind": spec.kind,
@@ -209,13 +200,13 @@ def _cmd_norm(args, rs, render):
     q = args.q.q
     routes: dict[str, dict] = {}
     if args.route in ("closed", "both"):
-        e = lminus_norm_exponent(rs, args.lam, args.mu)
+        e = qnorm.lminus_norm_exponent(rs, args.lam, args.mu)
         routes["closed"] = {"exponent": _frac(e.value), "q_power": render(e.q_power(q))}
     if args.route in ("rmatrix", "both"):
-        details = rmatrix_exponent_details(rs, args.lam, args.mu)
+        details = qnorm.rmatrix_exponent_details(rs, args.lam, args.mu)
         routes["rmatrix"] = {
             "exponent": _frac(details.exponent),
-            "q_power": render(QExponent(details.exponent).q_power(q)),
+            "q_power": render(qnorm.QExponent(details.exponent).q_power(q)),
             "minimizer": list(details.minimizer),
             "ties": [list(t) for t in details.ties],
         }
@@ -235,7 +226,7 @@ def _cmd_norm(args, rs, render):
 
 def _cmd_cb_region(args, rs, render):
     beta = precision.to_decimal(args.beta, precision.make_context(), "beta")
-    decisions = cb_region_enumerate(rs, args.q, beta, args.height)
+    decisions = cb_region.cb_region_enumerate(rs, args.q, beta, args.height)
     json_rows = []
     rows = []
     for d in decisions:
@@ -271,7 +262,7 @@ def _cmd_cb_region(args, rs, render):
 
 def _cmd_oracle_sl2(args, rs, render):
     # q stays unread here: the oracle checks its spin labels before q.
-    report = verify_norm_formula(args.q, args.m, args.n)
+    report = sl2_oracle.verify_norm_formula(args.q, args.m, args.n)
     payload = {
         "q": _frac(report.q),
         "m": report.m,
@@ -304,7 +295,7 @@ def _cmd_oracle_sl2(args, rs, render):
 
 
 def _cmd_casimir_check(args, rs, render):
-    report = casimir_subadditivity_check(rs, args.height)
+    report = central_weights.casimir_subadditivity_check(rs, args.height)
     payload = {
         "type": str(rs.lie_type),
         "height": report.truncation_height,
@@ -394,13 +385,13 @@ def _run(args) -> int:
     given = vars(args)
     rs = None
     if "type" in given:
-        rs = build_root_system(args.type)
+        rs = root_system.build_root_system(args.type)
         cap = min(_HEIGHT_CAPS[s] for s, _ in rs.lie_type.factors)
         if given.get("height", 0) > cap and not args.force:
             raise CliError(f"height {args.height} exceeds the cap {cap} for type {rs.lie_type}; "
                            "pass --force to override")
         if "q" in given:
-            args.q = SessionConfig(args.q)
+            args.q = qnorm.SessionConfig(args.q)
         for dest, flag in (("lam", "--lambda"), ("mu", "--mu")):
             if dest in given:
                 given[dest] = _parse_weight(given[dest], rs.rank, flag)

@@ -24,11 +24,11 @@ radius of the expanded factor.  That sum exceeds sqrt(2) (|anchor + rho| +
 |expand|) >= sqrt(2) |x| for every point x, and as each simple root has
 length^2 >= 2, it bounds every coordinate of x and of its dominant form.
 Ordinary sweeps therefore share the 21-bit fields, while a huge anchor runs
-through the same loop with wider ones.  Per pair, the weights are checked only when the root system did not
-produce or check them itself, and their dimensions and radii are read from
-the root system's per-weight memo.  :meth:`FusionDecomposition.from_parts`
-is the one check of every result: it drops the sums that cancelled to zero
-and refuses a negative one.
+through the same loop with wider ones.  Per pair, the weights are checked
+only when the root system did not produce or check them itself, and their
+dimensions and radii are read from the root system's per-weight memo.
+:meth:`FusionDecomposition.from_parts` is the one check of every result: it
+drops the sums that cancelled to zero and refuses a negative one.
 
 Decompositions themselves are not cached: the sweeps decompose each
 unordered pair once, and a fusion cache measured a repeat ratio of 0.  The
@@ -72,7 +72,7 @@ class FusionDecomposition:
         return (self.lam, self.mu, self._parts) == (other.lam, other.mu, other._parts)
 
     @classmethod
-    def from_parts(cls, rs: RootSystem, lam: Weight, mu: Weight,
+    def from_parts(cls, lam: Weight, mu: Weight,
                    components: dict[Weight, int]) -> "FusionDecomposition":
         """The decomposition with ``components`` less the sums that cancelled
         to zero; a negative sum, or a Cartan component that is missing or
@@ -147,7 +147,7 @@ def tensor_decompose(rs: RootSystem, lam, mu) -> FusionDecomposition:
             if hit is not None:
                 nu, sign = hit
                 acc[nu] = get(nu, 0) + sign * m
-    return FusionDecomposition.from_parts(rs, lam, mu, acc)
+    return FusionDecomposition.from_parts(lam, mu, acc)
 
 
 def contains_trivial(rs: RootSystem, lam, mu) -> bool:

@@ -21,8 +21,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import precision
-from .fusion import tensor_decompose
+from . import fusion, precision
 from .root_system import RootSystem, Weight
 
 
@@ -127,7 +126,7 @@ def rmatrix_exponent_details(rs: RootSystem, lam, mu) -> RMatrixExponentDetails:
     mu = rs.check_dominant(mu)
     base = rs.casimir(mu) + rs.casimir(lam)
     table = []
-    for nu, m in tensor_decompose(rs, mu, lam).components.items():
+    for nu, m in fusion.tensor_decompose(rs, mu, lam).components.items():
         table.append((nu, m, base - rs.casimir(nu)))
     emin = min(e for _, _, e in table)
     ties = tuple(nu for nu, _, e in table if e == emin)

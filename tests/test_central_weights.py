@@ -555,7 +555,7 @@ def inject_components(monkeypatch, pair):
         if {tuple(lam), tuple(mu)} != set(pair):
             return fd
         extra = {tuple(k * (a + b) for a, b in zip(lam, mu)): 1 for k in (2, 3)}
-        return FusionDecomposition.from_parts(rs, fd.lam, fd.mu, {**fd.components, **extra})
+        return FusionDecomposition.from_parts(fd.lam, fd.mu, {**fd.components, **extra})
 
     monkeypatch.setattr(central_weights, "tensor_decompose", patched)
     monkeypatch.setitem(globals(), "tensor_decompose", patched)

@@ -162,7 +162,11 @@ class TestDeterminism:
         assert first.stdout == second.stdout
 
     def test_import_loads_no_numpy(self):
-        code = "import sys, qbf, qbf.cli; sys.exit('numpy' in sys.modules)"
+        # Touch a name in every submodule, so that each one's code has run.
+        code = ("import sys, qbf, qbf.cli\nfrom qbf import *\nqbf.precision.DIGITS\n"
+                "assert all('__builtins__' in vars(m) for n, m in sys.modules.items()\n"
+                "           if n.startswith('qbf.'))\n"
+                "sys.exit('numpy' in sys.modules)")
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
