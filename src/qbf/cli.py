@@ -30,6 +30,8 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 
+# Modules, not names: a submodule's code runs on the first lookup of one of
+# its names, so each command runs only the submodules it calls.
 from . import (cb_region, central_weights, characters, fusion, precision, qnorm, root_system,
                sl2_oracle)
 

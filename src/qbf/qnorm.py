@@ -21,6 +21,8 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
+# fusion as a module, so cb_region, which needs only SessionConfig here,
+# does not run fusion's code.
 from . import fusion, precision
 from .root_system import RootSystem, Weight
 
