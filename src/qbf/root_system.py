@@ -1,7 +1,8 @@
 """Exact root-system data and weight-lattice geometry.
 
-Everything here is computed over exact rationals in the basis of fundamental
-weights.  Conventions:
+Everything here is exact, in the basis of fundamental weights, and built on
+ints: the Gram matrix by fraction-free Gauss-Jordan on the Cartan matrix,
+root pairings from simple-root coefficients.  Conventions:
 
 * Cartan matrices use ``A[i][j] = 2(a_i, a_j)/(a_i, a_i)`` with Bourbaki node
   numbering for every series.
@@ -32,8 +33,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import isqrt, lcm
-from operator import lshift
+from math import gcd, isqrt, lcm, prod
+from operator import lshift, mul
 from typing import NamedTuple
 
 Weight = tuple[int, ...]
@@ -156,21 +157,26 @@ def _integral_weight(x) -> Weight:
     return t
 
 
-def _invert_rational(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Gauss-Jordan inverse of a small exact-rational matrix."""
+def _gauss_jordan(mat) -> tuple[int, list[list[int]]]:
+    """(p, X) with mat.X = p.I, p = +-det(mat), for a nonsingular integer matrix.
+
+    Fraction-free Gauss-Jordan on [mat | I], pivoting on the first remaining
+    nonzero entry of each column: Bareiss's update of every other row divides
+    exactly by the previous pivot and leaves the last pivot p on the diagonal
+    (Bareiss, Math. Comp. 1968).
+    """
     n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat)]
+    prev = 1
+    for k in range(n):
+        p = next(r for r in range(k, n) if aug[r][k])
+        aug[k], aug[p] = aug[p], aug[k]
+        top = aug[k]
+        pivot = top[k]
+        aug = [row if row is top else [(pivot * x - row[k] * y) // prev for x, y in zip(row, top)]
+               for row in aug]
+        prev = pivot
+    return prev, [row[n:] for row in aug]
 
 
 def _bareiss_pivots(mat: list[list[Fraction]], swap: bool):
@@ -351,45 +357,38 @@ class RootSystem:
 
         cartan = [[0] * N for _ in range(N)]
         d: list[int] = []
-        offset = 0
         slices = []
-        for (A, dd) in blocks:
-            r = len(dd)
-            for i in range(r):
-                for j in range(r):
-                    cartan[offset + i][offset + j] = A[i][j]
+        for A, dd in blocks:
+            lo = len(d)
+            for i, row in enumerate(A):
+                cartan[lo + i][lo:lo + len(dd)] = row
             d.extend(dd)
-            slices.append((offset, offset + r))
-            offset += r
+            slices.append((lo, len(d)))
         self._factor_slices: tuple[tuple[int, int], ...] = tuple(slices)
         self.cartan: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in cartan)
         self.symmetrizers: tuple[int, ...] = tuple(d)
 
-        # Gram matrix of fundamental weights: G.A = D, hence G = D.A^{-1}.
-        ainv = _invert_rational([[Fraction(x) for x in row] for row in cartan])
-        gram = [[Fraction(d[i]) * ainv[i][j] for j in range(N)] for i in range(N)]
-        self.gram: tuple[tuple[Fraction, ...], ...] = tuple(tuple(row) for row in gram)
-
-        # Scaled integer copy of the Gram matrix for hot loops.
-        den = lcm(*[x.denominator for row in gram for x in row])
-        self._gram_den = den
-        self._gram_num: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(x * den) for x in row) for row in gram
-        )
+        # Gram matrix of fundamental weights: G.A = D, so G = D.X/p for
+        # A.X = p.I, kept in lowest terms as _gram_num/_gram_den.
+        p, X = _gauss_jordan(cartan)
+        DX = [[di * x for x in row] for di, row in zip(d, X)]
+        g = gcd(p, *(x for row in DX for x in row)) * (1 if p > 0 else -1)
+        self._gram_den = den = p // g
+        self._gram_num = tuple(tuple(x // g for x in row) for row in DX)
+        self.gram: tuple[tuple[Fraction, ...], ...] = tuple(
+            tuple(Fraction(x, den) for x in row) for row in self._gram_num)
 
         # Simple roots are the columns of the Cartan matrix.
-        self.simple_roots: tuple[Weight, ...] = tuple(
-            tuple(cartan[j][i] for j in range(N)) for i in range(N)
-        )
+        self.simple_roots: tuple[Weight, ...] = tuple(zip(*cartan))
         self.rho: Weight = (1,) * N
-        self._proot_heights, self.positive_roots = self._generate_positive_roots()
+        self.positive_roots, coefficients = self._generate_positive_roots()
+        self._proot_heights = tuple(map(sum, coefficients))
 
-        # Per positive root a: integer vector v with dot(x, v) = (x, a) * den.
-        self._proot_pairing = tuple(
-            tuple(sum(self._gram_num[i][j] * a[j] for j in range(N)) for i in range(N))
-            for a in self.positive_roots
-        )
-        self._rho_pairing = tuple(sum(v) for v in self._proot_pairing)
+        # Per positive root a = sum c_j a_j: v with dot(x, v) = (x, a) den,
+        # v_j = den d_j c_j, as (omega_i, a_j) = d_j delta_ij.
+        scale = [den * x for x in d]
+        self._proot_pairing = tuple(tuple(map(mul, scale, c)) for c in coefficients)
+        self._rho_pairing = tuple(map(sum, self._proot_pairing))
 
         # Per-weight memos, keyed by checked weights; see the class docstring.
         # Each is read through its bound __getitem__, which takes an already
@@ -414,9 +413,9 @@ class RootSystem:
 
     # -- construction ------------------------------------------------------
 
-    def _generate_positive_roots(self) -> tuple[tuple[int, ...], tuple[Weight, ...]]:
-        """The heights and the positive roots in fundamental-weight
-        coordinates, sorted by height, then by those coordinates.
+    def _generate_positive_roots(self) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
+        """The positive roots in fundamental-weight coordinates, sorted by
+        height, then by those coordinates, and their simple-root coefficients.
 
         s_i permutes the positive roots other than a_i (Humphreys, Lie
         Algebras, 10.2 Lemma B), and every positive root of height > 1 is s_i
@@ -424,13 +423,14 @@ class RootSystem:
         reflections, s_i(b) = b - b_i a_i for b != a_i, gives every positive
         root and nothing else; it runs on the keys of :class:`_Fields`, as
         every reflection does.  Each reflection takes b_i simple roots a_i
-        off b, so ht(s_i b) = ht(b) - b_i.
+        off b: the coefficients of s_i b, packed in the same fields, are
+        those of b less b_i at i.
         """
         fields = _Fields(_MIN_FIELD, self.simple_roots, ())
         mask, bias = fields.mask, fields.bias
         simple = [fields.key(a) for a in self.simple_roots]
         steps = tuple(zip(fields.shifts, fields.simple, simple))
-        heights = dict.fromkeys(simple, 1)
+        coefficients = {a: fields.top + (1 << shift) for shift, _, a in steps}
         frontier = simple
         while frontier:
             nxt = []
@@ -439,40 +439,31 @@ class RootSystem:
                     c = ((b >> shift) & mask) - bias
                     if c and b != a:
                         s = b - c * root
-                        if s not in heights:
-                            heights[s] = heights[b] - c
+                        if s not in coefficients:
+                            coefficients[s] = coefficients[b] - (c << shift)
                             nxt.append(s)
             frontier = nxt
-        positive = sorted((h, fields.weight(b)) for b, h in heights.items())
-        return tuple(h for h, _ in positive), tuple(b for _, b in positive)
+        positive = sorted((sum(c), fields.weight(b), c)
+                          for b, c in zip(coefficients, map(fields.weight, coefficients.values())))
+        return tuple(b for _, b, _ in positive), tuple(c for _, _, c in positive)
 
     def _self_check(self) -> None:
-        N = self.rank
         A, d = self.cartan, self.symmetrizers
-        for i in range(N):
-            for j in range(N):
-                if d[i] * A[i][j] != d[j] * A[j][i]:
-                    raise AssertionError("diag(d).A is not symmetric")
-        if not _is_positive_definite([list(row) for row in self.gram]):
+        if any(d[i] * A[i][j] != d[j] * A[j][i] for i in range(self.rank) for j in range(i)):
+            raise AssertionError("diag(d).A is not symmetric")
+        if not _is_positive_definite(self._gram_num):
             raise AssertionError("Gram matrix is not positive definite")
         expected = sum(_POSITIVE_ROOT_COUNTS[s](r) for s, r in self.lie_type.factors)
         if len(self.positive_roots) != expected:
-            raise AssertionError(
-                f"positive root count {len(self.positive_roots)} != classical {expected}"
-            )
+            raise AssertionError(f"positive root count {len(self.positive_roots)} "
+                                 f"!= classical {expected}")
+        roots = list(zip(self.positive_roots, self._proot_pairing))
         for lo, hi in self._factor_slices:
-            shortest = min(
-                self._ip_scaled(a, a) for a in self.positive_roots
-                if any(a[i] for i in range(lo, hi))
-            )
+            shortest = min(sum(map(mul, a, v)) for a, v in roots if any(a[lo:hi]))
             if shortest != 2 * self._gram_den:
                 raise AssertionError(f"shortest root has squared length "
                                      f"{Fraction(shortest, self._gram_den)}, not 2")
-        two_rho = [0] * N
-        for a in self.positive_roots:
-            for i in range(N):
-                two_rho[i] += a[i]
-        if tuple(two_rho) != tuple(2 * c for c in self.rho):
+        if tuple(map(sum, zip(*self.positive_roots))) != tuple(2 * c for c in self.rho):
             raise AssertionError("positive roots do not sum to 2*rho")
 
     # -- basic geometry ----------------------------------------------------
@@ -499,8 +490,7 @@ class RootSystem:
         return Fraction(self._ip_scaled(x, y), self._gram_den)
 
     def _ip_scaled(self, x: Weight, y: Weight) -> int:
-        g = self._gram_num
-        return sum(x[i] * sum(g[i][j] * y[j] for j in range(self.rank)) for i in range(self.rank))
+        return sum(map(mul, x, [sum(map(mul, row, y)) for row in self._gram_num]))
 
     def norm_sq(self, x) -> Fraction:
         """(x, x); the squared length |x|^2, always a nonnegative rational."""
@@ -517,13 +507,13 @@ class RootSystem:
     def _weyl_dimension(self, mu: Weight) -> int:
         """Weyl dimension of an already checked dominant weight; memoised as
         ``_weyl_dim``."""
-        shifted = tuple(c + 1 for c in mu)
-        dim = Fraction(1)
-        for w, rho_a in zip(self._proot_pairing, self._rho_pairing):
-            dim *= Fraction(sum(shifted[i] * w[i] for i in range(self.rank)), rho_a)
-        if dim.denominator != 1:
-            raise AssertionError(f"Weyl dimension of {mu} is not an integer: {dim}")
-        return int(dim)
+        shifted = [c + 1 for c in mu]
+        den = prod(self._rho_pairing)
+        num = prod([sum(map(mul, shifted, v)) for v in self._proot_pairing])
+        dim, r = divmod(num, den)
+        if r:
+            raise AssertionError(f"Weyl dimension of {mu} is not an integer: {Fraction(num, den)}")
+        return dim
 
     # -- Weyl group --------------------------------------------------------
 
@@ -633,15 +623,9 @@ class RootSystem:
         return f"RootSystem({self.lie_type})"
 
 
-@lru_cache(maxsize=None)
-def _build_cached(canonical: str) -> RootSystem:
-    return RootSystem(LieType.parse(canonical))
+_build_cached = lru_cache(maxsize=None)(RootSystem)
 
 
 def build_root_system(lie_type: LieType | str) -> RootSystem:
     """Construct (and cache) the root system for a type like ``"A2"`` or ``"B2xA1"``."""
-    if isinstance(lie_type, LieType):
-        canonical = str(lie_type)
-    else:
-        canonical = str(LieType.parse(lie_type))
-    return _build_cached(canonical)
+    return _build_cached(lie_type if isinstance(lie_type, LieType) else LieType.parse(lie_type))

@@ -1,6 +1,7 @@
 import sys
 import threading
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 from qbf import fusion
 from qbf.characters import character_product_decompose, full_weights, weight_multiplicities
 from qbf.fusion import FusionDecomposition, contains_trivial, tensor_decompose
-from qbf.root_system import (_MIN_FIELD, LieType, RootSystem, _invert_rational, _width_for,
-                             build_root_system)
+from qbf.root_system import _MIN_FIELD, LieType, RootSystem, _width_for, build_root_system
 
 
 def triangle_violated(ns_nu, ns_lam, ns_mu):
@@ -129,9 +129,19 @@ def packed_pairs(draw):
 
 
 def cartan_coefficients(rs, x):
-    """Coefficients of x in the basis of simple roots (exact rationals)."""
-    inv = _invert_rational([list(row) for row in rs.cartan])
-    return [sum(inv[i][j] * x[j] for j in range(rs.rank)) for i in range(rs.rank)]
+    """Coefficients of x in the basis of simple roots (exact rationals): the
+    solution c of A.c = x, by Gauss-Jordan elimination over Fractions."""
+    n = rs.rank
+    aug = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(rs.cartan, x)]
+    for k in range(n):
+        p = next(r for r in range(k, n) if aug[r][k])
+        aug[k], aug[p] = aug[p], aug[k]
+        aug[k] = [v / aug[k][k] for v in aug[k]]
+        for r in range(n):
+            f = aug[r][k]
+            if r != k and f:
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[k])]
+    return [row[n] for row in aug]
 
 
 @st.composite

@@ -1,16 +1,30 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qbf.central_weights import _triangle_compare
 from qbf.fusion import tensor_decompose
-from qbf.root_system import _MIN_FIELD, LieType, LieTypeError, RootSystem, build_root_system
+from qbf.root_system import (_MIN_FIELD, LieType, LieTypeError, RootSystem, _gauss_jordan,
+                             build_root_system)
 
 ACCEPTANCE_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"]
+# Every series, both products of the prototype checks, and all three E ranks.
+GRAM_TYPES = ACCEPTANCE_TYPES + ["E6", "E7", "E8", "C4", "D5", "B2xG2", "A3xA1"]
+
+# Weyl dimensions of the fundamental weights omega_1, ..., omega_n (Bourbaki numbering).
+FUNDAMENTAL_DIMS = {
+    "G2": [7, 14],
+    "F4": [52, 1274, 273, 26],
+    "E6": [27, 78, 351, 2925, 351, 27],
+    "E7": [133, 912, 8645, 365750, 27664, 1539, 56],
+    "E8": [3875, 147250, 6696000, 6899079264, 146325270, 2450240, 30380, 248],
+}
 
 CLASSICAL_COUNTS = {
     "A1": 1, "A2": 3, "A3": 6, "B2": 4, "B3": 9, "C3": 9,
@@ -34,6 +48,27 @@ def invert(mat):
                 f = aug[r][c]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
     return [row[n:] for row in aug]
+
+
+def leibniz_det(mat):
+    """Determinant by the Leibniz expansion, independent of any elimination."""
+    n = len(mat)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(mat[i][perm[i]] for i in range(n))
+    return total
+
+
+@st.composite
+def zero_first_pivot_matrices(draw):
+    """A small integer matrix whose (0, 0) entry is 0, so that elimination
+    must swap rows at its first pivot."""
+    n = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    rows[0][0] = 0
+    return rows
 
 
 def reference_positive_roots(rs):
@@ -86,7 +121,7 @@ class TestConstruction:
             (Fraction(1, 3), Fraction(2, 3)),
         )
 
-    @pytest.mark.parametrize("typ", ACCEPTANCE_TYPES)
+    @pytest.mark.parametrize("typ", GRAM_TYPES)
     def test_gram_solves_g_times_cartan_equals_d(self, typ):
         # Independent oracle: G must satisfy G.A = diag(d), i.e. G = D.A^{-1}.
         rs = build_root_system(typ)
@@ -94,6 +129,28 @@ class TestConstruction:
         ainv = invert(rs.cartan)
         expected = [[rs.symmetrizers[i] * ainv[i][j] for j in range(n)] for i in range(n)]
         assert [list(r) for r in rs.gram] == expected
+        assert [[x * rs._gram_den for x in row] for row in expected] == [list(r) for r in rs._gram_num]
+
+    @settings(max_examples=200, deadline=None)
+    @given(zero_first_pivot_matrices())
+    def test_gauss_jordan_inverts_with_row_swaps(self, mat):
+        det = leibniz_det(mat)
+        assume(det != 0)
+        p, X = _gauss_jordan(mat)
+        assert abs(p) == abs(det)
+        assert [[Fraction(x, p) for x in row] for row in X] == invert(mat)
+
+    @pytest.mark.parametrize("typ", GRAM_TYPES)
+    def test_pairings_and_heights_match_the_gram_route(self, typ):
+        # The pairing vectors and heights come from simple-root coefficients;
+        # recompute them from the Gram matrix and A^{-1}.
+        rs = build_root_system(typ)
+        n = rs.rank
+        ainv = invert(rs.cartan)
+        for a, v, h in zip(rs.positive_roots, rs._proot_pairing, rs._proot_heights):
+            assert list(v) == [rs._gram_den * sum(rs.gram[i][j] * a[j] for j in range(n))
+                               for i in range(n)]
+            assert h == sum(ainv[i][j] * a[j] for i in range(n) for j in range(n))
 
     @pytest.mark.parametrize("typ", ACCEPTANCE_TYPES)
     def test_gram_symmetric_positive_definite(self, typ):
@@ -278,6 +335,18 @@ class TestCasimirAndDimension:
         assert e7.weyl_dim((0, 0, 0, 0, 0, 0, 1)) == 56
         e8 = build_root_system("E8")
         assert e8.weyl_dim((0, 0, 0, 0, 0, 0, 0, 1)) == 248
+
+    @pytest.mark.parametrize("typ", list(FUNDAMENTAL_DIMS))
+    def test_weyl_dim_of_every_fundamental_weight(self, typ):
+        rs = build_root_system(typ)
+        omegas = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+        assert [rs.weyl_dim(w) for w in omegas] == FUNDAMENTAL_DIMS[typ]
+
+    @pytest.mark.parametrize("typ", GRAM_TYPES)
+    def test_weyl_dim_of_rho_is_two_to_the_positive_roots(self, typ):
+        # Weyl's formula at mu = rho is the product of (2 rho, a)/(rho, a) = 2.
+        rs = build_root_system(typ)
+        assert rs.weyl_dim(rs.rho) == 2 ** len(rs.positive_roots)
 
     def test_adjoint_casimir_normalisation(self):
         # c(adjoint) = 2 h_vee scaled by the long-root length ratio in the
