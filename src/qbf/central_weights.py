@@ -10,11 +10,14 @@ precisely when
 Z2 quantifies over infinitely many fusion triples, so the validator only ever
 certifies "verified up to height H".  Z2 is symmetric in (lam, mu), so each
 unordered pair is decomposed and compared once and counted, like any
-violation it yields, under both orientations.  The built-in families decide
-every condition exactly, on the root system's memoised scaled integers: Z1
-by the sign of log beta (or of beta) and of |mu|^2 (or c(mu)), Z2 in
-squared-rational form, SYM by the conjugation invariance of both.  Table
-weights are compared in the log domain with a relative tolerance of 1e-12.
+violation it yields, under both orientations.  Every condition is decided
+exactly, on one value per weight.  For the built-in families that value is
+the root system's memoised scaled integer |mu|^2 or c(mu): Z1 by the sign of
+log beta (or of beta) and of that integer, Z2 in squared-rational form, SYM
+by its conjugation invariance.  For a table it is the table value as read,
+which ``precision.to_decimal`` rounds to 50 significant digits: Z1 is
+w(mu) >= 1, Z2 is w(nu) <= w(lam) w(mu) with the product taken exactly, and
+SYM is equality.
 
 The dominance certificate decides a whole pair at once.  Every component nu
 of lam (x) mu satisfies nu <= lam + mu in the dominance order, and on
@@ -32,8 +35,9 @@ every height.  The sweeps still earn each verdict, through one pair verdict,
 lam + mu, checks the integer comparison f(nu) < f(lam + mu) on every other
 component, and compares every component when either fails.
 
-Every violation records log values: log w(mu) and 0 for Z1, log w(nu) and
-log w(lam) + log w(mu) for Z2, log w(mu) and log w(conjugate(mu)) for SYM.
+Logs decide nothing; every violation records them: log w(mu) and 0 for Z1,
+log w(nu) and log w(lam) + log w(mu) for Z2, log w(mu) and
+log w(conjugate(mu)) for SYM.
 
 Built-in families:
 
@@ -46,7 +50,7 @@ Built-in families:
 
 from __future__ import annotations
 
-from decimal import Context, Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import partial
 from typing import Iterable, Mapping, NamedTuple
@@ -54,8 +58,6 @@ from typing import Iterable, Mapping, NamedTuple
 from . import precision
 from .fusion import FusionDecomposition, tensor_decompose
 from .root_system import RootSystem, Weight, _integral_weight, _Memo
-
-LOG_TOLERANCE = Decimal("1e-12")
 
 
 class CentralWeightSpec(NamedTuple):
@@ -101,7 +103,8 @@ class WeightValue(NamedTuple):
 
 
 def eval_weight(rs: RootSystem, spec: CentralWeightSpec, mu) -> WeightValue:
-    """Evaluate w(mu) and log w(mu) in high precision.
+    """Evaluate w(mu) and log w(mu) in high precision; a table returns its
+    own value.
 
     beta_norm with beta < 1 is permitted here (the Z1 check will fail); a
     missing table entry raises, and so does a value beyond the decimal range.
@@ -111,6 +114,8 @@ def eval_weight(rs: RootSystem, spec: CentralWeightSpec, mu) -> WeightValue:
     log = _log_weight(rs, spec, mu, ctx)
     if log is None:
         raise KeyError(f"weight table has no entry for {mu}")
+    if spec.kind == "table":
+        return WeightValue(spec.table[mu], log)
     with precision.decimal_range("w({})", mu):
         return WeightValue(ctx.exp(log), log)
 
@@ -188,17 +193,15 @@ def _triangle_violations(f, sense: int, fd: FusionDecomposition) -> list[Weight]
     return [nu for nu, v in zip(parts, values) if sense * _triangle_compare(v, f_lam, f_mu) > 0]
 
 
-def _z2_sense(spec: CentralWeightSpec) -> int | None:
-    """Exact Z1 and Z2 for the built-in families, None for tables.
+def _z2_sense(spec: CentralWeightSpec) -> int:
+    """Exact Z1 and Z2 for the built-in families.
 
     log w(mu) is s * t * f(mu)^{1/2} with t > 0, f the scaled norm^2
     (beta_norm) or Casimir (lst), and s the sign of log beta or of beta.  So
-    Z1 fails at mu exactly when s < 0 and f(mu) > 0, and Z2 holds on a triple
+    Z1 fails at mu exactly when s * f(mu) < 0, and Z2 holds on a triple
     exactly when s * _triangle_compare(f(nu), f(lam), f(mu)) <= 0; s is
     returned.
     """
-    if spec.kind == "table":
-        return None
     pivot = 1 if spec.kind == "beta_norm" else 0
     return (spec.beta > pivot) - (spec.beta < pivot)
 
@@ -207,106 +210,98 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
                             height: int) -> ValidationReport:
     """Check Z1, Z2 and symmetry for all fusion triples up to the given height.
 
-    A passing report certifies the conditions on the truncated fusion graph
-    only; for table weights nothing is claimed beyond the covered triples.
-    For ``beta_norm`` with beta >= 1 and ``lst`` with beta >= 0, Z2 holds at
-    every height by the dominance certificate (see the module docstring); the
+    Every condition is decided exactly on the values as read (see the module
+    docstring).  A passing report certifies the conditions on the truncated
+    fusion graph only; for table weights nothing is claimed beyond the
+    covered triples.  For ``beta_norm`` with beta >= 1 and ``lst`` with
+    beta >= 0, Z2 holds at every height by the dominance certificate; the
     sweep still checks every component, per pair through the certificate,
-    and compares every component of a pair it does not cover.
-    ``checked`` counts every triple either way.  A table must be nonempty
-    with dominant keys of the right rank, and a report that made no
-    comparison does not pass.
+    and compares every component of a pair it does not cover.  ``checked``
+    counts every triple either way.  A table must be nonempty with dominant
+    keys of the right rank, and a report that made no comparison does not
+    pass.
     """
     if height < 1:
         raise ValueError("truncation height must be >= 1")
-    if spec.kind == "table":
-        if not spec.table:
+    table = spec.table if spec.kind == "table" else None
+    if table is not None:
+        if not table:
             raise ValueError("weight table is empty")
-        for mu in spec.table:
+        for mu in table:
             rs.check_dominant(mu)
+        value = table.get
+        # Table values have at most DIGITS significant digits, so the product
+        # of two is exact in twice as many over the widest exponent range.
+        exact = Context(prec=2 * precision.DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    else:
+        sense = _z2_sense(spec)
+        value = rs._norm_scaled if spec.kind == "beta_norm" else rs._casimir_scaled
     ctx = precision.make_context()
-    tol = LOG_TOLERANCE
     notes: list[str] = [f"verified up to height {height}"]
     violations: list[Violation] = []
     weights = rs.dominant_weights_up_to(height)
-    zero = (0,) * rs.rank
 
+    # Logs are evaluated only to be recorded.
     log_of = _Memo(partial(_log_weight, rs, spec, ctx=ctx)).__getitem__
-
     checked = skipped = 0
-    # The built-in families decide Z1 and Z2 exactly; their Decimal logs are
-    # evaluated only to be recorded.
-    sense = _z2_sense(spec)
-    f = rs._norm_scaled if spec.kind == "beta_norm" else rs._casimir_scaled
 
-    # Z1: w(mu) >= 1, i.e. log w(mu) >= 0.
+    # Z1: w(mu) >= 1.
     for mu in weights:
-        lw = log_of(mu)
-        if lw is None:
+        w = value(mu)
+        if w is None:
             skipped += 1
             continue
         checked += 1
-        low = (lw < -tol * max(Decimal(1), abs(lw)) if sense is None
-               else sense < 0 and f(mu) > 0)
-        if low:
-            violations.append(Violation("Z1", (mu,), lw, Decimal(0)))
+        if (w < 1 if table is not None else sense * w < 0):
+            violations.append(Violation("Z1", (mu,), log_of(mu), Decimal(0)))
 
     # Z2: w(nu) <= w(lam) w(mu) over the truncated fusion graph.  Every
     # comparison is symmetric in (lam, mu), so an unordered pair stands for
     # both orientations: it counts twice and records each violation twice.
     for i, lam in enumerate(weights):
-        llam = log_of(lam)
+        w_lam, llam = value(lam), log_of(lam)
         for mu in weights[i:]:
             orientations = ((lam, mu),) if lam == mu else ((lam, mu), (mu, lam))
-            lmu = log_of(mu)
-            if llam is None or lmu is None:
+            w_mu = value(mu)
+            if w_lam is None or w_mu is None:
                 skipped += len(orientations)
                 continue
             try:
-                rhs = ctx.add(llam, lmu)
+                rhs = ctx.add(llam, log_of(mu))
             except ArithmeticError:
                 with precision.decimal_range("log w({}) + log w({})", lam, mu):
                     raise
             fd = tensor_decompose(rs, lam, mu)
-            if sense is not None:
+            if table is None:
                 checked += len(orientations) * len(fd._parts)
-                bad = _triangle_violations(f, sense, fd) or []
+                bad = _triangle_violations(value, sense, fd) or []
             else:
+                product = exact.multiply(w_lam, w_mu)
                 bad = []
                 for nu in fd._parts:  # unsorted: the violations are sorted once, at the end
-                    lnu = log_of(nu)
-                    if lnu is None:
+                    w_nu = value(nu)
+                    if w_nu is None:
                         skipped += len(orientations)
                         continue
                     checked += len(orientations)
-                    if ctx.subtract(lnu, rhs) > tol * max(Decimal(1), abs(lnu), abs(rhs)):
+                    if w_nu > product:
                         bad.append(nu)
             violations.extend(Violation("Z2", (a, b, nu), log_of(nu), rhs)
                               for nu in bad for a, b in orientations)
 
-    # SYM: w(mu) = w(conjugate(mu)).
+    # SYM: w(mu) = w(conjugate(mu)); |mu|^2 and c(mu) are conjugation invariants.
     for mu in weights:
         conj = rs.conjugate_weight(mu)
-        if spec.kind in ("beta_norm", "lst"):
-            checked += 1
-            # |mu| and c(mu) are conjugation invariants; check them exactly.
-            same = (rs._norm_scaled(mu) == rs._norm_scaled(conj)
-                    and rs._casimir_scaled(mu) == rs._casimir_scaled(conj))
-            if not same:
-                violations.append(Violation("SYM", (mu, conj),
-                                            log_of(mu) or Decimal(0),
-                                            log_of(conj) or Decimal(0)))
-            continue
-        lw, lc = log_of(mu), log_of(conj)
-        if lw is None or lc is None:
+        w, w_conj = value(mu), value(conj)
+        if w is None or w_conj is None:
             skipped += 1
             continue
         checked += 1
-        if abs(ctx.subtract(lw, lc)) > tol * max(Decimal(1), abs(lw), abs(lc)):
-            violations.append(Violation("SYM", (mu, conj), lw, lc))
+        if w != w_conj:
+            violations.append(Violation("SYM", (mu, conj), log_of(mu), log_of(conj)))
 
-    if spec.kind == "table":
-        w0 = spec.table.get(zero)
+    if table is not None:
+        w0 = table.get((0,) * rs.rank)
         if w0 is not None and w0 != 1:
             notes.append(f"informational: w(0) = {w0} != 1 (not enforced)")
         if skipped:

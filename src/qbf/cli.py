@@ -3,10 +3,11 @@
 Every subcommand runs through one runner, ``_run``.  It reads the shared
 options in a fixed order, so an input with two faults always reports the
 same one: ``--precision``, then the Lie type of ``--type``, the height cap
-on ``--height`` (lifted by ``--force``), ``--q`` for the commands that take
-a type, then ``--lambda`` and ``--mu``.  The subcommand then checks its own
-options and returns its payload, table rows and verdict; the runner writes
-them in the ``--format`` asked for and turns the verdict into the exit code.
+on ``--height`` (lifted by ``--force``; checked before the root system is
+built), ``--q`` for the commands that take a type, then ``--lambda`` and
+``--mu``.  The subcommand then checks its own options and returns its
+payload, table rows and verdict; the runner writes them in the ``--format``
+asked for and turns the verdict into the exit code.
 
 Exit codes: 0 on success, 1 on validation failure (bad flags, malformed
 weights, out-of-range parameters) or output that cannot be written, 2 when a
@@ -387,11 +388,12 @@ def _run(args) -> int:
     given = vars(args)
     rs = None
     if "type" in given:
-        rs = root_system.build_root_system(args.type)
-        cap = min(_HEIGHT_CAPS[s] for s, _ in rs.lie_type.factors)
+        lie_type = root_system.LieType.parse(args.type)
+        cap = min(_HEIGHT_CAPS[s] for s, _ in lie_type.factors)
         if given.get("height", 0) > cap and not args.force:
-            raise CliError(f"height {args.height} exceeds the cap {cap} for type {rs.lie_type}; "
+            raise CliError(f"height {args.height} exceeds the cap {cap} for type {lie_type}; "
                            "pass --force to override")
+        rs = root_system.build_root_system(lie_type)
         if "q" in given:
             args.q = qnorm.SessionConfig(args.q)
         for dest, flag in (("lam", "--lambda"), ("mu", "--mu")):

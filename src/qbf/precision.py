@@ -2,10 +2,11 @@
 
 All non-rational arithmetic in this package (square roots, logarithms,
 exponentials) runs in a :mod:`decimal` context of ``DIGITS`` significant
-digits.  The precision is fixed: the tolerances of the callers are sized for
-it.  ``to_decimal`` is the one screening of user-supplied reals: every
-caller that takes a real from outside the package (beta, table values)
-passes it through ``to_decimal`` and adds only its own domain bound.
+digits.  The precision is fixed; the one tolerance sized for it is the
+boundary guard of ``cb_region``.  ``to_decimal`` is the one screening of
+user-supplied reals: every caller that takes a real from outside the package
+(beta, table values) passes it through ``to_decimal`` and adds only its own
+domain bound.
 ``decimal_range`` is the one translation of a result beyond the context's
 exponent range, above it or rounded away below it, into a ``ValueError``.
 """

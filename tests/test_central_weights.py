@@ -1,4 +1,4 @@
-from decimal import Context, Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qbf import central_weights, precision
 from qbf.central_weights import (
-    LOG_TOLERANCE,
     CentralWeightSpec,
     SubadditivityReport,
     Violation,
@@ -23,6 +22,8 @@ from qbf.fusion import FusionDecomposition, tensor_decompose
 from qbf.root_system import LieType, RootSystem, build_root_system
 
 CTX = Context(prec=50)
+# Wide enough for the exact product of two 50-digit table values.
+EXACT = Context(prec=100, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 class TestEvalWeight:
@@ -68,6 +69,14 @@ class TestEvalWeight:
         assert eval_weight(rs, spec, (1,)).value == Decimal("2.5")
         with pytest.raises(KeyError):
             eval_weight(rs, spec, (2,))
+
+    @pytest.mark.parametrize("value", ["3", "7", "0.3", "9e999999", "1e-999999"])
+    def test_table_value_returned_as_read(self, value):
+        # The table's own value, not exp(ln w) rounded back.
+        rs = build_root_system("A1")
+        got = eval_weight(rs, CentralWeightSpec.from_table({(0,): 1, (1,): value}), (1,))
+        assert got.value == Decimal(value) and str(got.value) == str(Decimal(value))
+        assert got.log == CTX.ln(Decimal(value))
 
     def test_monotone_in_beta(self):
         rs = build_root_system("G2")
@@ -155,9 +164,40 @@ class TestValidate:
         first = report.violations[0]
         assert first.condition == "Z2"
         assert first.weights == ((1,), (1,), (2,))
-        # the witness re-evaluates to a failure far beyond tolerance
-        scale = max(Decimal(1), abs(first.lhs), abs(first.rhs))
-        assert first.lhs - first.rhs > LOG_TOLERANCE * scale
+        # the witness fails on the table values and on the recorded logs
+        w = report.spec.table
+        assert w[(2,)] > EXACT.multiply(w[(1,)], w[(1,)])
+        assert first.lhs > first.rhs
+
+    @pytest.mark.parametrize("typ,table,height,found", [
+        # w(2) exceeds w(1)^2 = 4 by 1e-13; (2) occurs in (1) x (1)
+        pytest.param("A1", {(0,): 1, (1,): 2, (2,): "4.0000000000001"}, 1,
+                     {("Z2", ((1,), (1,), (2,)))}, id="z2-near-tie"),
+        # w(1)^2 = 1.99...9864... (100 digits) rounds up to w(2) at 50 digits
+        pytest.param("A1", {(0,): 1, (1,): "1.4142135623730950488016887242096980785696718753769",
+                            (2,): "1.9999999999999999999999999999999999999999999999999"}, 1,
+                     {("Z2", ((1,), (1,), (2,)))}, id="z2-beyond-50-digits"),
+        pytest.param("A1", {(0,): 1, (1,): "0.9999999999999"}, 1,
+                     {("Z1", ((1,),)), ("Z2", ((1,), (1,), (0,)))}, id="z1-near-tie"),
+        pytest.param("A2", {(0, 0): 1, (1, 0): 2, (0, 1): "2.0000000000001"}, 1,
+                     {("SYM", ((0, 1), (1, 0))), ("SYM", ((1, 0), (0, 1)))}, id="sym-near-tie"),
+        # w(1)^2 = 8.1e1999999 and w(2)^2 = 1e-1999998 lie far outside the
+        # 50-digit context's exponent range
+        pytest.param("A1", {(0,): 1, (1,): "9e999999", (2,): "1e-999999"}, 2,
+                     {("Z1", ((2,),)),
+                      ("Z2", ((1,), (2,), (1,))), ("Z2", ((2,), (1,), (1,))),
+                      ("Z2", ((2,), (2,), (0,))), ("Z2", ((2,), (2,), (2,)))},
+                     id="products-beyond-exponent-range"),
+    ])
+    def test_table_decided_exactly(self, typ, table, height, found):
+        report = validate_central_weight(build_root_system(typ),
+                                         CentralWeightSpec.from_table(table), height)
+        assert {(v.condition, v.weights) for v in report.violations} == found
+        assert not report.passed
+        for v in report.violations:
+            if v.condition == "Z2":
+                lam, mu, nu = (report.spec.table[w] for w in v.weights)
+                assert nu > EXACT.multiply(lam, mu)
 
     def test_table_notes_cover_w0_and_missing_entries(self):
         rs = build_root_system("A1")
@@ -254,19 +294,22 @@ def exact_invariant(rs, spec):
 
 
 def exact_z2(rs, spec, lam, mu, nu):
-    """Z2 for a built-in family decided on exact Fraction invariants, None for
-    tables: the sign of log beta (or of beta) orients the triangle inequality."""
-    if spec.kind == "table":
-        return None
+    """Z2 for a built-in family decided on exact Fraction invariants: the
+    sign of log beta (or of beta) orients the triangle inequality."""
     f, sign = exact_invariant(rs, spec)
     return sign * _triangle_compare(f(nu), f(lam), f(mu)) <= 0
 
 
 def ordered_reference(rs, spec, height):
     """Z1/Z2/SYM with Z2 walked over ordered pairs, the reference for the
-    validator's unordered sweep: (violations, checked, skipped)."""
+    validator's unordered sweep: (violations, checked, skipped).
+
+    Tables are decided exactly on their values.  A built-in family is
+    decided on exact Fraction invariants, and outside a 1e-12 band of
+    equality its Decimal logs must agree with that verdict."""
     ctx = precision.make_context()
-    tol = LOG_TOLERANCE
+    band = Decimal("1e-12")
+    table = spec.table if spec.kind == "table" else None
     weights = rs.dominant_weights_up_to(height)
     logs = {}
 
@@ -282,8 +325,8 @@ def ordered_reference(rs, spec, height):
             skipped += 1
             continue
         checked += 1
-        if spec.kind == "table":
-            low = lw < -tol * max(Decimal(1), abs(lw))
+        if table is not None:
+            low = table[mu] < 1
         else:
             f, sign = exact_invariant(rs, spec)
             low = sign * f(mu) < 0
@@ -302,12 +345,12 @@ def ordered_reference(rs, spec, height):
                     skipped += 1
                     continue
                 checked += 1
-                gap = ctx.subtract(lnu, rhs)
-                exact = exact_z2(rs, spec, lam, mu, nu)
-                if abs(gap) <= tol * max(Decimal(1), abs(lnu), abs(rhs)):
-                    bad = exact is False
+                if table is not None:
+                    bad = table[nu] > EXACT.multiply(table[lam], table[mu])
                 else:
-                    bad = gap > 0 and exact is not True
+                    gap = ctx.subtract(lnu, rhs)
+                    near = abs(gap) <= band * max(Decimal(1), abs(lnu), abs(rhs))
+                    bad = not exact_z2(rs, spec, lam, mu, nu) and (near or gap > 0)
                 if bad:
                     violations.append(Violation("Z2", (lam, mu, nu), lnu, rhs))
     for mu in weights:
@@ -322,7 +365,7 @@ def ordered_reference(rs, spec, height):
             skipped += 1
             continue
         checked += 1
-        if abs(ctx.subtract(lw, lc)) > tol * max(Decimal(1), abs(lw), abs(lc)):
+        if table[mu] != table[conj]:
             violations.append(Violation("SYM", (mu, conj), lw, lc))
     violations.sort(key=lambda v: (v.condition, v.weights))
     return tuple(violations), checked, skipped
@@ -330,8 +373,9 @@ def ordered_reference(rs, spec, height):
 
 @st.composite
 def weight_specs(draw):
-    """A2 or B2, a height, and a table (values from a small set, so ties and
-    Z2 violations both occur, with some entries missing) or a built-in family."""
+    """A2 or B2, a height, and a table (values from a small set, so ties,
+    near-ties and Z2 violations all occur, with some entries missing) or a
+    built-in family."""
     rs = build_root_system(draw(st.sampled_from(["A2", "B2"])))
     height = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(["table", "table", "beta_norm", "lst"]))
@@ -341,7 +385,8 @@ def weight_specs(draw):
     if kind == "lst":
         return rs, CentralWeightSpec.lst(draw(st.sampled_from(["0", "0.4"]))), height
     keys = rs.dominant_weights_up_to(height + 1)
-    values = st.one_of(st.none(), st.sampled_from(["0.5", "1", "1.5", "2", "4"]))
+    values = st.one_of(st.none(), st.sampled_from(
+        ["0.5", "0.9999999999999", "1", "1.5", "2", "4", "4.0000000000001"]))
     table = {mu: v for mu in keys if (v := draw(values)) is not None}
     table.setdefault((0,) * rs.rank, "1")
     return rs, CentralWeightSpec.from_table(table), height
@@ -380,8 +425,8 @@ def test_casimir_sweep_stays_on_integer_path(monkeypatch):
 @pytest.mark.parametrize("spec", [CentralWeightSpec.beta_norm(2), CentralWeightSpec.lst(1),
                                   CentralWeightSpec.beta_norm("0.5")])
 def test_builtin_z2_decided_on_integer_path(spec, monkeypatch):
-    # Decimal logs are taken for Z1 over the swept weights, and beyond them
-    # only to record a Z2 violation: never to decide a Z2 triple.
+    # Decimal logs are taken for the swept weights, and beyond them only to
+    # record a Z2 violation: never to decide a Z2 triple.
     rs = build_root_system("B2")
     reference = validate_central_weight(rs, spec, 3)
     logged = []

@@ -10,6 +10,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from qbf import root_system
 from qbf.cli import main
 
 SCHEMA = json.loads(resources.files("qbf").joinpath("schema.json").read_text())
@@ -278,6 +279,16 @@ class TestExitCodes:
         assert doc["violations"][0]["weights"] == [[1], [1], [2]]
         jsonschema.validate(doc, SCHEMA)
 
+    def test_table_near_tie_exit_two(self, tmp_path, capsys):
+        # w(2) = 4.0000000000001 exceeds w(1)^2 = 4 by 1e-13
+        path = tmp_path / "table.json"
+        path.write_text('[{"mu":[0],"w":1},{"mu":[1],"w":2},{"mu":[2],"w":4.0000000000001}]')
+        code, out, _ = run_cli(["verify-weight", "--type", "A1", "--kind", "table",
+                                "--table", str(path), "--height", "1"], capsys)
+        assert code == 2
+        assert [line.split()[:2] for line in out.splitlines() if line[:3] in ("Z1 ", "Z2 ", "SYM")] == [
+            ["Z2", "1;1;2"]]
+
     def test_z1_violation_records_logs(self, capsys):
         # w(2w) = beta^sqrt(2) lies far below the decimal range; its log does not
         code, out, _ = run_cli(["verify-weight", "--type", "A1", "--kind", "beta",
@@ -293,7 +304,8 @@ class TestExitCodes:
         assert ["Z2", "2;2;0", "0", "-6512687.62137"] in z2
 
     def test_z1_decided_exactly(self, capsys):
-        # log w(mu) = log(beta) |mu| is about -1e-14 |mu|, inside any log tolerance
+        # log w(mu) = log(beta) |mu| is about -1e-14 |mu|; Z1 is decided exactly,
+        # so it fails although a relative log tolerance would pass it
         code, out, _ = run_cli(["verify-weight", "--type", "A1", "--kind", "beta",
                                 "--beta", "0.99999999999999", "--height", "2"], capsys)
         assert code == 2
@@ -471,6 +483,14 @@ class TestRunner:
     def test_check_order_on_double_faults(self, args, line, capsys):
         assert run_cli(args, capsys) == (1, "", f"error: {line}\n")
 
+    def test_height_cap_refuses_before_the_build(self, monkeypatch, capsys):
+        def no_build(lie_type):
+            raise AssertionError(f"built {lie_type} for a refused command")
+
+        monkeypatch.setattr(root_system, "build_root_system", no_build)
+        assert run_cli(["casimir-check", "--type", "A100", "--height", "13"], capsys) == (
+            1, "", "error: height 13 exceeds the cap 12 for type A100; pass --force to override\n")
+
     @pytest.mark.parametrize("args,code", [
         *(pytest.param(COMMANDS[name], 0, id=name) for name in sorted(COMMANDS)),
         pytest.param(["verify-weight", "--type", "A1", "--kind", "beta", "--beta", "0.5",
@@ -514,6 +534,21 @@ def readme_commands():
 
 def test_readme_lists_every_subcommand():
     assert sorted({args[0] for args in readme_commands()}) == sorted(COMMANDS)
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    # Each print line of the "Library overview" Python block ends in a
+    # comment giving its output, or the output's prefix before "...".
+    section = README.read_text().split("## Library overview", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    expected = [line.split("# ", 1)[1] for line in block.splitlines()
+                if line.startswith("print(") and "# " in line]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(expected) > 0
+    for out, comment in zip(printed, expected):
+        prefix = comment.split("...", 1)[0]
+        assert out == comment if prefix == comment else out.startswith(prefix), (out, comment)
 
 
 @pytest.mark.parametrize("args", readme_commands(), ids=" ".join)
