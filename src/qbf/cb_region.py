@@ -65,6 +65,9 @@ def _shared_constants(cfg: SessionConfig, beta, ctx: Context) -> tuple[Decimal, 
         raise ValueError(f"beta must be >= 1 (weights require w >= 1), got {beta}")
     log_b = ctx.ln(b)
     log_inv_q = ctx.minus(ctx.ln(precision.to_decimal(cfg.q, ctx)))
+    if not log_inv_q:
+        raise ValueError(f"q = {cfg.q} rounds to 1 at {precision.DIGITS} digits, "
+                         "so ln(1/q) is 0")
     t = ctx.divide(log_b, log_inv_q)
     return b, log_b, log_inv_q, ctx.multiply(t, t)
 

@@ -70,9 +70,6 @@ class Character:
         return MappingProxyType({w: m for nu, m in self.dominant.items()
                                  for w in self._rs.weyl_orbit(nu)})
 
-    def multiplicity(self, rs: RootSystem, weight) -> int:
-        return self.weights.get(rs.check_weight(weight), 0)
-
 
 def _candidate_keys(fields: _Fields, key: int) -> set[int]:
     """Keys of the dominant nu with mu - nu a nonnegative integer combination

@@ -5,9 +5,11 @@ options in a fixed order, so an input with two faults always reports the
 same one: ``--precision``, then the Lie type of ``--type``, the height cap
 on ``--height`` (lifted by ``--force``; checked before the root system is
 built), ``--q`` for the commands that take a type, then ``--lambda`` and
-``--mu``.  The subcommand then checks its own options and returns its
-payload, table rows and verdict; the runner writes them in the ``--format``
-asked for and turns the verdict into the exit code.
+``--mu``.  The subcommand then checks its own options and returns the
+library's own values, unrendered: its JSON payload, the columns of its csv
+and table output, the payload records those columns show, and its verdict.
+The runner writes them in the ``--format`` asked for, every value by one
+rule in ``_emit``, and turns the verdict into the exit code.
 
 Exit codes: 0 on success, 1 on validation failure (bad flags, malformed
 weights, out-of-range parameters) or output that cannot be written, 2 when a
@@ -29,7 +31,6 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
 
 # Modules, not names: a submodule's code runs on the first lookup of one of
 # its names, so each command runs only the submodules it calls.
@@ -80,32 +81,47 @@ def _parse_weight(text: str, rank: int, name: str) -> tuple[int, ...]:
     return coords
 
 
-def _frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _emit(args, payload: dict, columns: list[str], records: list[dict]) -> None:
+    """Write payload as JSON, or the columns of records as csv or a table.
 
+    In JSON a Decimal is rendered at --precision digits and a Fraction as
+    p/q.  A cell renders them the same way, writes a weight as 1,0, joins a
+    list or record of weights by ';' and writes a bool in lower case."""
+    def plain(x):
+        if isinstance(x, Decimal):
+            return precision.render(x, args.precision)
+        if isinstance(x, Fraction):
+            return str(x)
+        raise TypeError(f"cannot render {x!r}")
 
-def _weight_str(w) -> str:
-    return ",".join(str(c) for c in w)
+    def cell(x):
+        if isinstance(x, dict):
+            x = tuple(x.values())
+        if isinstance(x, tuple):
+            return (";" if isinstance(x[0], tuple) else ",").join(map(cell, x))
+        if isinstance(x, bool):
+            return str(x).lower()
+        return str(x) if isinstance(x, (int, str)) else plain(x)
 
-
-def _emit(args, payload: dict, headers: list[str], rows: list[list[str]]) -> None:
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(headers)
-        writer.writerows(rows)
-        text = buf.getvalue()
+        text = json.dumps(payload, indent=2, default=plain) + "\n"
     else:
-        widths = [len(h) for h in headers]
-        for row in rows:
-            widths = [max(w, len(c)) for w, c in zip(widths, row)]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-        lines.append("  ".join("-" * w for w in widths))
-        for row in rows:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        text = "\n".join(lines) + "\n"
+        rows = [[cell(record[c]) for c in columns] for record in records]
+        if args.format == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
+            text = buf.getvalue()
+        else:
+            widths = [len(c) for c in columns]
+            for row in rows:
+                widths = [max(w, len(c)) for w, c in zip(widths, row)]
+            lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
+            lines.append("  ".join("-" * w for w in widths))
+            for row in rows:
+                lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+            text = "\n".join(lines) + "\n"
     try:
         if args.out:
             with open(args.out, "w") as fh:
@@ -124,35 +140,34 @@ def _emit(args, payload: dict, headers: list[str], rows: list[list[str]]) -> Non
 
 # -- subcommands ---------------------------------------------------------------
 # Each takes the parsed args, in which _run has read --q (for a command with
-# --type), --lambda and --mu, the root system of --type (None without one)
-# and render(x), x rendered at --precision digits.  It returns the JSON
-# payload, the table headers and rows, and whether its check passed.
+# --type), --lambda and --mu, and the root system of --type (None without
+# one).  It returns the library's own values, unrendered: the JSON payload,
+# the csv and table columns, the payload records those columns show, and
+# whether its check passed.
 
-def _cmd_fusion(args, rs, render):
+def _cmd_fusion(args, rs):
     fd = fusion.tensor_decompose(rs, args.lam, args.mu)
     payload = {
-        "lambda": list(args.lam),
-        "mu": list(args.mu),
-        "components": [{"nu": list(nu), "mult": m} for nu, m in fd.components.items()],
+        "lambda": args.lam,
+        "mu": args.mu,
+        "components": [{"nu": nu, "mult": m} for nu, m in fd.components.items()],
     }
-    rows = [[_weight_str(nu), str(m)] for nu, m in fd.components.items()]
-    return payload, ["nu", "mult"], rows, True
+    return payload, ["nu", "mult"], payload["components"], True
 
 
-def _cmd_character(args, rs, render):
+def _cmd_character(args, rs):
     char = characters.weight_multiplicities(rs, args.mu)
     ordered = sorted(char.dominant.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
     payload = {
         "type": str(rs.lie_type),
-        "mu": list(args.mu),
+        "mu": args.mu,
         "dim": char.dim,
-        "dominant_weights": [{"weight": list(w), "mult": m} for w, m in ordered],
+        "dominant_weights": [{"weight": w, "mult": m} for w, m in ordered],
     }
-    rows = [[_weight_str(w), str(m)] for w, m in ordered]
-    return payload, ["weight", "mult"], rows, True
+    return payload, ["weight", "mult"], payload["dominant_weights"], True
 
 
-def _cmd_verify_weight(args, rs, render):
+def _cmd_verify_weight(args, rs):
     CentralWeightSpec = central_weights.CentralWeightSpec
     if args.kind in ("beta", "lst"):
         if args.beta is None:
@@ -177,151 +192,107 @@ def _cmd_verify_weight(args, rs, render):
     payload = {
         "type": str(rs.lie_type),
         "kind": spec.kind,
-        "beta": None if spec.beta is None else render(spec.beta),
+        "beta": spec.beta,
         "height": report.truncation_height,
         "passed": report.passed,
-        "violations": [
-            {
-                "condition": v.condition,
-                "weights": [list(w) for w in v.weights],
-                "lhs": render(v.lhs),
-                "rhs": render(v.rhs),
-            }
-            for v in report.violations
-        ],
-        "notes": list(report.notes),
+        "violations": [v._asdict() for v in report.violations],
+        "notes": report.notes,
     }
-    rows = [
-        [v.condition, ";".join(_weight_str(w) for w in v.weights),
-         render(v.lhs), render(v.rhs)]
-        for v in report.violations
-    ]
-    return payload, ["condition", "weights", "lhs", "rhs"], rows, report.passed
+    return payload, ["condition", "weights", "lhs", "rhs"], payload["violations"], report.passed
 
 
-def _cmd_norm(args, rs, render):
+def _cmd_norm(args, rs):
     q = args.q.q
     routes: dict[str, dict] = {}
     if args.route in ("closed", "both"):
         e = qnorm.lminus_norm_exponent(rs, args.lam, args.mu)
-        routes["closed"] = {"exponent": _frac(e.value), "q_power": render(e.q_power(q))}
+        routes["closed"] = {"exponent": e.value, "q_power": e.q_power(q)}
     if args.route in ("rmatrix", "both"):
         details = qnorm.rmatrix_exponent_details(rs, args.lam, args.mu)
         routes["rmatrix"] = {
-            "exponent": _frac(details.exponent),
-            "q_power": render(qnorm.QExponent(details.exponent).q_power(q)),
-            "minimizer": list(details.minimizer),
-            "ties": [list(t) for t in details.ties],
+            "exponent": details.exponent,
+            "q_power": qnorm.QExponent(details.exponent).q_power(q),
+            "minimizer": details.minimizer,
+            "ties": details.ties,
         }
-    # _frac writes each rational in lowest terms, so equal strings mean equal exponents.
     match = len({info["exponent"] for info in routes.values()}) == 1
     payload = {
         "type": str(rs.lie_type),
-        "lambda": list(args.lam),
-        "mu": list(args.mu),
-        "q": _frac(q),
+        "lambda": args.lam,
+        "mu": args.mu,
+        "q": q,
         "routes": routes,
         "match": match,
     }
-    rows = [[name, info["exponent"], info["q_power"]] for name, info in routes.items()]
-    return payload, ["route", "exponent", "q_power"], rows, match
+    records = [{"route": name, **info} for name, info in routes.items()]
+    return payload, ["route", "exponent", "q_power"], records, match
 
 
-def _cmd_cb_region(args, rs, render):
+def _cmd_cb_region(args, rs):
     beta = precision.to_decimal(args.beta, precision.make_context(), "beta")
     decisions = cb_region.cb_region_enumerate(rs, args.q, beta, args.height)
-    json_rows = []
-    rows = []
-    for d in decisions:
-        c = d.certificate
-        if c.kind == "bound":
-            cert = {"kind": "bound", "bound": render(c.bound), "attained_at": list(c.attained_at)}
-        else:
-            cert = {"kind": "divergence", "ray_base": list(c.ray_base),
-                    "growth_factor": render(c.growth_factor)}
-        json_rows.append(
-            {
-                "lambda": list(d.lam),
-                "extends": d.extends,
-                "boundary": d.boundary,
-                "norm_sq": _frac(d.norm_sq),
-                "beta_min": render(d.beta_min),
-                "certificate": cert,
-            }
-        )
-        rows.append(
-            [_weight_str(d.lam), str(d.extends).lower(), str(d.boundary).lower(),
-             _frac(d.norm_sq), render(d.beta_min)]
-        )
+    rows = [
+        {
+            "lambda": d.lam,
+            "extends": d.extends,
+            "boundary": d.boundary,
+            "norm_sq": d.norm_sq,
+            "beta_min": d.beta_min,
+            "certificate": {k: v for k, v in d.certificate._asdict().items() if v is not None},
+        }
+        for d in decisions
+    ]
     payload = {
         "type": str(rs.lie_type),
-        "q": _frac(args.q.q),
-        "beta": render(beta),
+        "q": args.q.q,
+        "beta": beta,
         "height": args.height,
-        "rows": json_rows,
+        "rows": rows,
     }
     return payload, ["lambda", "extends", "boundary", "norm_sq", "beta_min"], rows, True
 
 
-def _cmd_oracle_sl2(args, rs, render):
+def _cmd_oracle_sl2(args, rs):
     # q stays unread here: the oracle checks its spin labels before q.
     report = sl2_oracle.verify_norm_formula(args.q, args.m, args.n)
     payload = {
-        "q": _frac(report.q),
+        "q": report.q,
         "m": report.m,
         "n": report.n,
         "passed": report.passed,
         "norm": {
-            "computed": render(report.norm_computed),
-            "expected": render(report.norm_expected),
+            "computed": report.norm_computed,
+            "expected": report.norm_expected,
         },
-        "eigenvalues": [
-            {
-                "nu": row.nu,
-                "exponent": row.exponent,
-                "multiplicity": row.multiplicity,
-                "value": render(row.value),
-                "verified_exact": row.verified_exact,
-            }
-            for row in report.eigen_rows
-        ],
-        "residuals": {"relations": _frac(report.relation_residual)},
-        "failures": list(report.failures),
+        "eigenvalues": [row._asdict() for row in report.eigen_rows],
+        "residuals": {"relations": report.relation_residual},
+        "failures": report.failures,
     }
-    rows = [
-        [str(r.nu), str(r.exponent), str(r.multiplicity), render(r.value),
-         str(r.verified_exact).lower()]
-        for r in report.eigen_rows
-    ]
-    return (payload, ["nu", "exponent", "multiplicity", "value", "verified_exact"], rows,
-            report.passed)
+    return (payload, ["nu", "exponent", "multiplicity", "value", "verified_exact"],
+            payload["eigenvalues"], report.passed)
 
 
-def _cmd_casimir_check(args, rs, render):
+def _cmd_casimir_check(args, rs):
     report = central_weights.casimir_subadditivity_check(rs, args.height)
     payload = {
         "type": str(rs.lie_type),
         "height": report.truncation_height,
         "passed": report.passed,
         "triples": report.triples_checked,
-        "min_slack": render(report.min_slack),
+        "min_slack": report.min_slack,
         "witness": {
-            "lambda": list(report.witness[0]),
-            "mu": list(report.witness[1]),
-            "nu": list(report.witness[2]),
+            "lambda": report.witness[0],
+            "mu": report.witness[1],
+            "nu": report.witness[2],
         },
         "violations": [
-            {"lambda": list(l), "mu": list(m), "nu": list(n)}
+            {"lambda": l, "mu": m, "nu": n}
             for l, m, n in report.violations
         ],
     }
-    rows = [
-        ["triples", str(report.triples_checked)],
-        ["min_slack", render(report.min_slack)],
-        ["witness", ";".join(_weight_str(w) for w in report.witness)],
-        ["passed", str(report.passed).lower()],
-    ]
-    return payload, ["key", "value"], rows, report.passed
+    records = [{"key": k, "value": payload[k]}
+               for k in ("triples", "min_slack", "witness", "passed")]
+    return payload, ["key", "value"], records, report.passed
 
 
 def build_parser() -> _Parser:
@@ -399,9 +370,8 @@ def _run(args) -> int:
         for dest, flag in (("lam", "--lambda"), ("mu", "--mu")):
             if dest in given:
                 given[dest] = _parse_weight(given[dest], rs.rank, flag)
-    payload, headers, rows, passed = args.run(
-        args, rs, partial(precision.render, digits=args.precision))
-    _emit(args, payload, headers, rows)
+    payload, columns, records, passed = args.run(args, rs)
+    _emit(args, payload, columns, records)
     return EXIT_OK if passed else EXIT_VIOLATION
 
 

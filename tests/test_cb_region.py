@@ -75,6 +75,19 @@ class TestCbExtends:
         with pytest.raises(ValueError, match="beta"):
             cb_extends(rs, cfg, "0.99", (1,))
 
+    def test_q_rounding_to_one_rejected(self):
+        # q = 1 - 1e-52 rounds to 1 at 50 digits, so ln(1/q) would be 0.
+        rs = build_root_system("A1")
+        cfg = SessionConfig("0." + "9" * 52)
+        for decide in (lambda: cb_extends(rs, cfg, 2, (1,)),
+                       lambda: cb_region_enumerate(rs, cfg, 2, 2),
+                       lambda: sup_ratio_scan(rs, cfg, 2, (1,), 2)):
+            with pytest.raises(ValueError, match="rounds to 1 at 50 digits"):
+                decide()
+        # Just below the rounding, ln(1/q) is about 1e-50 and every weight extends.
+        cfg = SessionConfig("0." + "9" * 50)
+        assert all(d.extends for d in cb_region_enumerate(rs, cfg, 2, 2))
+
     def test_non_dominant_rejected(self):
         rs = build_root_system("A2")
         cfg = SessionConfig("0.5")

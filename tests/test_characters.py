@@ -202,10 +202,8 @@ class TestWeightMultiplicities:
 
     def test_weyl_symmetry_on_samples(self):
         rs = build_root_system("B2")
-        char = weight_multiplicities(rs, (2, 1))
         fw = full_weights(rs, (2, 1))
         for w, m in fw.items():
-            assert char.multiplicity(rs, w) == m
             for orbit_point in rs.weyl_orbit(w):
                 assert fw[orbit_point] == m
 

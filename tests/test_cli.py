@@ -247,6 +247,13 @@ class TestExitCodes:
                 "error: deformation parameter q must be a rational with at most 4300 digits "
                 f"in its denominator, got {q}\n")
 
+    def test_q_rounding_to_one_in_cb_region(self, capsys):
+        # 1 - 1e-52 is 1 at the 50 working digits, where ln(1/q) would divide by 0.
+        q = "0." + "9" * 52
+        assert run_cli(["cb-region", "--type", "A1", "--q", q, "--beta", "2", "--height", "2"],
+                       capsys) == (1, "", f"error: q = {10**52 - 1}/{10**52} rounds "
+                                          "to 1 at 50 digits, so ln(1/q) is 0\n")
+
     def test_bad_type(self, capsys):
         code, _, err = run_cli(["fusion", "--type", "Q7", "--lambda", "1", "--mu", "1"], capsys)
         assert code == 1 and "Q7" in err

@@ -1,13 +1,17 @@
-"""The non-sweep subcommands, replayed in process against recorded output.
+"""Single queries and small sweeps, replayed in process against recorded output.
 
 ``golden_queries.json`` maps each command line to the stdout and exit code
 it had when recorded: the E8 adjoint and small exceptional characters,
 fusions, ``norm --route both``, ``oracle-sl2`` and ``cb-region``, all in
-json.  One fusion has an anchor beyond the 21-bit packed fields, and the two
-A1 fusions with lambda = 2^20 - 5 and 2^20 - 4 against mu = 1 straddle the
-switch from 21-bit to 22-bit fields (``test_width_rule`` in
-``test_fusion.py``).  The sweeps are replayed from ``bench/expected.json``
-by ``test_expected_output.py``.
+json, and each of the seven subcommands in csv and table.  Those include a
+failing ``verify-weight`` (exit 2, with Z1 and Z2 rows), a ``cb-region``
+with divergence rows and a single-route ``norm``, so the cells of weights,
+weight lists, bools, rationals and reals are all pinned.  One fusion has an
+anchor beyond the 21-bit packed fields, and the two A1 fusions with
+lambda = 2^20 - 5 and 2^20 - 4 against mu = 1 straddle the switch from
+21-bit to 22-bit fields (``test_width_rule`` in ``test_fusion.py``).  The
+larger sweeps are replayed from ``bench/expected.json`` by
+``test_expected_output.py``.
 """
 
 import json
@@ -21,8 +25,11 @@ GOLDEN = json.loads((pathlib.Path(__file__).resolve().parent / "golden_queries.j
 
 
 def test_every_subcommand_is_covered():
-    assert {command.split()[0] for command in GOLDEN} == {
-        "character", "fusion", "norm", "oracle-sl2", "cb-region"}
+    subcommands = {"character", "fusion", "verify-weight", "norm", "cb-region", "oracle-sl2",
+                   "casimir-check"}
+    assert {command.split()[0] for command in GOLDEN} == subcommands
+    assert {(command.split()[0], command.split()[-1]) for command in GOLDEN} >= {
+        (name, fmt) for name in subcommands for fmt in ("csv", "table")}
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))

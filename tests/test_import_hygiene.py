@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by the module that makes it,
-starting the CLI imports neither ``dataclasses`` nor ``inspect``, and a run
-executes only the submodules it uses.
+every private function, class, constant and method is read somewhere in the
+package, starting the CLI imports neither ``dataclasses`` nor ``inspect``, and
+a run executes only the submodules it uses.
 
 ``from __future__`` imports are directives, so they are exempt from the first
 check.  The records are NamedTuples or small explicit classes:
@@ -13,6 +14,7 @@ touch a name in each, so that every module's code has run.
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -63,6 +65,53 @@ def test_the_check_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """module:name of each private module-level function, class and constant,
+    and module:Class.name of each private method, in sources that no code in
+    sources reads outside the name's own definition."""
+    def reads(node) -> Counter:
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = sum(map(reads, trees.values()), Counter())
+    unread = []
+    for module, tree in trees.items():
+        defined = []  # (shown name, name, definition)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{node.name}.{f.name}", f.name, f) for f in node.body
+                            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((node.name, node.name, node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(n.id, n.id, None) for t in targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name)]
+        for shown, name, node in defined:
+            own = reads(node)[name] if node else 0
+            if name.startswith("_") and not name.endswith("__") and read[name] == own:
+                unread.append(f"{module}:{shown}")
+    return sorted(unread)
+
+
+def test_the_check_flags_an_unread_private_name():
+    sources = {
+        "a": ("_USED, _UNUSED = 1, 2\n_Alias = int\n\n"
+              "def _recursive(n):\n    return _recursive(n - 1) if n else _USED\n\n"
+              "class _Thing:\n    def _helper(self):\n        return self._called()\n\n"
+              "    def _called(self):\n        return 0\n\n    def __repr__(self):\n"
+              "        return ''\n"),
+        "b": "from .a import _Thing\n\ndef public():\n    return _Thing(), _Alias\n",
+    }
+    assert unread_private_names(sources) == [
+        "a:_Thing._helper", "a:_UNUSED", "a:_recursive"]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names({p.stem: p.read_text() for p in SOURCES}) == []
 
 
 def imported_modules(source: str) -> set[str]:
