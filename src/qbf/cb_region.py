@@ -58,16 +58,33 @@ class CBDecision(NamedTuple):
     certificate: Certificate
 
 
+def _log_inverse(q: Fraction, ctx: Context) -> Decimal:
+    """ln(1/q) for q in (0, 1), rounded to ctx.
+
+    Near 1, ln(1/q) is about 1 - q, and rounding q to ctx first would keep
+    only the digits of 1 - q that fit after its leading zeros.  So q is read
+    and its logarithm taken with as many more digits as 1 - q has leading
+    zeros, counted exactly on the fraction; for q <= 0.9 there are none.
+    """
+    x = 1 - q
+    # With k the difference of the digit counts of its terms, x < 1 lies in
+    # [10^-k, 10^(1-k)), with k - 1 leading zeros, or below, with k.
+    k = Decimal(x.denominator).adjusted() - Decimal(x.numerator).adjusted()
+    wide = ctx.copy()
+    wide.prec += k - 1 if x.numerator * 10**k >= x.denominator else k
+    return ctx.plus(wide.minus(wide.ln(precision.to_decimal(q, wide))))
+
+
 def _shared_constants(cfg: SessionConfig, beta, ctx: Context) -> tuple[Decimal, ...]:
     """(beta, ln beta, ln(1/q), t^2) in ctx: what every decision at (q, beta) shares."""
     b = precision.to_decimal(beta, ctx, "beta")
     if b < 1:
         raise ValueError(f"beta must be >= 1 (weights require w >= 1), got {beta}")
     log_b = ctx.ln(b)
-    log_inv_q = ctx.minus(ctx.ln(precision.to_decimal(cfg.q, ctx)))
-    if not log_inv_q:
+    if precision.to_decimal(cfg.q, ctx) == 1:
         raise ValueError(f"q = {cfg.q} rounds to 1 at {precision.DIGITS} digits, "
                          "so ln(1/q) is 0")
+    log_inv_q = _log_inverse(cfg.q, ctx)
     t = ctx.divide(log_b, log_inv_q)
     return b, log_b, log_inv_q, ctx.multiply(t, t)
 

@@ -9,12 +9,12 @@ precisely when
 
 Z2 quantifies over infinitely many fusion triples, so the validator only ever
 certifies "verified up to height H".  Z2 is symmetric in (lam, mu), so each
-unordered pair is decomposed and compared once and counted, like any
-violation it yields, under both orientations.  Every condition is decided
-exactly, on one value per weight.  For the built-in families that value is
-the root system's memoised scaled integer |mu|^2 or c(mu): Z1 by the sign of
-log beta (or of beta) and of that integer, Z2 in squared-rational form, SYM
-by its conjugation invariance.  For a table it is the table value as read,
+unordered pair is compared once and counted, like any violation it yields,
+under both orientations.  Every condition is decided exactly, on one value
+per weight.  For the built-in families that value is the root system's
+memoised scaled integer |mu|^2 or c(mu): Z1 by the sign of log beta (or of
+beta) and of that integer, Z2 in squared-rational form, SYM by its
+conjugation invariance.  For a table it is the table value as read,
 which ``precision.to_decimal`` rounds to 50 significant digits: Z1 is
 w(mu) >= 1, Z2 is w(nu) <= w(lam) w(mu) with the product taken exactly, and
 SYM is equality.
@@ -35,6 +35,23 @@ every height.  The sweeps still earn each verdict, through one pair verdict,
 lam + mu, checks the integer comparison f(nu) < f(lam + mu) on every other
 component, and compares every component when either fails.
 
+The diagram automorphisms halve the sweeps on A_n (n >= 2), D_n, E6 and
+products with repeated factors.  Such an automorphism sigma, a permutation
+of the nodes that keeps the Cartan matrix, permutes the fundamental weights,
+fixes rho and preserves the form, so V(sigma lam) (x) V(sigma mu) is
+sigma(V(lam) (x) V(mu)), and |.|^2 and c(.) are sigma-invariant (Humphreys,
+Lie Algebras, 12.2; Bourbaki, Lie VI, Plates).  Their group Γ maps the box
+of a sweep onto itself, so both sweeps decompose only the first unordered
+pair of each Γ-orbit of pairs, in sweep order, and account for the orbit's
+other pairs, its mates, from that decomposition: a mate's components are the
+images under sigma, with the same triple count, the same certificate verdict
+and the mapped violations.  A table weight need not be Γ-invariant, so a
+mate's mapped components are checked against the table's own values.
+``checked`` and ``triples_checked`` still count every triple of every pair,
+mates included.  The Casimir witness is still the first triple in sweep
+order that attains the smallest slack, as a mate's slacks are those of the
+first pair of its orbit, which comes before it.
+
 Logs decide nothing; every violation records them: log w(mu) and 0 for Z1,
 log w(nu) and log w(lam) + log w(mu) for Z2, log w(mu) and
 log w(conjugate(mu)) for SYM.
@@ -53,10 +70,11 @@ from __future__ import annotations
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from . import precision
-from .fusion import FusionDecomposition, tensor_decompose
+from .fusion import FusionDecomposition, _component_order, tensor_decompose
 from .root_system import RootSystem, Weight, _integral_weight, _Memo
 
 
@@ -111,7 +129,7 @@ def eval_weight(rs: RootSystem, spec: CentralWeightSpec, mu) -> WeightValue:
     """
     mu = rs.check_dominant(mu)
     ctx = precision.make_context()
-    log = _log_weight(rs, spec, mu, ctx)
+    log = _log_weight(rs, spec, mu, ctx, _log_scale(spec, ctx))
     if log is None:
         raise KeyError(f"weight table has no entry for {mu}")
     if spec.kind == "table":
@@ -120,19 +138,64 @@ def eval_weight(rs: RootSystem, spec: CentralWeightSpec, mu) -> WeightValue:
         return WeightValue(ctx.exp(log), log)
 
 
-def _log_weight(rs: RootSystem, spec: CentralWeightSpec, mu: Weight, ctx: Context) -> Decimal | None:
+def _log_scale(spec: CentralWeightSpec, ctx: Context) -> Decimal | None:
+    """s with log w(mu) = s f(mu)^{1/2}: log beta for ``beta_norm``, beta for
+    ``lst``; None for a table."""
+    if spec.kind == "table":
+        return None
+    return ctx.ln(spec.beta) if spec.kind == "beta_norm" else spec.beta
+
+
+def _log_weight(rs: RootSystem, spec: CentralWeightSpec, mu: Weight, ctx: Context,
+                s: Decimal | None) -> Decimal | None:
+    """log w(mu) in ctx, with s = ``_log_scale(spec, ctx)``; None for a
+    weight the table does not hold."""
     if spec.kind == "table":
         value = spec.table.get(mu)
         return None if value is None else ctx.ln(value)
-    # log w(mu) = s f(mu)^{1/2} with s = log beta, f = |mu|^2 or s = beta, f = c(mu);
-    # a zero factor gives an exact 0, not a zero carrying the product's exponent.
+    # log w(mu) = s f(mu)^{1/2} with f = |mu|^2 or c(mu); a zero factor gives
+    # an exact 0, not a zero carrying the product's exponent.
     f = rs.norm_sq(mu) if spec.kind == "beta_norm" else rs.casimir(mu)
-    s = ctx.ln(spec.beta) if spec.kind == "beta_norm" else spec.beta
     if f == 0 or s == 0:
         return Decimal(0)
     root = precision.sqrt_fraction(f, ctx)
     with precision.decimal_range("log w({})", mu):
         return ctx.multiply(root, s)
+
+
+def _pair_orbits(rs: RootSystem, weights: list[Weight]):
+    """Yield (lam, mu, mates) for the first unordered pair {lam, mu} of each
+    Γ-orbit of pairs from ``weights``, in sweep order, lam before mu.
+
+    ``mates`` lists (a, b, sigma) for the orbit's other pairs, a before b,
+    with sigma in Γ taking {lam, mu} to {a, b}, as a map of weights.  They
+    come later in sweep order, and no later pair of the orbit is yielded.
+    The orbit is walked on the root system's image positions of
+    ``weights``; with Γ trivial, ``mates`` is empty and no image is read.
+    """
+    images = rs._symmetry_images(weights)
+    identity = tuple(range(rs.rank))
+    n = len(weights)
+    later: set[int] = set()  # the positions i n + j of mates still to come
+    for i, lam in enumerate(weights):
+        for j in range(i, n):
+            mates = ()
+            if images:
+                if i * n + j in later:
+                    continue
+                orbit = {i * n + j}
+                todo = [(i, j, identity)]
+                for a, b, source in todo:  # sigma(x) = (x[source[0]], ...)
+                    for image, generator in images:
+                        x, y = image[a], image[b]
+                        if x > y:
+                            x, y = y, x
+                        if x * n + y not in orbit:
+                            orbit.add(x * n + y)
+                            todo.append((x, y, generator(source)))
+                later |= orbit
+                mates = [(weights[a], weights[b], itemgetter(*source)) for a, b, source in todo[1:]]
+            yield lam, weights[j], mates
 
 
 class Violation(NamedTuple):
@@ -216,10 +279,11 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
     covered triples.  For ``beta_norm`` with beta >= 1 and ``lst`` with
     beta >= 0, Z2 holds at every height by the dominance certificate; the
     sweep still checks every component, per pair through the certificate,
-    and compares every component of a pair it does not cover.  ``checked``
-    counts every triple either way.  A table must be nonempty with dominant
-    keys of the right rank, and a report that made no comparison does not
-    pass.
+    and compares every component of a pair it does not cover.  Only the
+    first pair of each orbit of the diagram automorphisms is decomposed (see
+    the module docstring).  ``checked`` counts every triple either way.  A
+    table must be nonempty with dominant keys of the right rank, and a
+    report that made no comparison does not pass.
     """
     if height < 1:
         raise ValueError("truncation height must be >= 1")
@@ -242,7 +306,7 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
     weights = rs.dominant_weights_up_to(height)
 
     # Logs are evaluated only to be recorded.
-    log_of = _Memo(partial(_log_weight, rs, spec, ctx=ctx)).__getitem__
+    log_of = _Memo(partial(_log_weight, rs, spec, ctx=ctx, s=_log_scale(spec, ctx))).__getitem__
     checked = skipped = 0
 
     # Z1: w(mu) >= 1.
@@ -258,27 +322,32 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
     # Z2: w(nu) <= w(lam) w(mu) over the truncated fusion graph.  Every
     # comparison is symmetric in (lam, mu), so an unordered pair stands for
     # both orientations: it counts twice and records each violation twice.
-    for i, lam in enumerate(weights):
-        w_lam, llam = value(lam), log_of(lam)
-        for mu in weights[i:]:
-            orientations = ((lam, mu),) if lam == mu else ((lam, mu), (mu, lam))
-            w_mu = value(mu)
-            if w_lam is None or w_mu is None:
+    # One pair per orbit of Γ is decomposed; its mates read the mapped parts.
+    for lam, mu, mates in _pair_orbits(rs, weights):
+        fd = None
+        for a, b, sigma in ((lam, mu, None), *mates):
+            orientations = ((a, b),) if a == b else ((a, b), (b, a))
+            w_a, w_b = value(a), value(b)
+            if w_a is None or w_b is None:
                 skipped += len(orientations)
                 continue
             try:
-                rhs = ctx.add(llam, log_of(mu))
+                rhs = ctx.add(log_of(a), log_of(b))
             except ArithmeticError:
-                with precision.decimal_range("log w({}) + log w({})", lam, mu):
+                with precision.decimal_range("log w({}) + log w({})", a, b):
                     raise
-            fd = tensor_decompose(rs, lam, mu)
-            if table is None:
+            if fd is None:
+                fd = tensor_decompose(rs, lam, mu)
+                if table is None:
+                    found = _triangle_violations(value, sense, fd) or []
+            if table is None:  # the verdicts of a mate are the mapped ones
                 checked += len(orientations) * len(fd._parts)
-                bad = _triangle_violations(value, sense, fd) or []
+                bad = found if sigma is None else map(sigma, found)
             else:
-                product = exact.multiply(w_lam, w_mu)
+                product = exact.multiply(w_a, w_b)
                 bad = []
-                for nu in fd._parts:  # unsorted: the violations are sorted once, at the end
+                # unsorted: the violations are sorted once, at the end
+                for nu in fd._parts if sigma is None else map(sigma, fd._parts):
                     w_nu = value(nu)
                     if w_nu is None:
                         skipped += len(orientations)
@@ -286,8 +355,8 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
                     checked += len(orientations)
                     if w_nu > product:
                         bad.append(nu)
-            violations.extend(Violation("Z2", (a, b, nu), log_of(nu), rhs)
-                              for nu in bad for a, b in orientations)
+            violations.extend(Violation("Z2", (x, y, nu), log_of(nu), rhs)
+                              for nu in bad for x, y in orientations)
 
     # SYM: w(mu) = w(conjugate(mu)); |mu|^2 and c(mu) are conjugation invariants.
     for mu in weights:
@@ -344,10 +413,13 @@ def casimir_subadditivity_check(rs: RootSystem, height: int) -> SubadditivityRep
     slack is evaluated with high-precision square roots.  Subadditivity holds
     at every height by the dominance certificate (see the module docstring),
     which also puts each pair's smallest slack at nu = lam + mu.  So one slack
-    loop runs per pair: over lam + mu alone for a pair the certificate
-    decides, and over every component in order for any other pair, whose
-    violations are then listed in that order.  The witness is thus the
-    per-triple one either way, and ``triples_checked`` counts every triple.
+    loop runs per pair, and only for the first pair of each orbit of the
+    diagram automorphisms (see the module docstring): over lam + mu alone
+    for a pair the certificate decides, and over every component in order
+    for any other pair, whose violations, and its mates' mapped ones, are
+    then listed in sweep order and each pair's in component order.  The
+    witness is thus the per-triple one either way, and ``triples_checked``
+    counts every triple.
     """
     if height < 1:
         raise ValueError("truncation height must be >= 1")
@@ -361,19 +433,25 @@ def casimir_subadditivity_check(rs: RootSystem, height: int) -> SubadditivityRep
     min_slack: Decimal | None = None
     witness = None
     violations: list[tuple[Weight, Weight, Weight]] = []
-    for i, lam in enumerate(weights):
-        for mu in weights[i:]:
-            rhs = ctx.add(root_of(lam), root_of(mu))
-            fd = tensor_decompose(rs, lam, mu)
-            checked += len(fd._parts)
-            bad = _triangle_violations(cas, 1, fd)
-            scan = (fd.cartan,) if bad is None else fd.components
-            violations.extend((lam, mu, nu) for nu in scan if bad and nu in bad)
-            for nu in scan:
-                slack = ctx.subtract(rhs, root_of(nu))
-                if min_slack is None or slack < min_slack:
-                    min_slack = slack
-                    witness = (lam, mu, nu)
+    for lam, mu, mates in _pair_orbits(rs, weights):
+        rhs = ctx.add(root_of(lam), root_of(mu))
+        fd = tensor_decompose(rs, lam, mu)
+        checked += len(fd._parts) * (1 + len(mates))
+        bad = _triangle_violations(cas, 1, fd)
+        scan = (fd.cartan,) if bad is None else fd.components
+        if bad:
+            violations.extend((lam, mu, nu) for nu in scan if nu in bad)
+            violations.extend((a, b, nu) for a, b, sigma in mates
+                              for nu in sorted(map(sigma, bad), key=_component_order))
+        # A mate's slacks are these, c being Γ-invariant, and it comes later.
+        for nu in scan:
+            slack = ctx.subtract(rhs, root_of(nu))
+            if min_slack is None or slack < min_slack:
+                min_slack = slack
+                witness = (lam, mu, nu)
+    if violations:  # into sweep order, each pair's in component order
+        position = {w: i for i, w in enumerate(weights)}
+        violations.sort(key=lambda v: (position[v[0]], position[v[1]]))
     return SubadditivityReport(
         passed=not violations,
         truncation_height=height,

@@ -3,13 +3,14 @@
 Every subcommand runs through one runner, ``_run``.  It reads the shared
 options in a fixed order, so an input with two faults always reports the
 same one: ``--precision``, then the Lie type of ``--type``, the height cap
-on ``--height`` (lifted by ``--force``; checked before the root system is
-built), ``--q`` for the commands that take a type, then ``--lambda`` and
-``--mu``.  The subcommand then checks its own options and returns the
-library's own values, unrendered: its JSON payload, the columns of its csv
-and table output, the payload records those columns show, and its verdict.
-The runner writes them in the ``--format`` asked for, every value by one
-rule in ``_emit``, and turns the verdict into the exit code.
+on ``--height`` (lifted by ``--force``) and the size of the box of dominant
+weights up to that height (both checked before the root system is built),
+``--q`` for the commands that take a type, then ``--lambda`` and ``--mu``.
+The subcommand then checks its own options and returns the library's own
+values, unrendered: its JSON payload, the columns of its csv and table
+output, the payload records those columns show, and its verdict.  The
+runner writes them in the ``--format`` asked for, every value by one rule in
+``_emit``, and turns the verdict into the exit code.
 
 Exit codes: 0 on success, 1 on validation failure (bad flags, malformed
 weights, out-of-range parameters) or output that cannot be written, 2 when a
@@ -361,9 +362,12 @@ def _run(args) -> int:
     if "type" in given:
         lie_type = root_system.LieType.parse(args.type)
         cap = min(_HEIGHT_CAPS[s] for s, _ in lie_type.factors)
-        if given.get("height", 0) > cap and not args.force:
-            raise CliError(f"height {args.height} exceeds the cap {cap} for type {lie_type}; "
+        height = given.get("height", -1)
+        if height > cap and not args.force:
+            raise CliError(f"height {height} exceeds the cap {cap} for type {lie_type}; "
                            "pass --force to override")
+        if height >= 0:  # a negative height is refused by the command, in its words
+            root_system._check_box(lie_type, height)
         rs = root_system.build_root_system(lie_type)
         if "q" in given:
             args.q = qnorm.SessionConfig(args.q)

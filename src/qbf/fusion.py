@@ -30,12 +30,13 @@ dimensions and radii are read from the root system's per-weight memo.
 :meth:`FusionDecomposition.from_parts` is the one check of every result: it
 drops the sums that cancelled to zero and refuses a negative one.
 
-Decompositions themselves are not cached: the sweeps decompose each
-unordered pair once, and a fusion cache measured a repeat ratio of 0.  The
-weight system is memoised on the root system by :mod:`qbf.characters`.  A
-decomposition keeps its components in the order the loop found them; the
-sorted ``components`` mapping is built on first read, so the sweeps, which
-read every component of every pair but need no order, never pay for a sort.
+Decompositions themselves are not cached: the sweeps decompose one
+unordered pair per orbit of the diagram automorphisms, and a fusion cache
+measured a repeat ratio of 0.  The weight system is memoised on the root
+system by :mod:`qbf.characters`.  A decomposition keeps its components in
+the order the loop found them; the sorted ``components`` mapping is built on
+first read, so the sweeps, which read every component of every pair but need
+no order, never pay for a sort.
 """
 
 from __future__ import annotations
@@ -89,13 +90,20 @@ class FusionDecomposition:
 
     @cached_property
     def components(self) -> dict[Weight, int]:
-        return dict(sorted(self._parts.items(), key=lambda kv: (-sum(kv[0]), kv[0])))
+        parts = self._parts
+        return {nu: parts[nu] for nu in sorted(parts, key=_component_order)}
 
     def dimension(self, rs: RootSystem) -> int:
         return sum(m * rs.weyl_dim(nu) for nu, m in self._parts.items())
 
     def __iter__(self):
         return iter(self.components.items())
+
+
+def _component_order(nu: Weight) -> tuple:
+    """The sort key of ``components``: decreasing coordinate sum, then
+    lexicographic."""
+    return -sum(nu), nu
 
 
 def _reflect_point(fields: _Fields, key: int):

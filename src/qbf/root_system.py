@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from math import gcd, isqrt, lcm, prod
-from operator import lshift, mul
+from operator import itemgetter, lshift, mul
 from typing import NamedTuple
 
 Weight = tuple[int, ...]
@@ -142,6 +142,60 @@ def _simple_cartan(series: str, rank: int) -> tuple[list[list[int]], list[int]]:
         bond(0, 1, -3, -1)  # a1 short, a2 long
         d = [1, 3]
     return A, d
+
+
+def _diagram_symmetries(cartan) -> tuple[tuple[int, ...], ...]:
+    """Generators of the automorphism group Γ of the Dynkin diagram with
+    Cartan matrix ``cartan``, each the tuple p of node images, with
+    A[p_i][p_j] = A[i][j]; none when Γ is trivial.
+
+    Backtracking assigns images to the nodes in order, each to a node whose
+    row and column hold the same entries, and keeps a partial map only while
+    it preserves every entry among the nodes assigned.  It runs along the
+    stabiliser chain, where Γ_k fixes every node below k: for each node t
+    that the maps found so far at level k do not carry k to, one map of Γ_k
+    sending k to t is searched for.  The maps of all levels generate Γ, as
+    Γ_k is generated by Γ_{k+1} and any maps of Γ_k that carry k to every
+    node of its orbit.
+    """
+    n = len(cartan)
+    profile = [(sorted(row), sorted(col)) for row, col in zip(cartan, zip(*cartan))]
+
+    def extend(p: list[int], targets) -> tuple[int, ...] | None:
+        k = len(p)
+        if k == n:
+            return tuple(p)
+        for t in targets:
+            if (t not in p and profile[t] == profile[k]
+                    and all(cartan[t][p[j]] == cartan[k][j] and cartan[p[j]][t] == cartan[j][k]
+                            for j in range(k))):
+                found = extend(p + [t], range(n))
+                if found is not None:
+                    return found
+        return None
+
+    generators: list[tuple[int, ...]] = []
+    for k in range(n):
+        level: list[tuple[int, ...]] = []
+        orbit = [k]
+        for t in range(k + 1, n):
+            if t in orbit or (g := extend(list(range(k)), (t,))) is None:
+                continue
+            level.append(g)
+            for x in orbit:  # close the orbit of k under this level's maps
+                orbit.extend(y for y in {h[x] for h in level} if y not in orbit)
+        generators.extend(level)
+    return tuple(generators)
+
+
+def _check_box(lie_type: LieType, height: int) -> None:
+    """Refuse a box of more than 5,000,000 dominant weights, those of
+    ``lie_type`` with every coordinate at most ``height`` >= 0; it reads the
+    type only, so a caller can refuse before building the root system."""
+    count = (height + 1) ** lie_type.rank
+    if count > 5_000_000:
+        raise ValueError(f"enumerating {count} dominant weights for {lie_type} at height "
+                         f"{height} is not desk scale; lower the height")
 
 
 def _integral_weight(x) -> Weight:
@@ -340,7 +394,9 @@ class RootSystem:
       second check;
     * ``_fields``, the :class:`_Fields` of each field width, which hold
       every memo of packed keys, fusion's tables included;
-    * the weight systems of :mod:`qbf.characters`.
+    * the weight systems of :mod:`qbf.characters`;
+    * ``_symmetries``, the generators of the diagram automorphisms, found
+      on the first sweep, not by the build.
 
     Those dicts only ever receive idempotent writes of complete, read-only,
     deterministic values: a :class:`_Memo` stores an entry, by one atomic
@@ -584,6 +640,31 @@ class RootSystem:
                                  f"{num}/{den}")
         return v
 
+    @cached_property
+    def _symmetries(self) -> tuple[tuple[int, ...], ...]:
+        """Generators of Γ, the automorphism group of the Dynkin diagram,
+        found on first read (:func:`_diagram_symmetries`)."""
+        return _diagram_symmetries(self.cartan)
+
+    def _symmetry_images(self, weights: list[Weight]) -> tuple[tuple[tuple[int, ...], itemgetter], ...]:
+        """Per generator σ of Γ: the position in ``weights`` of σ(w) for each
+        w in ``weights``, which Γ must map onto itself, and the map
+        ``itemgetter(*s)`` with σ(x) = (x[s_0], x[s_1], ...); empty when Γ
+        is trivial.
+
+        σ permutes the fundamental weights, omega_i to omega_p(i), so s is
+        the inverse of the node images p; it fixes rho and keeps the form.
+        """
+        position = {w: i for i, w in enumerate(weights)}
+        images = []
+        for p in self._symmetries:
+            s = [0] * self.rank
+            for i, j in enumerate(p):
+                s[j] = i
+            sigma = itemgetter(*s)
+            images.append((tuple([position[sigma(w)] for w in weights]), sigma))
+        return tuple(images)
+
     def conjugate_weight(self, mu) -> Weight:
         """Highest weight of the conjugate representation: the dominant form of -mu."""
         mu = self.check_dominant(mu)
@@ -608,12 +689,7 @@ class RootSystem:
         """
         if height < 0:
             raise ValueError("height must be >= 0")
-        count = (height + 1) ** self.rank
-        if count > 5_000_000:
-            raise ValueError(
-                f"enumerating {count} dominant weights for {self.lie_type} at height "
-                f"{height} is not desk scale; lower the height"
-            )
+        _check_box(self.lie_type, height)
         weights = list(iproduct(range(height + 1), repeat=self.rank))
         weights.sort(key=lambda w: (sum(w), w))
         checked = self._checked

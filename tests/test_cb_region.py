@@ -3,6 +3,7 @@ from decimal import Context, Decimal
 import pytest
 
 from qbf.cb_region import cb_extends, cb_region_enumerate, sup_ratio_scan
+from qbf.cli import main
 from qbf.qnorm import SessionConfig
 from qbf.root_system import build_root_system
 
@@ -87,6 +88,33 @@ class TestCbExtends:
         # Just below the rounding, ln(1/q) is about 1e-50 and every weight extends.
         cfg = SessionConfig("0." + "9" * 50)
         assert all(d.extends for d in cb_region_enumerate(rs, cfg, 2, 2))
+
+    def test_q_near_one_keeps_its_digits(self, capsys):
+        # 1 - q = 3.33...e-49 has 48 leading zeros, so q rounded to 50 digits
+        # keeps two digits of it and ln(1/q) was off by about 0.1 %, which
+        # took (8, 3), with |lam|^2 = 73/2, inside t^2 = 36.0000000007.
+        q = "999999999999999999999999999999999999999999999999666666666667/1" + "0" * 60
+        beta = "1.000000000000000000000000000000000000000000000002"
+        wide = Context(prec=120)
+        t_sq = wide.power(wide.divide(wide.ln(Decimal(beta)),
+                                      wide.ln(wide.divide(Decimal(10**60), Decimal(q.split("/")[0])))),
+                          2)
+        decisions = cb_region_enumerate(build_root_system("A1xA1"), SessionConfig(q), beta, 8)
+        decision = next(d for d in decisions if d.lam == (8, 3))
+        assert not decision.extends and not decision.boundary
+        assert abs(decision.threshold_sq - t_sq) < Decimal("1e-45") * t_sq
+        assert main(["cb-region", "--type", "A1xA1", "--q", q, "--beta", beta, "--height", "8",
+                     "--format", "csv"]) == 0
+        assert '\n"8,3",false,false,73/2,' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("q", ["0.3", "0.5", "0.9", "1/7", "0.123456789"])
+    def test_ordinary_q_reads_ln_at_the_working_digits(self, q):
+        # 1 - q >= 0.1 has no leading zero, so ln(1/q) is taken at 50 digits.
+        rs = build_root_system("A1")
+        cfg = SessionConfig(q)
+        log_inv_q = CTX.minus(CTX.ln(CTX.divide(Decimal(cfg.q.numerator), cfg.q.denominator)))
+        t = CTX.divide(CTX.ln(Decimal(2)), log_inv_q)
+        assert cb_region_enumerate(rs, cfg, 2, 1)[0].threshold_sq == CTX.multiply(t, t)
 
     def test_non_dominant_rejected(self):
         rs = build_root_system("A2")

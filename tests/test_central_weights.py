@@ -311,11 +311,12 @@ def ordered_reference(rs, spec, height):
     band = Decimal("1e-12")
     table = spec.table if spec.kind == "table" else None
     weights = rs.dominant_weights_up_to(height)
+    scale = ctx.ln(spec.beta) if spec.kind == "beta_norm" else spec.beta
     logs = {}
 
     def log_of(mu):
         if mu not in logs:
-            logs[mu] = _log_weight(rs, spec, mu, ctx)
+            logs[mu] = _log_weight(rs, spec, mu, ctx, scale)
         return logs[mu]
 
     violations, checked, skipped = [], 0, 0
@@ -373,10 +374,11 @@ def ordered_reference(rs, spec, height):
 
 @st.composite
 def weight_specs(draw):
-    """A2 or B2, a height, and a table (values from a small set, so ties,
-    near-ties and Z2 violations all occur, with some entries missing) or a
-    built-in family."""
-    rs = build_root_system(draw(st.sampled_from(["A2", "B2"])))
+    """A2, B2 or A1xA1, a height, and a table (values from a small set, so
+    ties, near-ties and Z2 violations all occur, with some entries missing)
+    or a built-in family.  A2 and A1xA1 have a diagram automorphism, which a
+    table need not respect."""
+    rs = build_root_system(draw(st.sampled_from(["A2", "B2", "A1xA1"])))
     height = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(["table", "table", "beta_norm", "lst"]))
     if kind == "beta_norm":
@@ -431,9 +433,9 @@ def test_builtin_z2_decided_on_integer_path(spec, monkeypatch):
     reference = validate_central_weight(rs, spec, 3)
     logged = []
 
-    def recording(rs_, spec_, mu, ctx):
+    def recording(rs_, spec_, mu, ctx, s):
         logged.append(mu)
-        return _log_weight(rs_, spec_, mu, ctx)
+        return _log_weight(rs_, spec_, mu, ctx, s)
 
     monkeypatch.setattr(central_weights, "_log_weight", recording)
     assert validate_central_weight(rs, spec, 3) == reference
@@ -561,16 +563,18 @@ def raw_brauer_klimyk(rs, lam, mu):
     return acc
 
 
+@pytest.mark.parametrize("typ, mirror", [("A2", lambda w: w[::-1]), ("B2", lambda w: w)],
+                         ids=["A2", "B2"])
 @pytest.mark.parametrize("sweep", [
     lambda rs: casimir_subadditivity_check(rs, 4),
     lambda rs: validate_central_weight(rs, CentralWeightSpec.lst(1), 4),
 ], ids=["casimir", "lst"])
-def test_sweeps_decompose_each_unordered_pair_once(sweep, monkeypatch):
-    # The sweeps decompose through the central_weights binding, which the
-    # component-injection tests and bench/tracer.py replace.  The A2 height-4
-    # sweep has cancellations: (0, 1) sums to 0 in (0, 2) (x) (0, 2).
-    rs = build_root_system("A2")
-    assert raw_brauer_klimyk(rs, (0, 2), (0, 2))[(0, 1)] == 0
+def test_sweeps_decompose_one_pair_per_symmetry_orbit(sweep, typ, mirror, monkeypatch):
+    # The diagram automorphism of A2 swaps its two nodes, and B2 has none.
+    # The sweeps decompose the first unordered pair of each orbit in sweep
+    # order, through the central_weights binding, which the
+    # component-injection tests and bench/tracer.py replace.
+    rs = build_root_system(typ)
     decompositions = []
 
     def recording(rs_, lam, mu):
@@ -581,11 +585,19 @@ def test_sweeps_decompose_each_unordered_pair_once(sweep, monkeypatch):
     monkeypatch.setattr(central_weights, "tensor_decompose", recording)
     sweep(rs)
     weights = rs.dominant_weights_up_to(4)
-    assert ([(fd.lam, fd.mu) for fd in decompositions]
-            == [(lam, mu) for i, lam in enumerate(weights) for mu in weights[i:]])
+    pairs = [(lam, mu) for i, lam in enumerate(weights) for mu in weights[i:]]
+    firsts, seen = [], set()
+    for lam, mu in pairs:
+        if frozenset((lam, mu)) not in seen:
+            firsts.append((lam, mu))
+            seen.update((frozenset((lam, mu)), frozenset((mirror(lam), mirror(mu)))))
+    assert [(fd.lam, fd.mu) for fd in decompositions] == firsts
+    assert len(firsts) == {"A2": 175, "B2": len(pairs)}[typ]
     assert all(min(fd._parts.values()) > 0 for fd in decompositions)
-    cancelled = next(fd for fd in decompositions if fd.lam == fd.mu == (0, 2))
-    assert (0, 1) not in cancelled._parts
+    if typ == "A2":  # (0, 1) sums to 0 in (0, 2) (x) (0, 2)
+        assert raw_brauer_klimyk(rs, (0, 2), (0, 2))[(0, 1)] == 0
+        cancelled = next(fd for fd in decompositions if fd.lam == fd.mu == (0, 2))
+        assert (0, 1) not in cancelled._parts
 
 
 def inject_components(monkeypatch, pair):
@@ -629,3 +641,67 @@ def test_injected_components_take_the_per_triple_fallback(pair, monkeypatch):
         assert not report.passed
         z2 = [v.weights for v in report.violations if v.condition == "Z2"]
         assert z2 == sorted({a + (nu,) for a in (pair, pair[::-1]) for nu in extras})
+
+
+def test_mates_list_the_mapped_violations_in_sweep_order(monkeypatch):
+    # Injected components as fusion itself is, equivariant under the swap of
+    # the two nodes of A2: each pair below and its mirror image gain
+    # 2 (lam + mu) and 3 (lam + mu).  One pair per orbit is decomposed, and
+    # the mirror's violations, mapped from it, fall where the per-triple
+    # sweep puts them: after the first pair of the other orbit.
+    rs = build_root_system("A2")
+    first, second = ((0, 1), (1, 1)), ((0, 1), (2, 2))
+    for lam, mu in (first, second):
+        inject_components(monkeypatch, (lam, mu))
+        inject_components(monkeypatch, (lam[::-1], mu))
+    calls = count_calls(monkeypatch, central_weights, "tensor_decompose")
+
+    report = casimir_subadditivity_check(rs, 2)
+    assert report == per_triple_subadditivity(rs, 2)
+    assert len(calls) == 27  # of 45 pairs: 9 are their own mirror, 36 pair off
+    assert [v[:2] for v in report.violations] == [
+        pair for pair in (first, second, ((1, 0), (1, 1)), ((1, 0), (2, 2))) for _ in "23"]
+    assert report.witness == second + ((6, 9),)  # 3 (lam + mu), in the first pair of its orbit
+
+    for spec in (CentralWeightSpec.lst(1), CentralWeightSpec.beta_norm(2)):
+        report = validate_central_weight(rs, spec, 2)
+        violations, checked, skipped = ordered_reference(rs, spec, 2)
+        assert report.violations == violations
+        assert (report.checked, report.skipped) == (checked, skipped)
+        assert len([v for v in violations if v.condition == "Z2"]) == 4 * 2 * 2
+
+
+def test_mates_check_a_table_on_its_own_values():
+    # w(a, b) = 2^a 5^b is not invariant under the swap of the nodes of A2.
+    # At nu = lam + mu - alpha_1 it exceeds w(lam) w(mu) by 5/4, and at
+    # lam + mu - alpha_2 it falls short of it by 2/25.  So (1, 0) (x) (1, 1)
+    # fails at (0, 2), while the first pair of its orbit, (0, 1) (x) (1, 1),
+    # holds at the image (2, 0).
+    rs = build_root_system("A2")
+    spec = CentralWeightSpec.from_table({mu: 2 ** mu[0] * 5 ** mu[1]
+                                         for mu in rs.dominant_weights_up_to(6)})
+    report = validate_central_weight(rs, spec, 2)
+    violations, checked, skipped = ordered_reference(rs, spec, 2)
+    assert report.violations == violations
+    assert (report.checked, report.skipped) == (checked, skipped) and skipped == 0
+    z2 = {v.weights for v in violations if v.condition == "Z2"}
+    assert ((1, 0), (1, 1), (0, 2)) in z2 and ((0, 1), (1, 1), (2, 0)) not in z2
+
+
+def test_log_beta_is_taken_once_per_validation(monkeypatch):
+    rs = build_root_system("B3")
+    spec = CentralWeightSpec.beta_norm(2)
+    reference = validate_central_weight(rs, spec, 2)
+    value = eval_weight(rs, spec, (1, 0, 1))
+    logs = []
+
+    class Counting(Context):
+        def ln(self, x, *args):
+            logs.append(x)
+            return super().ln(x, *args)
+
+    monkeypatch.setattr(precision, "make_context", lambda: Counting(prec=precision.DIGITS))
+    assert validate_central_weight(rs, spec, 2) == reference
+    assert logs == [spec.beta]
+    logs.clear()
+    assert eval_weight(rs, spec, (1, 0, 1)) == value and logs == [spec.beta]

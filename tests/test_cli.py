@@ -486,6 +486,13 @@ class TestRunner:
         pytest.param(["verify-weight", "--type", "E8", "--kind", "table", "--height", "9"],
                      "height 9 exceeds the cap 6 for type E8; pass --force to override",
                      id="cap-before-table"),
+        pytest.param(["verify-weight", "--type", "A8", "--kind", "table", "--height", "13",
+                      "--force"],
+                     "enumerating 1475789056 dominant weights for A8 at height 13 is not "
+                     "desk scale; lower the height", id="box-before-table"),
+        pytest.param(["cb-region", "--type", "A60", "--q", "2", "--beta", "x", "--height", "1"],
+                     "enumerating 1152921504606846976 dominant weights for A60 at height 1 is "
+                     "not desk scale; lower the height", id="box-before-q"),
     ])
     def test_check_order_on_double_faults(self, args, line, capsys):
         assert run_cli(args, capsys) == (1, "", f"error: {line}\n")
@@ -497,6 +504,18 @@ class TestRunner:
         monkeypatch.setattr(root_system, "build_root_system", no_build)
         assert run_cli(["casimir-check", "--type", "A100", "--height", "13"], capsys) == (
             1, "", "error: height 13 exceeds the cap 12 for type A100; pass --force to override\n")
+
+    @pytest.mark.parametrize("command", ["casimir-check", "verify-weight", "cb-region"])
+    def test_box_refuses_before_the_build(self, command, monkeypatch, capsys):
+        def no_build(lie_type):
+            raise AssertionError(f"built {lie_type} for a refused command")
+
+        monkeypatch.setattr(root_system, "build_root_system", no_build)
+        extra = {"casimir-check": [], "verify-weight": ["--kind", "lst", "--beta", "1"],
+                 "cb-region": ["--q", "0.5", "--beta", "2"]}[command]
+        assert run_cli([command, "--type", "A60", "--height", "1", *extra], capsys) == (
+            1, "", "error: enumerating 1152921504606846976 dominant weights for A60 at height 1 "
+                   "is not desk scale; lower the height\n")
 
     @pytest.mark.parametrize("args,code", [
         *(pytest.param(COMMANDS[name], 0, id=name) for name in sorted(COMMANDS)),

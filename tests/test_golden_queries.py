@@ -9,9 +9,13 @@ with divergence rows and a single-route ``norm``, so the cells of weights,
 weight lists, bools, rationals and reals are all pinned.  One fusion has an
 anchor beyond the 21-bit packed fields, and the two A1 fusions with
 lambda = 2^20 - 5 and 2^20 - 4 against mu = 1 straddle the switch from
-21-bit to 22-bit fields (``test_width_rule`` in ``test_fusion.py``).  The
-larger sweeps are replayed from ``bench/expected.json`` by
-``test_expected_output.py``.
+21-bit to 22-bit fields (``test_width_rule`` in ``test_fusion.py``).
+Sweeps over types with a diagram automorphism, which decompose one pair per
+orbit of it, are pinned in json and csv: ``casimir-check`` on A3, D4,
+A1xA1 (and E6, json only: one run takes about a minute), ``verify-weight``
+lst and beta on A3 and D5, and the failing beta 0.5 on A2 and A1xA1, whose
+Z1 and Z2 rows include the mirror images of violations.  The larger sweeps
+are replayed from ``bench/expected.json`` by ``test_expected_output.py``.
 """
 
 import json

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qbf.central_weights import _triangle_compare
 from qbf.fusion import tensor_decompose
+from qbf import root_system
 from qbf.root_system import (_MIN_FIELD, LieType, LieTypeError, RootSystem, _gauss_jordan,
                              build_root_system)
 
@@ -551,3 +552,66 @@ class TestWeylGroup:
         rs = build_root_system("A2")
         ws = rs.dominant_weights_up_to(1)
         assert ws == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def diagram_maps(rs):
+    """Every node permutation p with A[p_i][p_j] = A[i][j], by brute force."""
+    n, A = rs.rank, rs.cartan
+    return {p for p in permutations(range(n))
+            if all(A[p[i]][p[j]] == A[i][j] for i in range(n) for j in range(n))}
+
+
+def generated(generators, n):
+    """The group of node permutations the generators generate."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        reached = []
+        for p in frontier:
+            for g in generators:
+                q = tuple(g[i] for i in p)
+                if q not in group:
+                    group.add(q)
+                    reached.append(q)
+        frontier = reached
+    return group
+
+
+class TestDiagramSymmetries:
+    @pytest.mark.parametrize("typ,order", [
+        *((t, 2) for t in ["A2", "A3", "A4", "A7", "A12", "D5", "D6", "D9", "E6", "A1xA1"]),
+        ("D4", 6), ("A1xA1xA1", 6),
+        *((t, 1) for t in ["A1", "B2", "B3", "B6", "C3", "C5", "G2", "F4", "E7", "E8", "B2xA1"]),
+    ])
+    def test_order(self, typ, order):
+        rs = build_root_system(typ)
+        assert len(generated(rs._symmetries, rs.rank)) == order
+
+    @pytest.mark.parametrize("typ", ["A2", "A5", "D4", "D5", "E6", "A1xA1xA1", "A2xA2",
+                                     "A1xA2xA1", "D4xD4", "B2xG2", "E7"])
+    def test_generators_generate_every_diagram_map(self, typ):
+        rs = build_root_system(typ)
+        assert generated(rs._symmetries, rs.rank) == diagram_maps(rs)
+
+    def test_build_does_not_compute_the_symmetries(self, monkeypatch):
+        def refused(cartan):
+            raise AssertionError("the build computed the diagram symmetries")
+
+        monkeypatch.setattr(root_system, "_diagram_symmetries", refused)
+        for typ in ["A3", "D4", "E6", "A1xA1"]:
+            rs = RootSystem(LieType.parse(typ))
+            assert "_symmetries" not in vars(rs)
+
+    @pytest.mark.parametrize("typ,height", [("A3", 2), ("D4", 1), ("A1xA1xA1", 2)])
+    def test_images_are_positions_of_the_mapped_weights(self, typ, height):
+        # sigma takes omega_i to omega_p(i): its i-th coordinate moves to p(i).
+        rs = build_root_system(typ)
+        weights = rs.dominant_weights_up_to(height)
+        images = rs._symmetry_images(weights)
+        assert len(images) == len(rs._symmetries)
+        for p, (image, sigma) in zip(rs._symmetries, images):
+            for w, i in zip(weights, image):
+                moved = [0] * rs.rank
+                for k, c in enumerate(w):
+                    moved[p[k]] = c
+                assert weights[i] == sigma(w) == tuple(moved)
