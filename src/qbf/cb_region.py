@@ -58,33 +58,22 @@ class CBDecision(NamedTuple):
     certificate: Certificate
 
 
-def _log_inverse(q: Fraction, ctx: Context) -> Decimal:
-    """ln(1/q) for q in (0, 1), rounded to ctx.
-
-    Near 1, ln(1/q) is about 1 - q, and rounding q to ctx first would keep
-    only the digits of 1 - q that fit after its leading zeros.  So q is read
-    and its logarithm taken with as many more digits as 1 - q has leading
-    zeros, counted exactly on the fraction; for q <= 0.9 there are none.
-    """
-    x = 1 - q
-    # With k the difference of the digit counts of its terms, x < 1 lies in
-    # [10^-k, 10^(1-k)), with k - 1 leading zeros, or below, with k.
-    k = Decimal(x.denominator).adjusted() - Decimal(x.numerator).adjusted()
-    wide = ctx.copy()
-    wide.prec += k - 1 if x.numerator * 10**k >= x.denominator else k
-    return ctx.plus(wide.minus(wide.ln(precision.to_decimal(q, wide))))
-
-
 def _shared_constants(cfg: SessionConfig, beta, ctx: Context) -> tuple[Decimal, ...]:
-    """(beta, ln beta, ln(1/q), t^2) in ctx: what every decision at (q, beta) shares."""
+    """(beta, ln beta, ln(1/q), t^2) in ctx: what every decision at (q, beta) shares.
+
+    beta is screened here and held rounded to ctx.  Both logarithms are
+    taken by ``precision.ln``, on beta and q as given, with as many extra
+    digits as beta - 1 and 1 - q have leading zeros, so a beta or q close to
+    1 keeps the digits that set the threshold, and a beta below 1 is refused
+    however close to 1 it is.
+    """
     b = precision.to_decimal(beta, ctx, "beta")
-    if b < 1:
+    if b < 1 or (log_b := precision.ln(beta, ctx, "beta")) < 0:
         raise ValueError(f"beta must be >= 1 (weights require w >= 1), got {beta}")
-    log_b = ctx.ln(b)
     if precision.to_decimal(cfg.q, ctx) == 1:
         raise ValueError(f"q = {cfg.q} rounds to 1 at {precision.DIGITS} digits, "
                          "so ln(1/q) is 0")
-    log_inv_q = _log_inverse(cfg.q, ctx)
+    log_inv_q = ctx.minus(precision.ln(cfg.q, ctx))
     t = ctx.divide(log_b, log_inv_q)
     return b, log_b, log_inv_q, ctx.multiply(t, t)
 
@@ -139,8 +128,8 @@ def cb_region_enumerate(rs: RootSystem, cfg: SessionConfig, beta,
     Ordered by total coordinate sum, then lexicographically.  The logarithms
     and the threshold are computed once for the whole enumeration.
     """
+    shared = _shared_constants(cfg, beta, precision.make_context())  # beta before height
     weights = rs.dominant_weights_up_to(height)
-    shared = _shared_constants(cfg, beta, precision.make_context())
     return [cb_extends(rs, cfg, beta, lam, _shared=shared) for lam in weights]
 
 

@@ -14,10 +14,11 @@ under both orientations.  Every condition is decided exactly, on one value
 per weight.  For the built-in families that value is the root system's
 memoised scaled integer |mu|^2 or c(mu): Z1 by the sign of log beta (or of
 beta) and of that integer, Z2 in squared-rational form, SYM by its
-conjugation invariance.  For a table it is the table value as read,
-which ``precision.to_decimal`` rounds to 50 significant digits: Z1 is
-w(mu) >= 1, Z2 is w(nu) <= w(lam) w(mu) with the product taken exactly, and
-SYM is equality.
+conjugation invariance.  The sign of log beta is that of beta as given, as
+``CentralWeightSpec.beta_norm`` keeps the digits of beta - 1.  For a table
+the value is the table value as read, which ``precision.to_decimal`` rounds
+to 50 significant digits: Z1 is w(mu) >= 1, Z2 is w(nu) <= w(lam) w(mu) with
+the product taken exactly, and SYM is equality.
 
 The dominance certificate decides a whole pair at once.  Every component nu
 of lam (x) mu satisfies nu <= lam + mu in the dominance order, and on
@@ -35,22 +36,35 @@ every height.  The sweeps still earn each verdict, through one pair verdict,
 lam + mu, checks the integer comparison f(nu) < f(lam + mu) on every other
 component, and compares every component when either fails.
 
+There is one sweep engine, ``_pair_sweep``, and both sweeps are views of it.
+Casimir subadditivity is Z2 of ``lst`` with beta > 0, for log w = beta
+c^{1/2} turns Z2 on a triple into c(nu)^{1/2} <= c(lam)^{1/2} + c(mu)^{1/2}.
+So ``validate_central_weight`` and ``casimir_subadditivity_check`` draw the
+same pairs, decompositions and pair verdicts from it; the first counts
+orientations and records logs, the second counts unordered triples.
+
 The diagram automorphisms halve the sweeps on A_n (n >= 2), D_n, E6 and
 products with repeated factors.  Such an automorphism sigma, a permutation
 of the nodes that keeps the Cartan matrix, permutes the fundamental weights,
 fixes rho and preserves the form, so V(sigma lam) (x) V(sigma mu) is
 sigma(V(lam) (x) V(mu)), and |.|^2 and c(.) are sigma-invariant (Humphreys,
 Lie Algebras, 12.2; Bourbaki, Lie VI, Plates).  Their group Γ maps the box
-of a sweep onto itself, so both sweeps decompose only the first unordered
-pair of each Γ-orbit of pairs, in sweep order, and account for the orbit's
-other pairs, its mates, from that decomposition: a mate's components are the
-images under sigma, with the same triple count, the same certificate verdict
-and the mapped violations.  A table weight need not be Γ-invariant, so a
-mate's mapped components are checked against the table's own values.
-``checked`` and ``triples_checked`` still count every triple of every pair,
-mates included.  The Casimir witness is still the first triple in sweep
-order that attains the smallest slack, as a mate's slacks are those of the
-first pair of its orbit, which comes before it.
+of a sweep onto itself, so the engine decomposes only the first unordered
+pair of each Γ-orbit of pairs, in sweep order, and the sweeps account for
+the orbit's other pairs, its mates, from that decomposition: a mate's
+components are the images under sigma, with the same triple count, the same
+certificate verdict and the mapped violations.  A table weight need not be
+Γ-invariant, so a mate's mapped components are checked against the table's
+own values, and a pair none of whose members the table covers is not
+decomposed.  ``checked`` and ``triples_checked`` still count every triple of
+every pair, mates included.
+
+Slacks c(lam)^{1/2} + c(mu)^{1/2} - c(nu)^{1/2} are evaluated only where a
+triple fails.  Every other slack is >= 0 exactly, and the sweep's first
+triple, (0, 0, 0), has slack exactly 0, so a passing sweep's smallest slack
+is exactly 0 with the zero triple as its witness, and a failing sweep's is
+the smallest slack of its violations, each < 0, with the first violation in
+sweep order that attains it as the witness.
 
 Logs decide nothing; every violation records them: log w(mu) and 0 for Z1,
 log w(nu) and log w(lam) + log w(mu) for Z2, log w(mu) and
@@ -87,7 +101,11 @@ class CentralWeightSpec(NamedTuple):
 
     @classmethod
     def beta_norm(cls, beta) -> "CentralWeightSpec":
-        b = precision.to_decimal(beta, precision.make_context(), "beta")
+        """beta^{|mu|}, with beta read in ``precision.widen``: near 1 it keeps
+        the digits of beta - 1, and so the sign of log beta that Z1 and Z2
+        turn on, which rounding to the working precision can lose."""
+        wide = precision.widen(beta, precision.make_context(), "beta")
+        b = precision.to_decimal(beta, wide, "beta")
         if b <= 0:
             raise ValueError(f"beta must be strictly positive, got {beta}")
         return cls(kind="beta_norm", beta=b)
@@ -164,14 +182,15 @@ def _log_weight(rs: RootSystem, spec: CentralWeightSpec, mu: Weight, ctx: Contex
 
 
 def _pair_orbits(rs: RootSystem, weights: list[Weight]):
-    """Yield (lam, mu, mates) for the first unordered pair {lam, mu} of each
-    Γ-orbit of pairs from ``weights``, in sweep order, lam before mu.
+    """Yield the members of the first unordered pair {lam, mu} of each Γ-orbit
+    of pairs from ``weights``, in sweep order, lam before mu.
 
-    ``mates`` lists (a, b, sigma) for the orbit's other pairs, a before b,
-    with sigma in Γ taking {lam, mu} to {a, b}, as a map of weights.  They
-    come later in sweep order, and no later pair of the orbit is yielded.
-    The orbit is walked on the root system's image positions of
-    ``weights``; with Γ trivial, ``mates`` is empty and no image is read.
+    The members are (lam, mu, None) and then (a, b, sigma) for the orbit's
+    other pairs, its mates, a before b, with sigma in Γ taking {lam, mu} to
+    {a, b}, as a map of weights.  Mates come later in sweep order, and no
+    later pair of the orbit is yielded.  The orbit is walked on the root
+    system's image positions of ``weights``; with Γ trivial, a pair has no
+    mates and no image is read.
     """
     images = rs._symmetry_images(weights)
     identity = tuple(range(rs.rank))
@@ -179,7 +198,7 @@ def _pair_orbits(rs: RootSystem, weights: list[Weight]):
     later: set[int] = set()  # the positions i n + j of mates still to come
     for i, lam in enumerate(weights):
         for j in range(i, n):
-            mates = ()
+            members = [(lam, weights[j], None)]
             if images:
                 if i * n + j in later:
                     continue
@@ -194,8 +213,30 @@ def _pair_orbits(rs: RootSystem, weights: list[Weight]):
                             orbit.add(x * n + y)
                             todo.append((x, y, generator(source)))
                 later |= orbit
-                mates = [(weights[a], weights[b], itemgetter(*source)) for a, b, source in todo[1:]]
-            yield lam, weights[j], mates
+                members += [(weights[a], weights[b], itemgetter(*source))
+                            for a, b, source in todo[1:]]
+            yield members
+
+
+def _pair_sweep(rs: RootSystem, weights: list[Weight], value, sense: int | None):
+    """The one loop of both sweeps: yield (members, fd, bad) for the first
+    unordered pair {lam, mu} of each Γ-orbit of pairs from ``weights``, in
+    sweep order.
+
+    ``members`` are the pair's from ``_pair_orbits``, fd is lam (x) mu and
+    bad the pair verdict ``_triangle_violations(value, sense, fd)``, () when
+    nothing fails; a mate's violations are the images of bad under its
+    sigma, as the built-in values are Γ-invariant.  With sense None, for a
+    table, there is no verdict and bad is None; ``value`` returns None for a
+    weight the table lacks, and a pair none of whose members has both of its
+    values is not decomposed: fd is None.
+    """
+    for members in _pair_orbits(rs, weights):
+        if all(value(a) is None or value(b) is None for a, b, _ in members):
+            yield members, None, None
+            continue
+        fd = tensor_decompose(rs, *members[0][:2])
+        yield members, fd, None if sense is None else _triangle_violations(value, sense, fd) or ()
 
 
 class Violation(NamedTuple):
@@ -297,6 +338,7 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
         # Table values have at most DIGITS significant digits, so the product
         # of two is exact in twice as many over the widest exponent range.
         exact = Context(prec=2 * precision.DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
+        sense = None  # Z2 is decided per member, on the table's own values
     else:
         sense = _z2_sense(spec)
         value = rs._norm_scaled if spec.kind == "beta_norm" else rs._casimir_scaled
@@ -322,10 +364,8 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
     # Z2: w(nu) <= w(lam) w(mu) over the truncated fusion graph.  Every
     # comparison is symmetric in (lam, mu), so an unordered pair stands for
     # both orientations: it counts twice and records each violation twice.
-    # One pair per orbit of Γ is decomposed; its mates read the mapped parts.
-    for lam, mu, mates in _pair_orbits(rs, weights):
-        fd = None
-        for a, b, sigma in ((lam, mu, None), *mates):
+    for members, fd, bad in _pair_sweep(rs, weights, value, sense):
+        for a, b, sigma in members:
             orientations = ((a, b),) if a == b else ((a, b), (b, a))
             w_a, w_b = value(a), value(b)
             if w_a is None or w_b is None:
@@ -336,16 +376,12 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
             except ArithmeticError:
                 with precision.decimal_range("log w({}) + log w({})", a, b):
                     raise
-            if fd is None:
-                fd = tensor_decompose(rs, lam, mu)
-                if table is None:
-                    found = _triangle_violations(value, sense, fd) or []
             if table is None:  # the verdicts of a mate are the mapped ones
                 checked += len(orientations) * len(fd._parts)
-                bad = found if sigma is None else map(sigma, found)
+                found = bad if sigma is None else map(sigma, bad)
             else:
                 product = exact.multiply(w_a, w_b)
-                bad = []
+                found = []
                 # unsorted: the violations are sorted once, at the end
                 for nu in fd._parts if sigma is None else map(sigma, fd._parts):
                     w_nu = value(nu)
@@ -354,9 +390,9 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
                         continue
                     checked += len(orientations)
                     if w_nu > product:
-                        bad.append(nu)
+                        found.append(nu)
             violations.extend(Violation("Z2", (x, y, nu), log_of(nu), rhs)
-                              for nu in bad for x, y in orientations)
+                              for nu in found for x, y in orientations)
 
     # SYM: w(mu) = w(conjugate(mu)); |mu|^2 and c(mu) are conjugation invariants.
     for mu in weights:
@@ -392,66 +428,61 @@ class SubadditivityReport(NamedTuple):
     """Outcome of :func:`casimir_subadditivity_check`.
 
     ``min_slack`` is the smallest slack over every triple and ``witness`` the
-    first triple that attains it.  The sweep starts at the pair (0, 0), whose
-    one triple has slack exactly 0, so on a passing sweep both come from the
-    (0, 0) pair: ``min_slack`` is 0 and ``witness`` the zero triple.
+    first triple in sweep order that attains it, both found from the
+    violations alone (see the module docstring).  Every slack of a triple
+    that holds is >= 0, and the sweep starts at the pair (0, 0), whose one
+    triple has slack exactly 0.  So a passing sweep has ``min_slack``
+    exactly ``Decimal(0)`` and the zero triple as ``witness``, with no square
+    root taken.  A failing sweep has the smallest slack of its violations,
+    each < 0, as ``min_slack``, and the first violation in sweep order that
+    attains it as ``witness``.
     """
 
     passed: bool
     truncation_height: int
     triples_checked: int
-    min_slack: Decimal | None
-    witness: tuple[Weight, Weight, Weight] | None
+    min_slack: Decimal
+    witness: tuple[Weight, Weight, Weight]
     violations: tuple[tuple[Weight, Weight, Weight], ...] = ()
 
 
 def casimir_subadditivity_check(rs: RootSystem, height: int) -> SubadditivityReport:
     """Verify c(nu)^{1/2} <= c(lam)^{1/2} + c(mu)^{1/2} for fusion triples.
 
-    The verdict for each triple is decided exactly in squared-rational form,
-    on the root system's memoised Casimirs scaled to integers; the reported
-    slack is evaluated with high-precision square roots.  Subadditivity holds
-    at every height by the dominance certificate (see the module docstring),
-    which also puts each pair's smallest slack at nu = lam + mu.  So one slack
-    loop runs per pair, and only for the first pair of each orbit of the
-    diagram automorphisms (see the module docstring): over lam + mu alone
-    for a pair the certificate decides, and over every component in order
-    for any other pair, whose violations, and its mates' mapped ones, are
-    then listed in sweep order and each pair's in component order.  The
-    witness is thus the per-triple one either way, and ``triples_checked``
-    counts every triple.
+    This is the Z2 sweep of ``lst`` with beta > 0: each triple is decided
+    exactly in squared-rational form, on the root system's memoised Casimirs
+    scaled to integers, by the pair verdict of the one sweep loop, which the
+    dominance certificate settles for every pair at every height (see the
+    module docstring).  ``triples_checked`` counts every unordered triple,
+    mates included, and the violations are listed in sweep order, each
+    pair's in component order.  Slacks are evaluated, with high-precision
+    square roots, for the violations alone (see :class:`SubadditivityReport`).
     """
     if height < 1:
         raise ValueError("truncation height must be >= 1")
-    ctx = precision.make_context()
     weights = rs.dominant_weights_up_to(height)
     cas = rs._casimir_scaled
-    roots = _Memo(lambda mu: precision.sqrt_fraction(Fraction(cas(mu), rs._gram_den), ctx))
-    root_of = roots.__getitem__
-
     checked = 0
-    min_slack: Decimal | None = None
-    witness = None
     violations: list[tuple[Weight, Weight, Weight]] = []
-    for lam, mu, mates in _pair_orbits(rs, weights):
-        rhs = ctx.add(root_of(lam), root_of(mu))
-        fd = tensor_decompose(rs, lam, mu)
-        checked += len(fd._parts) * (1 + len(mates))
-        bad = _triangle_violations(cas, 1, fd)
-        scan = (fd.cartan,) if bad is None else fd.components
+    for members, fd, bad in _pair_sweep(rs, weights, cas, 1):
+        checked += len(fd._parts) * len(members)
         if bad:
-            violations.extend((lam, mu, nu) for nu in scan if nu in bad)
-            violations.extend((a, b, nu) for a, b, sigma in mates
-                              for nu in sorted(map(sigma, bad), key=_component_order))
-        # A mate's slacks are these, c being Γ-invariant, and it comes later.
-        for nu in scan:
-            slack = ctx.subtract(rhs, root_of(nu))
-            if min_slack is None or slack < min_slack:
-                min_slack = slack
-                witness = (lam, mu, nu)
+            violations.extend((a, b, nu) for a, b, sigma in members for nu in sorted(
+                bad if sigma is None else map(sigma, bad), key=_component_order))
+    zero = (0,) * rs.rank
+    min_slack, witness = Decimal(0), (zero, zero, zero)
     if violations:  # into sweep order, each pair's in component order
         position = {w: i for i, w in enumerate(weights)}
         violations.sort(key=lambda v: (position[v[0]], position[v[1]]))
+        ctx = precision.make_context()
+
+        def root(mu):
+            return precision.sqrt_fraction(Fraction(cas(mu), rs._gram_den), ctx)
+
+        for lam, mu, nu in violations:
+            slack = ctx.subtract(ctx.add(root(lam), root(mu)), root(nu))
+            if slack < min_slack:
+                min_slack, witness = slack, (lam, mu, nu)
     return SubadditivityReport(
         passed=not violations,
         truncation_height=height,

@@ -230,8 +230,7 @@ def _cmd_norm(args, rs):
 
 
 def _cmd_cb_region(args, rs):
-    beta = precision.to_decimal(args.beta, precision.make_context(), "beta")
-    decisions = cb_region.cb_region_enumerate(rs, args.q, beta, args.height)
+    decisions = cb_region.cb_region_enumerate(rs, args.q, args.beta, args.height)
     rows = [
         {
             "lambda": d.lam,
@@ -246,7 +245,7 @@ def _cmd_cb_region(args, rs):
     payload = {
         "type": str(rs.lie_type),
         "q": args.q.q,
-        "beta": beta,
+        "beta": decisions[0].beta,  # beta rounded to the working precision
         "height": args.height,
         "rows": rows,
     }

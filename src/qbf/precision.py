@@ -9,6 +9,9 @@ user-supplied reals: every caller that takes a real from outside the package
 domain bound.
 ``decimal_range`` is the one translation of a result beyond the context's
 exponent range, above it or rounded away below it, into a ``ValueError``.
+``widen`` is the one rule for reading a real x near 1, whose logarithm lives
+in the digits of x - 1, and ``ln`` takes logarithms by it: of q for
+``ln(1/q)`` and of beta.
 """
 
 from __future__ import annotations
@@ -80,6 +83,35 @@ def to_decimal(x, ctx: Context, name: str = "value") -> Decimal:
             trapping.traps[Underflow] = True
             convert(trapping, *args)
         return result
+
+
+def widen(x, ctx: Context, name: str = "value") -> Context:
+    """ctx with as many more digits as x - 1 has leading zeros, x screened as
+    ``to_decimal`` screens it.
+
+    Near 1, ln x is about x - 1, and x rounded to ctx keeps only the digits
+    of x - 1 that fit after its leading zeros, or none: 1 - 10^-60 rounds to
+    1 at 50 digits.  Read in the returned context, x keeps the working
+    digits of x - 1 and so the sign of ln x.  The zeros are counted exactly
+    on x as given; for |x - 1| >= 0.1 there are none.
+    """
+    wide = ctx.copy()
+    if Decimal("0.5") < to_decimal(x, ctx, name) < 2:  # so x is cheap to read exactly
+        if isinstance(x, float):
+            x = repr(x)
+        d = abs((x if isinstance(x, Fraction) else Fraction(Decimal(x))) - 1)
+        # With k the difference of the digit counts of its terms, d < 1 lies
+        # in [10^-k, 10^(1-k)), with k - 1 leading zeros, or below, with k.
+        k = Decimal(d.denominator).adjusted() - Decimal(d.numerator).adjusted()
+        wide.prec += k - 1 if d.numerator * 10**k >= d.denominator else k
+    return wide
+
+
+def ln(x, ctx: Context, name: str = "value") -> Decimal:
+    """ln x for a real x > 0, rounded to ctx, taken on x as read in
+    ``widen(x, ctx)`` and first rounded there."""
+    wide = widen(x, ctx, name)
+    return ctx.plus(wide.ln(to_decimal(x, wide, name)))
 
 
 def sqrt_fraction(fr: Fraction, ctx: Context) -> Decimal:

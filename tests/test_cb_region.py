@@ -1,4 +1,5 @@
 from decimal import Context, Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -106,6 +107,32 @@ class TestCbExtends:
         assert main(["cb-region", "--type", "A1xA1", "--q", q, "--beta", beta, "--height", "8",
                      "--format", "csv"]) == 0
         assert '\n"8,3",false,false,73/2,' in capsys.readouterr().out
+
+    def test_beta_near_one_keeps_its_digits(self, capsys):
+        # beta - 1 = 2.01...e-48 has 47 leading zeros, so beta rounded to 50
+        # digits keeps three digits of it, and ln beta taken on that rounding
+        # put t^2 at 36.0000000001, below |(8, 3)|^2 = 73/2.
+        q = "999999999999999999999999999999999999999999999999666666666667/1" + "0" * 60
+        beta = "1.000000000000000000000000000000000000000000000002013843009438077100800"
+        exact = Context(prec=150)  # holds beta and q, and their logarithms to 100 digits
+        t_sq = exact.power(exact.divide(exact.ln(Decimal(beta)),
+                                        exact.ln(exact.divide(Decimal(10**60),
+                                                              Decimal(q.split("/")[0])))), 2)
+        assert Decimal("36.500073") < t_sq < Decimal("36.500074")
+        decisions = cb_region_enumerate(build_root_system("A1xA1"), SessionConfig(q), beta, 8)
+        decision = next(d for d in decisions if d.lam == (8, 3))
+        assert decision.extends and not decision.boundary
+        assert abs(decision.threshold_sq - t_sq) < Decimal("1e-45") * t_sq
+        assert decision.beta == CTX.plus(Decimal(beta))  # held rounded to 50 digits
+        assert main(["cb-region", "--type", "A1xA1", "--q", q, "--beta", beta, "--height", "8",
+                     "--format", "csv"]) == 0
+        assert '\n"8,3",true,false,73/2,' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("beta", ["0." + "9" * 60, Fraction(10**70 - 1, 10**70)])
+    def test_beta_below_one_by_less_than_the_rounding_rejected(self, beta):
+        rs, cfg = build_root_system("A1"), SessionConfig("0.5")
+        with pytest.raises(ValueError, match="beta must be >= 1"):
+            cb_extends(rs, cfg, beta, (1,))
 
     @pytest.mark.parametrize("q", ["0.3", "0.5", "0.9", "1/7", "0.123456789"])
     def test_ordinary_q_reads_ln_at_the_working_digits(self, q):

@@ -153,6 +153,25 @@ class TestValidate:
         assert not report.passed
         assert any(v.condition == "Z1" for v in report.violations)
 
+    @pytest.mark.parametrize("beta, z1", [
+        ("0." + "9" * 58, True),                 # rounds to 1 at 50 digits
+        (Fraction(10**60 - 1, 10**60), True),
+        (Decimal("0." + "9" * 47), True),
+        ("1." + "0" * 59 + "1", False),
+        (Fraction(10**70 + 1, 10**70), False),
+    ])
+    def test_z1_decided_on_beta_as_given(self, beta, z1):
+        # The sign of log beta is that of the beta given, also where beta
+        # rounds to 1 at the working precision: below 1, Z1 fails at every
+        # nonzero weight and Z2 at (1) (x) (1) -> (0); above 1 nothing fails.
+        rs = build_root_system("A1")
+        spec = CentralWeightSpec.beta_norm(beta)
+        assert (spec.beta < 1) == z1 and spec.beta != 1
+        report = validate_central_weight(rs, spec, 1)
+        assert [(v.condition, v.weights) for v in report.violations] == (
+            [("Z1", ((1,),)), ("Z2", ((1,), (1,), (0,)))] if z1 else [])
+        assert (report.violations[0].lhs < 0) if z1 else report.passed
+
     def test_crafted_counterexample(self):
         # w(mu) = 2^{norm_sq(mu)} violates Z2 because norm_sq is superadditive
         # along the Cartan component whenever (lam, mu) > 0.
@@ -275,6 +294,22 @@ class TestSubadditivity:
                 slacks = {nu: CTX.subtract(rhs, root(nu)) for nu in components}
                 assert min(slacks, key=slacks.get) == top
                 assert all(slacks[nu] > slacks[top] for nu in components if nu != top)
+
+    @pytest.mark.parametrize("typ, height", [("A2", 3), ("B2", 3), ("G2", 2)])
+    def test_passing_sweep_takes_no_square_root(self, typ, height, monkeypatch):
+        # Every slack of a triple that holds is >= 0, and the first triple,
+        # (0, 0, 0), has slack exactly 0: a passing sweep's smallest slack is
+        # that one, found without evaluating any slack.
+        def forbidden(*args):
+            raise AssertionError("a passing sweep evaluated a slack")
+
+        monkeypatch.setattr(precision, "sqrt_fraction", forbidden)
+        rs = build_root_system(typ)
+        report = casimir_subadditivity_check(rs, height)
+        zero = (0,) * rs.rank
+        assert report.passed and report.triples_checked > 0
+        assert report.min_slack == Decimal("0") and str(report.min_slack) == "0"
+        assert report.witness == (zero, zero, zero)
 
     def test_equality_when_one_factor_trivial(self):
         rs = build_root_system("B2")

@@ -320,6 +320,18 @@ class TestExitCodes:
         assert z1 == [["Z1", "1", "-7.07106781187E-15", "0"],
                       ["Z1", "2", "-1.41421356237E-14", "0"]]
 
+    @pytest.mark.parametrize("nines", [47, 58])
+    def test_z1_decided_on_beta_as_given(self, nines, capsys):
+        # beta = 1 - 10^-nines; with 58 nines it rounds to 1 at 50 digits, and
+        # Z1 and Z2 still fail on the sign of log beta of the beta given
+        code, out, _ = run_cli(["verify-weight", "--type", "A1", "--kind", "beta",
+                                "--beta", "0." + "9" * nines, "--height", "1",
+                                "--format", "json"], capsys)
+        payload = json.loads(out)
+        assert code == 2 and not payload["passed"] and payload["beta"] == "1.00000000000"
+        assert [(v["condition"], v["weights"]) for v in payload["violations"]] == [
+            ("Z1", [[1]]), ("Z2", [[1], [1], [0]])]
+
     @pytest.mark.parametrize("args,quantity", [
         (["norm", "--type", "A1", "--lambda", "3000", "--mu", "3000", "--q", "0.5",
           "--route", "closed"], "q^(-4500000)"),

@@ -114,6 +114,40 @@ def test_every_private_name_is_read():
     assert unread_private_names({p.stem: p.read_text() for p in SOURCES}) == []
 
 
+def call_sites(sources: dict[str, str], name: str) -> list[str]:
+    """module:name of the top-level function or class holding each call of
+    name in sources, sorted; a call in module-level code shows as module:."""
+    sites = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            sites += [f"{module}:{node.name if named else ''}" for call in ast.walk(node)
+                      if isinstance(call, ast.Call)
+                      and getattr(call.func, "id", getattr(call.func, "attr", None)) == name]
+    return sorted(sites)
+
+
+def test_the_check_finds_every_call_site():
+    sources = {
+        "a": ("def f():\n    g()\n    return x.g()\n\nclass C:\n    def m(self):\n"
+              "        return g\n\ng()\n"),
+        "b": "from .a import g\n\ndef h():\n    def inner():\n        return g(1)\n    return inner\n",
+    }
+    assert call_sites(sources, "g") == ["a:", "a:f", "a:f", "b:h"]
+
+
+def test_one_sweep_loop():
+    # The Γ-pair generator has one caller, the sweep engine, and the engine
+    # is the only code of central_weights that decomposes: both sweeps are
+    # views of it, so their pair loop cannot fork again.
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    assert call_sites(sources, "_pair_orbits") == ["central_weights:_pair_sweep"]
+    assert call_sites(sources, "_pair_sweep") == [
+        "central_weights:casimir_subadditivity_check", "central_weights:validate_central_weight"]
+    assert call_sites({"central_weights": sources["central_weights"]}, "tensor_decompose") == [
+        "central_weights:_pair_sweep"]
+
+
 def imported_modules(source: str) -> set[str]:
     """Top-level names of the absolute imports of source, at any depth."""
     names = set()

@@ -3,7 +3,7 @@ import inspect
 import os
 import subprocess
 import sys
-from decimal import Decimal, InvalidOperation, Overflow, Underflow
+from decimal import Context, Decimal, InvalidOperation, Overflow, Underflow
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -131,6 +131,40 @@ def test_decimal_range_names_the_quantity():
 
     with precision.decimal_range("{}", Unrendered()):
         assert ctx.exp(Decimal(0)) == 1
+
+
+@pytest.mark.parametrize("x, extra", [
+    ("0.5", 0), ("0.9", 0), ("1.1", 0), ("2", 0), (1, 0), ("1e999999", 0), ("-1", 0),
+    ("0.95", 1), (Fraction(99, 100), 1), ("1.001", 2), (0.999, 2), (Decimal("1.0000001"), 6),
+    ("0." + "9" * 58, 57), ("1." + "0" * 59 + "1", 59), (Fraction(10**60 - 1, 10**60), 59),
+    (Fraction(10**60 + 3, 3 * 10**60), 0), (Fraction(3 * 10**60 - 1, 3 * 10**60), 60),
+])
+def test_widen_adds_the_leading_zeros_of_x_minus_one(x, extra):
+    ctx = precision.make_context()
+    assert precision.widen(x, ctx).prec == ctx.prec + extra
+
+
+@pytest.mark.parametrize("x", [True, [1], "abc", "nan", "-inf", "1e9999999", "1e-1000100"])
+def test_widen_and_ln_screen_as_to_decimal_does(x):
+    ctx = precision.make_context()
+    with pytest.raises(ValueError) as expected:
+        precision.to_decimal(x, ctx, "beta")
+    for read in (precision.widen, precision.ln):
+        with pytest.raises(ValueError) as raised:
+            read(x, ctx, "beta")
+        assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("x", ["1." + "0" * 59 + "1", "0." + "9" * 58 + "7",
+                               Fraction(10**60 - 1, 10**60), Fraction(1, 3), "0.95", "2",
+                               "1e999999"])
+def test_ln_keeps_the_digits_of_x_minus_one(x):
+    # Rounded first to 50 digits, 1 + 1e-60 would be 1 and its logarithm 0.
+    ctx, exact = precision.make_context(), Context(prec=200)
+    got = precision.ln(x, ctx)
+    value = exact.divide(x.numerator, x.denominator) if isinstance(x, Fraction) else Decimal(x)
+    reference = exact.ln(value)
+    assert got != 0 and abs(got - reference) <= abs(reference) * Decimal("1e-49")
 
 
 def test_sqrt_fraction():
