@@ -22,19 +22,36 @@ so R is q^{(mn mod 2)/2} times a rational matrix and R21 R is q^{mn mod 2}
 times the product of the two rational matrices.  R21 R is block diagonal over
 total-weight subspaces of dimension <= min(m,n)+1, and each block is
 self-adjoint for the inner product with diagonal weights d^2 determined by the
-compact-form star structure (E* = FK).  Each block is certified by checking
-that its size predicted values q^{E(nu)} are pairwise distinct and that
-R21 R - q^{-E(nu)} is singular for each: they are then its whole spectrum, each
-simple, so the norm comparison is an equality of rationals.  No floating
-point is involved: a dense eigensolve of the full block would lose the small
-eigenvalues entirely, since the condition number reaches q^{-84} ~ 1e44 at
-q = 0.3, m = n = 6.
+compact-form star structure (E* = FK).  No floating point is involved: a
+dense eigensolve of the full block would lose the small eigenvalues
+entirely, since the condition number reaches q^{-84} ~ 1e44 at q = 0.3,
+m = n = 6.
+
+Each block is certified by its size predicted values q^{-E(nu)} of R21 R:
+they must be pairwise distinct, and each must have a nonzero exact
+eigenvector in the block.  Eigenvectors of distinct eigenvalues are
+independent, so the values are then the block's whole spectrum, each simple,
+and the norm comparison is an equality of rationals.  The vectors come from
+the coproduct R is built for,
+
+    Delta(E) = E (x) K + 1 (x) E,   Delta(F) = F (x) 1 + K^{-1} (x) F,
+
+which commutes with R21 R: the highest-weight vector of the copy of V(nu),
+nu = m + n - 2t, is the kernel of Delta(E) on block t, which a two-term
+recurrence gives, and Delta(F) carries it down one block at a time.  R21 R
+acts on the copy as one scalar.  Each vector is checked against the block
+as handed to the certificate, on ints, in O(size^2); nothing about the
+block is assumed from its construction.  A block without a full set of
+vectors that pass falls back to one fraction-free (Bareiss) elimination of
+R21 R - q^{-E(nu)} per value (:func:`qbf.root_system._is_singular`), which
+names the first value that is not an eigenvalue.
 
 The exact kernels keep Fraction arithmetic out of their inner loops: each
-construction tabulates [k]_q, [k]_q! and the series coefficients once, block
-products are summed on ints over common denominators, and singularity is
-decided by fraction-free (Bareiss) elimination on ints
-(:func:`qbf.root_system._is_singular`).  Nothing is memoised across calls.
+construction tabulates q-powers, [k]_q, the falling q-factorials
+[a]_q!/[a-k]_q! and the series coefficients once, an entry of R is one
+reduced product of table values, and block products, the self-adjointness
+check and the eigenvector checks run on ints over common denominators.
+Nothing is memoised across calls.
 """
 
 from __future__ import annotations
@@ -51,7 +68,9 @@ from .qnorm import QExponent, _check_q, rmatrix_exponent_details
 from .root_system import _is_singular, build_root_system
 
 # Spin-label cap bounding the exact-arithmetic cost: the numerators and
-# denominators of the certificate's rationals grow with m * n.
+# denominators of the certificate's rationals grow with m * n.  At q = 9/10
+# one run takes 12 ms at m = n = 8, 66 ms at 12 and 0.36 s at 16 (CPython
+# 3.11, one Xeon core, warm).
 MAX_SPIN_LABEL = 8
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -73,13 +92,19 @@ def _qints(q: Fraction, kmax: int) -> list[Fraction]:
     return out
 
 
-def _matmul(A, B) -> list[list[Fraction]]:
-    """Exact product of two rational matrices, summed on ints over common denominators."""
-    da = lcm(*(x.denominator for row in A for x in row))
-    db = lcm(*(x.denominator for row in B for x in row))
-    rows = [[x.numerator * (da // x.denominator) for x in row] for row in A]
-    cols = [[x.numerator * (db // x.denominator) for x in col] for col in zip(*B)]
-    return [[Fraction(sum(map(mul, row, col)), da * db) for col in cols] for row in rows]
+def _qpowers(q: Fraction, top: int) -> dict[int, Fraction]:
+    """q^e for |e| <= top, each one multiplication from the last."""
+    out = {0: Fraction(1)}
+    inv = 1 / q
+    for e in range(1, top + 1):
+        out[e], out[-e] = out[e - 1] * q, out[1 - e] * inv
+    return out
+
+
+def _scaled(rows) -> tuple[int, list[list[int]]]:
+    """(d, d * rows) for a rational matrix and the lcm d of its denominators."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
 class Sl2Rep(NamedTuple):
@@ -115,23 +140,46 @@ def build_sl2_rep(q, n: int) -> Sl2Rep:
     return Sl2Rep(q=qf, n=n, e=freeze(E), f=freeze(F), k=freeze(K))
 
 
+def _product(*factors: Fraction) -> Fraction:
+    """The product of rationals, reduced once rather than after every factor."""
+    num = den = 1
+    for x in factors:
+        num *= x.numerator
+        den *= x.denominator
+    return Fraction(num, den)
+
+
+def _sparse_product(A, B) -> dict[tuple[int, int], Fraction]:
+    """The entries of A B that some pair of nonzero entries reaches, by position."""
+    rows_b = [[(j, y) for j, y in enumerate(row) if y] for row in B]
+    out: dict[tuple[int, int], Fraction] = {}
+    for i, row in enumerate(A):
+        for k, x in enumerate(row):
+            if x:
+                for j, y in rows_b[k]:
+                    out[i, j] = out.get((i, j), 0) + x * y
+    return out
+
+
 def relation_residuals(rep: Sl2Rep) -> dict[str, Fraction]:
     """Exact residuals of the defining relations: the largest |entry| of lhs - rhs.
 
-    Every residual is zero for a correct representation.
+    Every residual is zero for a correct representation.  Products are
+    summed over nonzero entries only (E, F and K each have at most one per
+    row), and an entry that neither side reaches is zero on both.
     """
     q, E, F, K = rep.q, rep.e, rep.f, rep.k
 
     def residual(lhs, rhs, c=1):
-        return max(abs(x - c * y) for lrow, rrow in zip(lhs, rhs) for x, y in zip(lrow, rrow))
+        return Fraction(max((abs(lhs.get(key, 0) - c * rhs.get(key, 0))
+                             for key in lhs.keys() | rhs.keys()), default=0))
 
-    ef, fe = _matmul(E, F), _matmul(F, E)
-    comm = [[x - y for x, y in zip(r, s)] for r, s in zip(ef, fe)]
-    target = [[(K[i][i] - 1 / K[i][i]) / (q - 1 / q) if i == j else 0 for j in range(rep.dim)]
-              for i in range(rep.dim)]
+    ef, fe = _sparse_product(E, F), _sparse_product(F, E)
+    comm = {key: ef.get(key, 0) - fe.get(key, 0) for key in ef.keys() | fe.keys()}
+    target = {(i, i): (K[i][i] - 1 / K[i][i]) / (q - 1 / q) for i in range(rep.dim)}
     return {
-        "KE=q2EK": residual(_matmul(K, E), _matmul(E, K), q ** 2),
-        "KF=q-2FK": residual(_matmul(K, F), _matmul(F, K), q ** -2),
+        "KE=q2EK": residual(_sparse_product(K, E), _sparse_product(E, K), q ** 2),
+        "KF=q-2FK": residual(_sparse_product(K, F), _sparse_product(F, K), q ** -2),
         "EF-FE": residual(comm, target),
     }
 
@@ -142,17 +190,24 @@ def _block_indices(m: int, n: int) -> list[list[tuple[int, int]]]:
             for s in range(m + n + 1)]
 
 
-def _series_coeffs(q: Fraction, qfact: list[Fraction], kmax: int) -> list[Fraction]:
-    """q^{k(k-1)/2} (q - 1/q)^k / [k]_q! for k = 0..kmax, from the table qfact of [k]_q!."""
-    return [q ** (k * (k - 1) // 2) * (q - 1 / q) ** k / qfact[k] for k in range(kmax + 1)]
+def _series_coeffs(q: Fraction, qint: list[Fraction], kmax: int) -> list[Fraction]:
+    """q^{k(k-1)/2} (q - 1/q)^k / [k]_q! for k = 0..kmax, each the one before
+    times q^{k-1} (q - 1/q) / [k]_q."""
+    out = [Fraction(1)]
+    step = q - 1 / q
+    for k in range(1, kmax + 1):
+        out.append(out[-1] * step / qint[k])
+        step *= q
+    return out
 
 
-def _r_block(q: Fraction, m: int, n: int, idx: list[tuple[int, int]],
-             qfact: list[Fraction], coeffs: list[Fraction], flip: bool) -> list[list[Fraction]]:
+def _r_block(m: int, n: int, idx: list[tuple[int, int]], falling: list[list[Fraction]],
+             coeffs: list[Fraction], qpow: dict[int, Fraction], flip: bool) -> list[list[Fraction]]:
     """One total-weight block of (pi_m (x) pi_n)(R) / q^{(mn mod 2)/2}, or of R21 when flip is set.
 
-    ``qfact`` tabulates [k]_q! for k <= max(m, n) and ``coeffs`` the series
-    coefficients for k <= min(m, n).
+    ``falling[a][k]`` tabulates the falling q-factorial [a]_q!/[a-k]_q! for
+    k <= a <= max(m, n), ``coeffs`` the series coefficients for k <= min(m, n)
+    and ``qpow`` the powers q^e for |e| <= mn/2.
     """
     size = len(idx)
     out = [[Fraction(0)] * size for _ in range(size)]
@@ -161,23 +216,22 @@ def _r_block(q: Fraction, m: int, n: int, idx: list[tuple[int, int]],
             k = ic - ir if not flip else ir - ic
             if k < 0 or k > min(m, n):
                 continue
-            # E^k on the m-leg and F^k on the n-leg, or F^k and E^k when flipped:
-            # the amplitudes are [a]!/[a-k]! [b]!/[b-k]!.
-            a, b = (ic, n - jc) if not flip else (m - ic, jc)
-            amp = qfact[a] * qfact[b] / (qfact[a - k] * qfact[b - k])
             wrow = (m - 2 * ir) * (n - 2 * jr)
             # q^{wrow/2} = q^{(mn mod 2)/2} q^{wrow // 2} needs wrow = mn (mod 2).
             if wrow % 2 != m * n % 2:
                 raise AssertionError(f"weight product {wrow} does not have the parity of mn = {m * n}")
-            out[row][col] = coeffs[k] * amp * q ** (wrow // 2)
+            # E^k on the m-leg and F^k on the n-leg, or F^k and E^k when flipped:
+            # the amplitudes are [a]!/[a-k]! [b]!/[b-k]!.
+            a, b = (ic, n - jc) if not flip else (m - ic, jc)
+            out[row][col] = _product(coeffs[k], falling[a][k], falling[b][k], qpow[wrow // 2])
     return out
 
 
-def _dsq_leg(q: Fraction, n: int, qint: list[Fraction]) -> list[Fraction]:
+def _dsq_leg(qpow: dict[int, Fraction], n: int, qint: list[Fraction]) -> list[Fraction]:
     # d_{j+1}^2/d_j^2 = q^{-(n-2j)} [j+1]/[n-j]: unitarises the basis for E* = FK.
     out = [Fraction(1)]
     for j in range(n):
-        out.append(out[-1] * qint[j + 1] / (qint[n - j] * q ** (n - 2 * j)))
+        out.append(out[-1] * qint[j + 1] / (qint[n - j] * qpow[n - 2 * j]))
     return out
 
 
@@ -208,7 +262,8 @@ def build_rmatrix_block(q, m: int, n: int) -> RMatrixBlock:
     """Exact construction of R and R21 R on V(m) (x) V(n).
 
     R21 R is q^{mn mod 2} times the product of the rational blocks of R21 and
-    R.  Raises if a weight product does not have the parity of mn or if R21 R
+    R, which is formed and checked on ints over their common denominators.
+    Raises if a weight product does not have the parity of mn or if R21 R
     is not self-adjoint for the exact D^2 inner product (both would indicate
     a convention bug).
     """
@@ -216,28 +271,32 @@ def build_rmatrix_block(q, m: int, n: int) -> RMatrixBlock:
     _check_labels(m=m, n=n)
     dn = n + 1
     qint = _qints(qf, max(m, n))
-    qfact = list(accumulate(qint[1:], mul, initial=Fraction(1)))
-    coeffs = _series_coeffs(qf, qfact, min(m, n))
-    dm_sq = _dsq_leg(qf, m, qint)
-    dn_sq = _dsq_leg(qf, n, qint)
+    qpow = _qpowers(qf, max(m, n, (m * n + 1) // 2))
+    falling = [list(accumulate((qint[a - t] for t in range(a)), mul, initial=Fraction(1)))
+               for a in range(max(m, n) + 1)]
+    coeffs = _series_coeffs(qf, qint, min(m, n))
+    dm_sq = _dsq_leg(qpow, m, qint)
+    dn_sq = _dsq_leg(qpow, n, qint)
     dsq = [dm_sq[i] * dn_sq[j] for i in range(m + 1) for j in range(n + 1)]
 
-    scale = qf ** (m * n % 2)
+    scale = qpow[m * n % 2]
     idx_blocks = _block_indices(m, n)
     r_blocks = []
     exact_blocks = []
     for idx in idx_blocks:
-        rb = _r_block(qf, m, n, idx, qfact, coeffs, flip=False)
-        rational = [[scale * x for x in row]
-                    for row in _matmul(_r_block(qf, m, n, idx, qfact, coeffs, flip=True), rb)]
-        w = [dsq[i * dn + j] for i, j in idx]
-        size = len(idx)
-        for i in range(size):
-            for j in range(size):
-                if w[i] * rational[i][j] != rational[j][i] * w[j]:
-                    raise AssertionError("R21 R is not self-adjoint for the D^2 inner product")
+        rb = _r_block(m, n, idx, falling, coeffs, qpow, flip=False)
+        da, r = _scaled(rb)
+        db, r21 = _scaled(_r_block(m, n, idx, falling, coeffs, qpow, flip=True))
+        # prod is da db (R21 R) / scale and w is D^2 times a positive int, so
+        # D^2 (R21 R) is symmetric exactly when w_i prod_ij = w_j prod_ji.
+        prod = [[sum(map(mul, row, col)) for col in zip(*r)] for row in r21]
+        _, (w,) = _scaled([[dsq[i * dn + j] for i, j in idx]])
+        if any(w[i] * prod[i][j] != prod[j][i] * w[j] for i in range(len(idx)) for j in range(i)):
+            raise AssertionError("R21 R is not self-adjoint for the D^2 inner product")
+        den = da * db * scale.denominator
         r_blocks.append(tuple(map(tuple, rb)))
-        exact_blocks.append(tuple(map(tuple, rational)))
+        exact_blocks.append(tuple(tuple(Fraction(scale.numerator * x, den) for x in row)
+                                  for row in prod))
 
     return RMatrixBlock(
         q=qf, m=m, n=n,
@@ -246,6 +305,55 @@ def build_rmatrix_block(q, m: int, n: int) -> RMatrixBlock:
         r21r=tuple(exact_blocks),
         dsq=tuple(dsq),
     )
+
+
+def _eigenvectors(q: Fraction, m: int, n: int) -> dict[int, list[list[int]]]:
+    """Per block s, for each t below its size, a nonzero integer eigenvector of
+    R21 R in the copy of V(m + n - 2t), in order of t.
+
+    The copy's highest-weight vector spans the kernel of Delta(E) = E (x) K +
+    1 (x) E on block t.  With x_i its entry at (i, t - i), that kernel is the
+    two-term recurrence [i+1] q^{n-2(t-1-i)} x_{i+1} + [t-i] x_i = 0.
+    Delta(F) = F (x) 1 + K^{-1} (x) F commutes with R21 R and carries the
+    vector down the copy one block at a time, to block m + n - t.  Every
+    vector is kept on ints.
+    """
+    qint = _qints(q, max(m, n))
+    qpow = _qpowers(q, max(m, n))
+    # Delta(F) reaches (i, j) from (i - 1, j) with [m - i + 1] and from
+    # (i, j - 1) with q^{2i - m} [n - j + 1]; one common factor makes both ints.
+    _, (left, *down) = _scaled(
+        [[qint[m - i + 1] if i else 0 for i in range(m + 1)]]
+        + [[qpow[2 * i - m] * qint[n - j + 1] if j else 0 for j in range(n + 1)]
+           for i in range(m + 1)])
+    out: dict[int, list[list[int]]] = {s: [] for s in range(m + n + 1)}
+    for t in range(min(m, n) + 1):
+        top = [Fraction(1)]
+        for i in range(t):
+            top.append(-top[-1] * qint[t - i] / (qint[i + 1] * qpow[n - 2 * (t - 1 - i)]))
+        _, (x,) = _scaled([top])
+        out[t].append(x)
+        for s in range(t, m + n - t):
+            at = dict(zip(range(max(0, s - n), m + 1), x))  # first-leg index -> entry
+            x = [left[i] * at.get(i - 1, 0) + down[i][s + 1 - i] * at.get(i, 0)
+                 for i in range(max(0, s + 1 - n), min(m, s + 1) + 1)]
+            out[s + 1].append(x)
+    return out
+
+
+def _is_eigenbasis(exact: Matrix, vectors, values: list[Fraction]) -> bool:
+    """Whether vectors holds, for each value c in turn, a nonzero x with exact . x = c x.
+
+    The check runs on ints: exact is scaled by the lcm d of its denominators,
+    and d exact . x = d c x is compared times the denominator of c.
+    """
+    if len(vectors) != len(values):
+        return False
+    d, mat = _scaled(exact)
+    return all(len(x) == len(mat) and any(x)
+               and all(sum(map(mul, row, x)) * c.denominator == d * c.numerator * v
+                       for row, v in zip(mat, x))
+               for x, c in zip(vectors, values))
 
 
 class EigenRow(NamedTuple):
@@ -301,6 +409,7 @@ def verify_norm_formula(q, m: int, n: int) -> OracleReport:
         predicted[nu] = (int(e), rs.weyl_dim((nu,)))
 
     # Exact spectrum certification, block by block over total weight.
+    vectors = _eigenvectors(qf, m, n)
     exact_ok = True
     certified: list[Fraction] = []
     for idx, exact in zip(block.blocks, block.r21r):
@@ -312,20 +421,23 @@ def verify_norm_formula(q, m: int, n: int) -> OracleReport:
             exact_ok = False
             failures.append(f"block at weight {m + n - 2 * s}: {len(exps)} predicted vs size {size}")
             continue
-        # size distinct roots of the characteristic polynomial are the whole spectrum.
+        # size distinct eigenvalues are the whole spectrum, each simple.
         if len(set(exps)) != size:
             exact_ok = False
             failures.append(f"predicted eigenvalues on weight-{m + n - 2 * s} block are not distinct")
             continue
-        for e in exps:
-            c = qf ** -e
-            if not _is_singular([[x - c if i == j else x for j, x in enumerate(row)]
-                                 for i, row in enumerate(exact)]):
+        values = [qf ** -e for e in exps]
+        if not _is_eigenbasis(exact, vectors.get(s, ()), values):
+            # No full set of eigenvectors: one elimination per value names the
+            # first value that is not an eigenvalue, if any.
+            bad = next((e for e, c in zip(exps, values)
+                        if not _is_singular([[x - c if i == j else x for j, x in enumerate(row)]
+                                             for i, row in enumerate(exact)])), None)
+            if bad is not None:
                 exact_ok = False
-                failures.append(f"R21 R - q^{-e} is not singular on weight-{m + n - 2 * s} block")
-                break
-        else:
-            certified.extend(qf ** e for e in exps)
+                failures.append(f"R21 R - q^{-bad} is not singular on weight-{m + n - 2 * s} block")
+                continue
+        certified.extend(qf ** e for e in exps)
 
     qd = precision.to_decimal(qf, ctx)
     eigen_rows = []

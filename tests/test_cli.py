@@ -38,11 +38,12 @@ CAPPED = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30
           "from qbf.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
-def run_cli_within_a_second(args):
-    """run_cli in a capped child process that is killed after 1 s, so a q
-    whose 10^|e| gets built fails the test without filling the memory."""
+def run_cli_within_a_second(args, seconds=1):
+    """run_cli in a capped child process that is killed after 1 s (or
+    seconds), so a q whose 10^|e| gets built fails the test without filling
+    the memory."""
     done = subprocess.run([sys.executable, "-c", CAPPED, *args], capture_output=True,
-                          text=True, timeout=1)
+                          text=True, timeout=seconds)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -253,6 +254,17 @@ class TestExitCodes:
         assert run_cli(["cb-region", "--type", "A1", "--q", q, "--beta", "2", "--height", "2"],
                        capsys) == (1, "", f"error: q = {10**52 - 1}/{10**52} rounds "
                                           "to 1 at 50 digits, so ln(1/q) is 0\n")
+
+    def test_beta_with_many_leading_zeros_ends_in_bounded_time(self):
+        # ln beta taken at the 20,050 digits that read beta - 1 would take
+        # minutes; past 100 leading zeros it is summed from its series.
+        beta = "1." + "0" * 20_000 + "1"
+        code, out, err = run_cli_within_a_second(
+            ["cb-region", "--type", "A1", "--q", "0.5", "--beta", beta, "--height", "2",
+             "--format", "csv"], seconds=2)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["0,true,true,0,1", "1,false,false,1/2,1.63252691944",
+                                        "2,false,false,2,2.66514414269"]
 
     def test_bad_type(self, capsys):
         code, _, err = run_cli(["fusion", "--type", "Q7", "--lambda", "1", "--mu", "1"], capsys)

@@ -191,7 +191,9 @@ def test_import_and_build_execute_root_system_only():
     (["cb-region", "--type", "A2", "--q", "0.5", "--beta", "2", "--height", "2"],
      ["root_system", "qnorm", "cb_region", "precision"]),
     (["character", "--type", "G2", "--mu", "1,1"], ["root_system", "characters", "precision"]),
-], ids=["casimir-check", "cb-region", "character"])
+    (["oracle-sl2", "--q", "0.9", "--m", "8", "--n", "8"],
+     ["root_system", "characters", "fusion", "qnorm", "sl2_oracle", "precision"]),
+], ids=["casimir-check", "cb-region", "character", "oracle-sl2"])
 def test_a_command_executes_only_what_it_uses(argv, executed):
     code = f"import qbf.cli\nrc = qbf.cli.main({argv!r})\nprint((rc, EXECUTED))"
     assert ast.literal_eval(fresh_interpreter(code)) == (0, executed)

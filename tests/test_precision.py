@@ -167,6 +167,32 @@ def test_ln_keeps_the_digits_of_x_minus_one(x):
     assert got != 0 and abs(got - reference) <= abs(reference) * Decimal("1e-49")
 
 
+# 50 digits of pi: x - 1 as read keeps all of them.
+_TAIL = "31415926535897932384626433832795028841971693993751"
+
+
+@pytest.mark.parametrize("n", [101, 102, 257, 640, 1000])
+@pytest.mark.parametrize("above", [True, False], ids=["1+d", "1-d"])
+def test_ln_series_agrees_with_the_widened_ln(n, above):
+    # Beyond 2 DIGITS leading zeros of x - 1, ln sums the series of ln(1 + d).
+    x = ("1." + "0" * n if above else "0." + "9" * n) + _TAIL
+    ctx = precision.make_context()
+    wide = precision.widen(x, ctx)
+    assert wide.prec - ctx.prec > 2 * precision.DIGITS
+    assert precision.ln(x, ctx) == ctx.plus(wide.ln(precision.to_decimal(x, wide)))
+
+
+@pytest.mark.parametrize("x", ["1." + "0" * 100 + "1", "0." + "9" * 100 + _TAIL])
+def test_ln_takes_the_widened_ln_up_to_2_digits_leading_zeros(x, monkeypatch):
+    def series(d, ctx):
+        raise AssertionError("the series of ln(1 + d) was taken")
+
+    monkeypatch.setattr(precision, "_ln1p", series)
+    ctx = precision.make_context()
+    assert precision.widen(x, ctx).prec - ctx.prec == 2 * precision.DIGITS
+    assert precision.ln(x, ctx) != 0
+
+
 def test_sqrt_fraction():
     ctx = precision.make_context()
     root = precision.sqrt_fraction(Fraction(2), ctx)

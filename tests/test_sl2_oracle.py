@@ -9,6 +9,8 @@ from qbf.root_system import _is_positive_definite, _is_singular
 from qbf.sl2_oracle import (
     MAX_SPIN_LABEL,
     _block_indices,
+    _eigenvectors,
+    _is_eigenbasis,
     _r_block,
     build_rmatrix_block,
     build_sl2_rep,
@@ -17,6 +19,39 @@ from qbf.sl2_oracle import (
 )
 
 QS = [Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)]
+GRID = [(m, n) for m in range(MAX_SPIN_LABEL + 1) for n in range(MAX_SPIN_LABEL + 1)]
+
+
+# -- dense references for the generators on V(m) (x) V(n) ----------------------
+
+def _kron(A, B):
+    """A (x) B, with (i, j) at index i * len(B) + j, as ``dsq`` is indexed."""
+    return [[x * y for x in ra for y in rb] for ra in A for rb in B]
+
+
+def _plus(A, B):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def _apply(A, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in A]
+
+
+def _dense_residuals(rep):
+    """relation_residuals by dense products over every entry."""
+    def mat(A, B, c=1):
+        return [[c * sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+    def residual(lhs, rhs):
+        return max(abs(x - y) for lrow, rrow in zip(lhs, rhs) for x, y in zip(lrow, rrow))
+
+    q, E, F, K = rep.q, rep.e, rep.f, rep.k
+    comm = _plus(mat(E, F), mat(F, E, -1))
+    target = [[(K[i][i] - 1 / K[i][i]) / (q - 1 / q) if i == j else 0 for j in range(rep.dim)]
+              for i in range(rep.dim)]
+    return {"KE=q2EK": residual(mat(K, E), mat(E, K, q ** 2)),
+            "KF=q-2FK": residual(mat(K, F), mat(F, K, q ** -2)),
+            "EF-FE": residual(comm, target)}
 
 
 # -- reference: R assembled over Q(sqrt(q)) as pairs a + b sqrt(q) -------------
@@ -136,6 +171,18 @@ class TestSl2Rep:
         rep = build_sl2_rep(q, n)
         assert relation_residuals(rep) == {"KE=q2EK": 0, "KF=q-2FK": 0, "EF-FE": 0}
 
+    @pytest.mark.parametrize("name", ["e", "f", "k"])
+    @pytest.mark.parametrize("i, j", [(0, 0), (0, 3), (3, 0), (2, 1), (1, 2), (3, 3)])
+    def test_stray_entries_show_in_the_residuals(self, name, i, j):
+        # The products skip zero entries; an entry off the pattern of E, F or K
+        # still enters them.
+        rep = build_sl2_rep(Fraction(1, 2), 3)
+        rows = [list(row) for row in getattr(rep, name)]
+        rows[i][j] += Fraction(1, 3)
+        stray = rep._replace(**{name: tuple(map(tuple, rows))})
+        assert relation_residuals(stray) == _dense_residuals(stray)
+        assert any(relation_residuals(stray).values())
+
     def test_q_validation(self):
         for bad in (0, 1, Fraction(3, 2), -0.5):
             with pytest.raises(ValueError, match="0 < q < 1"):
@@ -191,8 +238,8 @@ class TestRMatrixBlock:
 
         i = OddDouble(0)
         with pytest.raises(AssertionError, match="parity"):
-            _r_block(Fraction(1, 2), 1, 1, [(i, i)], [Fraction(1)] * 2, [Fraction(1)] * 2,
-                     flip=False)
+            _r_block(1, 1, [(i, i)], [[Fraction(1)] * 2] * 2, [Fraction(1)] * 2,
+                     {0: Fraction(1)}, flip=False)
 
     def test_r21r_eigenvalue_exponents_one_one(self):
         q = Fraction(1, 2)
@@ -308,6 +355,85 @@ class TestVerifyNormFormula:
         report = verify_norm_formula(Fraction(1, 2), 2, 3)
         assert not report.passed and not report.exact_multiset_match
         assert any("not distinct" in f for f in report.failures)
+
+
+# Ways for the eigenvector builder to hand back vectors that certify nothing.
+_WRONG_VECTORS = {
+    "zero": lambda vectors: [[0] * len(x) for x in vectors],
+    "rotated": lambda vectors: vectors[1:] + vectors[:1],
+    "perturbed": lambda vectors: [[x[0] + 1, *x[1:]] for x in vectors],
+    "short": lambda vectors: [x[:-1] for x in vectors],
+    "missing": lambda vectors: vectors[:-1],
+}
+
+
+class TestEigenvectorCertificate:
+    @pytest.mark.parametrize("q", QS + [Fraction(1, 7)])
+    def test_every_block_is_certified_without_elimination(self, q, monkeypatch):
+        def no_elimination(mat):
+            raise AssertionError("a block fell back to elimination")
+
+        monkeypatch.setattr(sl2_oracle, "_is_singular", no_elimination)
+        reports = [verify_norm_formula(q, m, n) for m, n in GRID]
+        assert all(report.passed for report in reports)
+        # The builder failing sends every block to elimination, which agrees.
+        monkeypatch.setattr(sl2_oracle, "_is_singular", _is_singular)
+        monkeypatch.setattr(sl2_oracle, "_eigenvectors", lambda q, m, n: {})
+        assert [verify_norm_formula(q, m, n) for m, n in GRID] == reports
+
+    @pytest.mark.parametrize("kind", sorted(_WRONG_VECTORS))
+    def test_wrong_vectors_leave_every_report_unchanged(self, kind, monkeypatch):
+        q = Fraction(9, 10)
+        reports = [verify_norm_formula(q, m, n) for m, n in GRID]
+        exact, wrong = sl2_oracle._eigenvectors, _WRONG_VECTORS[kind]
+        eliminations = []
+
+        def counted(mat):
+            eliminations.append(len(mat))
+            return _is_singular(mat)
+
+        monkeypatch.setattr(sl2_oracle, "_is_singular", counted)
+        monkeypatch.setattr(sl2_oracle, "_eigenvectors", lambda q, m, n: {
+            s: wrong(vectors) for s, vectors in exact(q, m, n).items()})
+        assert [verify_norm_formula(q, m, n) for m, n in GRID] == reports
+        assert eliminations
+
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (4, 2), (3, 5), (0, 3)])
+    def test_vectors_follow_the_coproduct(self, q, m, n):
+        # Each copy's top vector is killed by Delta(E) = E (x) K + 1 (x) E, and
+        # Delta(F) = F (x) 1 + K^{-1} (x) F maps each vector of the copy to a
+        # nonzero multiple of the next one down.
+        a, b = build_sl2_rep(q, m), build_sl2_rep(q, n)
+        ones = [[Fraction(int(i == j)) for j in range(m + 1)] for i in range(m + 1)]
+        kinv = [[1 / x if x else x for x in row] for row in a.k]
+        delta_e = _plus(_kron(a.e, b.k), _kron(ones, b.e))
+        delta_f = _plus(_kron(a.f, [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]),
+                        _kron(kinv, b.f))
+        blocks, vectors = _block_indices(m, n), _eigenvectors(q, m, n)
+
+        def full(s, t):
+            v = [0] * ((m + 1) * (n + 1))
+            for (i, j), x in zip(blocks[s], vectors[s][t]):
+                v[i * (n + 1) + j] = x
+            return v
+
+        for t in range(min(m, n) + 1):
+            assert any(full(t, t)) and not any(_apply(delta_e, full(t, t)))
+            for s in range(t, m + n - t):
+                image, below = _apply(delta_f, full(s, t)), full(s + 1, t)
+                assert any(image) and all(x * below[k] == y * image[k]
+                                          for x, y in zip(image, below) for k in range(len(image)))
+
+    def test_eigenbasis_check(self):
+        # Eigenvalue 1/2 on (1, 0) and 1/5 on (10, -9).
+        mat = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(0), Fraction(1, 5)))
+        values = [Fraction(1, 2), Fraction(1, 5)]
+        assert _is_eigenbasis(mat, [[1, 0], [10, -9]], values)
+        assert _is_eigenbasis(mat, [[-3, 0], [Fraction(-10, 9), 1]], values)
+        for wrong in ([[1, 0], [0, 0]], [[1, 0]], [[1, 0], [10, -9], [1, 0]],
+                      [[1, 0], [10, 9]], [[10, -9], [1, 0]], [[1], [10]]):
+            assert not _is_eigenbasis(mat, wrong, values)
 
 
 class TestIsSingular:
