@@ -65,14 +65,13 @@ def _shared_constants(cfg: SessionConfig, beta, ctx: Context) -> tuple[Decimal, 
     taken by ``precision.ln``, on beta and q as given, with as many extra
     digits as beta - 1 and 1 - q have leading zeros, so a beta or q close to
     1 keeps the digits that set the threshold, and a beta below 1 is refused
-    however close to 1 it is.
+    however close to 1 it is.  As q < 1 has a denominator below 10^4300
+    (``qnorm._check_q``), 1 - q has fewer than 4300 leading zeros, and
+    ln(1/q) is positive for every q accepted, however close to 1 q rounds.
     """
     b = precision.to_decimal(beta, ctx, "beta")
     if b < 1 or (log_b := precision.ln(beta, ctx, "beta")) < 0:
         raise ValueError(f"beta must be >= 1 (weights require w >= 1), got {beta}")
-    if precision.to_decimal(cfg.q, ctx) == 1:
-        raise ValueError(f"q = {cfg.q} rounds to 1 at {precision.DIGITS} digits, "
-                         "so ln(1/q) is 0")
     log_inv_q = ctx.minus(precision.ln(cfg.q, ctx))
     t = ctx.divide(log_b, log_inv_q)
     return b, log_b, log_inv_q, ctx.multiply(t, t)

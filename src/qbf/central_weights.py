@@ -68,7 +68,13 @@ sweep order that attains it as the witness.
 
 Logs decide nothing; every violation records them: log w(mu) and 0 for Z1,
 log w(nu) and log w(lam) + log w(mu) for Z2, log w(mu) and
-log w(conjugate(mu)) for SYM.
+log w(conjugate(mu)) for SYM.  They are taken for violations only, so a pair
+that passes costs its decomposition, its pair verdict and a count, and no
+log.  A log or log sum beyond the decimal range is still an error, named as
+when every member took its logs: the range is checked once per sweep, on a
+bound from the box's largest f, and only when some log w or log-w sum of the
+box may leave it does every Z2 member take its logs, in sweep order, so the
+first to leave the range is the one named.
 
 Built-in families:
 
@@ -161,7 +167,7 @@ def _log_scale(spec: CentralWeightSpec, ctx: Context) -> Decimal | None:
     ``lst``; None for a table."""
     if spec.kind == "table":
         return None
-    return ctx.ln(spec.beta) if spec.kind == "beta_norm" else spec.beta
+    return precision.ln(spec.beta, ctx, "beta") if spec.kind == "beta_norm" else spec.beta
 
 
 def _log_weight(rs: RootSystem, spec: CentralWeightSpec, mu: Weight, ctx: Context,
@@ -181,6 +187,21 @@ def _log_weight(rs: RootSystem, spec: CentralWeightSpec, mu: Weight, ctx: Contex
         return ctx.multiply(root, s)
 
 
+def _box_logs_fit(ctx: Context, s: Decimal, f_top: int, den: int) -> bool:
+    """Whether every log w = s f^{1/2} with f <= f_top / den, and every sum
+    of two, lies in the exponent range of ctx; decided without raising.
+
+    All of them are at most 2 |s| (f_top / den)^{1/2} in size, and when that
+    bound, rounded once more, is below 10^Emax, they are below the largest
+    finite Decimal by a factor of nearly 10, far more than the rounding of
+    the square root, the product and the sum can take.
+    """
+    loose = ctx.copy()
+    loose.clear_traps()  # an overflowing bound is Infinity, which does not fit
+    root = loose.sqrt(loose.divide(Decimal(f_top), Decimal(den)))
+    return loose.multiply(loose.multiply(2, abs(s)), root) < Decimal(f"1e{ctx.Emax}")
+
+
 def _pair_orbits(rs: RootSystem, weights: list[Weight]):
     """Yield the members of the first unordered pair {lam, mu} of each Γ-orbit
     of pairs from ``weights``, in sweep order, lam before mu.
@@ -188,33 +209,51 @@ def _pair_orbits(rs: RootSystem, weights: list[Weight]):
     The members are (lam, mu, None) and then (a, b, sigma) for the orbit's
     other pairs, its mates, a before b, with sigma in Γ taking {lam, mu} to
     {a, b}, as a map of weights.  Mates come later in sweep order, and no
-    later pair of the orbit is yielded.  The orbit is walked on the root
-    system's image positions of ``weights``; with Γ trivial, a pair has no
-    mates and no image is read.
+    later pair of the orbit is yielded.
+
+    The orbit is walked breadth-first from the pair, one generator of Γ at a
+    time, on the root system's image positions of ``weights``: the cost of a
+    pair is its orbit's size times the number of generators, whatever the
+    order of Γ, which on products of many isomorphic factors is far larger
+    (8! on A1^8).  The elements of Γ the walk reaches are node maps s, with
+    sigma(x) = (x[s_0], x[s_1], ...); each gets its ``itemgetter(*s)`` once
+    per sweep.  A pair met earlier as a mate costs one set lookup.  With Γ
+    trivial, a pair has no mates and no image is read.
     """
     images = rs._symmetry_images(weights)
-    identity = tuple(range(rs.rank))
     n = len(weights)
+    if not images:
+        for i, lam in enumerate(weights):
+            for mu in weights[i:]:
+                yield [(lam, mu, None)]
+        return
+    identity = tuple(range(rs.rank))
+    sigmas: dict[tuple[int, ...], itemgetter] = {}
     later: set[int] = set()  # the positions i n + j of mates still to come
     for i, lam in enumerate(weights):
         for j in range(i, n):
+            code = i * n + j
+            if code in later:
+                later.remove(code)
+                continue
             members = [(lam, weights[j], None)]
-            if images:
-                if i * n + j in later:
-                    continue
-                orbit = {i * n + j}
-                todo = [(i, j, identity)]
-                for a, b, source in todo:  # sigma(x) = (x[source[0]], ...)
-                    for image, generator in images:
-                        x, y = image[a], image[b]
-                        if x > y:
-                            x, y = y, x
-                        if x * n + y not in orbit:
-                            orbit.add(x * n + y)
-                            todo.append((x, y, generator(source)))
-                later |= orbit
-                members += [(weights[a], weights[b], itemgetter(*source))
-                            for a, b, source in todo[1:]]
+            orbit = {code}
+            todo = [(i, j, identity)]
+            for a, b, source in todo:
+                for image, generator in images:
+                    x, y = image[a], image[b]
+                    if x > y:
+                        x, y = y, x
+                    if x * n + y not in orbit:
+                        orbit.add(x * n + y)
+                        s = generator(source)
+                        todo.append((x, y, s))
+                        sigma = sigmas.get(s)
+                        if sigma is None:
+                            sigma = sigmas[s] = itemgetter(*s)
+                        members.append((weights[x], weights[y], sigma))
+            orbit.remove(code)
+            later |= orbit
             yield members
 
 
@@ -229,10 +268,10 @@ def _pair_sweep(rs: RootSystem, weights: list[Weight], value, sense: int | None)
     sigma, as the built-in values are Γ-invariant.  With sense None, for a
     table, there is no verdict and bad is None; ``value`` returns None for a
     weight the table lacks, and a pair none of whose members has both of its
-    values is not decomposed: fd is None.
+    values is not decomposed: fd is None.  Only a table is probed.
     """
     for members in _pair_orbits(rs, weights):
-        if all(value(a) is None or value(b) is None for a, b, _ in members):
+        if sense is None and all(value(a) is None or value(b) is None for a, b, _ in members):
             yield members, None, None
             continue
         fd = tensor_decompose(rs, *members[0][:2])
@@ -320,7 +359,8 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
     covered triples.  For ``beta_norm`` with beta >= 1 and ``lst`` with
     beta >= 0, Z2 holds at every height by the dominance certificate; the
     sweep still checks every component, per pair through the certificate,
-    and compares every component of a pair it does not cover.  Only the
+    and compares every component of a pair it does not cover.  Logs are
+    taken for violations only (see the module docstring).  Only the
     first pair of each orbit of the diagram automorphisms is decomposed (see
     the module docstring).  ``checked`` counts every triple either way.  A
     table must be nonempty with dominant keys of the right rank, and a
@@ -347,8 +387,14 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
     violations: list[Violation] = []
     weights = rs.dominant_weights_up_to(height)
 
-    # Logs are evaluated only to be recorded.
-    log_of = _Memo(partial(_log_weight, rs, spec, ctx=ctx, s=_log_scale(spec, ctx))).__getitem__
+    # Logs are evaluated only to be recorded, and so only for a violation,
+    # unless a log or log sum of the box may leave the decimal range: then
+    # every Z2 member takes them, in sweep order, so the first to leave it is
+    # the one an error names.  A table's logs and their sums never leave it.
+    scale = _log_scale(spec, ctx)
+    log_of = _Memo(partial(_log_weight, rs, spec, ctx=ctx, s=scale)).__getitem__
+    eager = table is None and not _box_logs_fit(ctx, scale, max(map(value, weights)),
+                                                rs._gram_den)
     checked = skipped = 0
 
     # Z1: w(mu) >= 1.
@@ -365,20 +411,18 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
     # comparison is symmetric in (lam, mu), so an unordered pair stands for
     # both orientations: it counts twice and records each violation twice.
     for members, fd, bad in _pair_sweep(rs, weights, value, sense):
+        if sense is not None and not bad and not eager:  # the pair and its mates pass
+            checked += len(fd._parts) * len(members) * (1 if fd.lam == fd.mu else 2)
+            continue
         for a, b, sigma in members:
             orientations = ((a, b),) if a == b else ((a, b), (b, a))
             w_a, w_b = value(a), value(b)
             if w_a is None or w_b is None:
                 skipped += len(orientations)
                 continue
-            try:
-                rhs = ctx.add(log_of(a), log_of(b))
-            except ArithmeticError:
-                with precision.decimal_range("log w({}) + log w({})", a, b):
-                    raise
             if table is None:  # the verdicts of a mate are the mapped ones
                 checked += len(orientations) * len(fd._parts)
-                found = bad if sigma is None else map(sigma, bad)
+                found = bad if sigma is None else list(map(sigma, bad))
             else:
                 product = exact.multiply(w_a, w_b)
                 found = []
@@ -391,6 +435,13 @@ def validate_central_weight(rs: RootSystem, spec: CentralWeightSpec,
                     checked += len(orientations)
                     if w_nu > product:
                         found.append(nu)
+            if not (found or eager):
+                continue
+            try:
+                rhs = ctx.add(log_of(a), log_of(b))
+            except ArithmeticError:
+                with precision.decimal_range("log w({}) + log w({})", a, b):
+                    raise
             violations.extend(Violation("Z2", (x, y, nu), log_of(nu), rhs)
                               for nu in found for x, y in orientations)
 

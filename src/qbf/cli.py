@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import json
 import re
@@ -109,6 +108,8 @@ def _emit(args, payload: dict, columns: list[str], records: list[dict]) -> None:
     else:
         rows = [[cell(record[c]) for c in columns] for record in records]
         if args.format == "csv":
+            import csv  # here, so a json or table run does not import it
+
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(columns)

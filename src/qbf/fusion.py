@@ -77,9 +77,14 @@ class FusionDecomposition:
                    components: dict[Weight, int]) -> "FusionDecomposition":
         """The decomposition with ``components`` less the sums that cancelled
         to zero; a negative sum, or a Cartan component that is missing or
-        not 1, is an internal error."""
+        not 1, is an internal error.
+
+        It takes ownership of ``components``: the zeros are deleted from
+        that dict, which becomes the decomposition's ``_parts``, so a caller
+        hands in a dict it does not use again."""
         if min(components.values()) <= 0:  # a sum cancelled: drop the zeros
-            components = {nu: m for nu, m in components.items() if m}
+            for nu in [nu for nu, m in components.items() if not m]:
+                del components[nu]
             if min(components.values()) < 0:
                 raise AssertionError(f"nonpositive fusion multiplicity in {components}")
         fd = cls(lam, mu, components)

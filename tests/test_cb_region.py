@@ -1,6 +1,7 @@
 from decimal import Context, Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from qbf.cb_region import cb_extends, cb_region_enumerate, sup_ratio_scan
@@ -77,15 +78,21 @@ class TestCbExtends:
         with pytest.raises(ValueError, match="beta"):
             cb_extends(rs, cfg, "0.99", (1,))
 
-    def test_q_rounding_to_one_rejected(self):
-        # q = 1 - 1e-52 rounds to 1 at 50 digits, so ln(1/q) would be 0.
+    def test_q_rounding_to_one_is_decided(self):
+        # q = 1 - 1e-52 rounds to 1 at 50 digits, but ln(1/q) is taken on q
+        # as given: about 1e-52, so t^2 is about 4.8e103 and every weight
+        # extends.
         rs = build_root_system("A1")
         cfg = SessionConfig("0." + "9" * 52)
-        for decide in (lambda: cb_extends(rs, cfg, 2, (1,)),
-                       lambda: cb_region_enumerate(rs, cfg, 2, 2),
-                       lambda: sup_ratio_scan(rs, cfg, 2, (1,), 2)):
-            with pytest.raises(ValueError, match="rounds to 1 at 50 digits"):
-                decide()
+        with mpmath.workdps(120):
+            t = mpmath.log(2) / -mpmath.log(mpmath.mpf(10**52 - 1) / 10**52)
+            t_sq = Decimal(mpmath.nstr(t * t, 120))
+        decisions = cb_region_enumerate(rs, cfg, 2, 2)
+        assert [(d.lam, d.extends, d.boundary) for d in decisions] == [
+            ((0,), True, False), ((1,), True, False), ((2,), True, False)]
+        for d in decisions + [cb_extends(rs, cfg, 2, (1,)), sup_ratio_scan(rs, cfg, 2, (1,), 2).decision]:
+            assert abs(d.threshold_sq - t_sq) < Decimal("1e-48") * t_sq
+        assert sup_ratio_scan(rs, cfg, 2, (1,), 2).consistent
         # Just below the rounding, ln(1/q) is about 1e-50 and every weight extends.
         cfg = SessionConfig("0." + "9" * 50)
         assert all(d.extends for d in cb_region_enumerate(rs, cfg, 2, 2))

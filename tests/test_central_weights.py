@@ -1,5 +1,6 @@
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from qbf.central_weights import (
     SubadditivityReport,
     Violation,
     _log_weight,
+    _pair_orbits,
     _triangle_compare,
     _triangle_violations,
     casimir_subadditivity_check,
@@ -459,13 +461,8 @@ def test_casimir_sweep_stays_on_integer_path(monkeypatch):
     assert casimir_subadditivity_check(cold, 3) == casimir_subadditivity_check(build_root_system("A2"), 3)
 
 
-@pytest.mark.parametrize("spec", [CentralWeightSpec.beta_norm(2), CentralWeightSpec.lst(1),
-                                  CentralWeightSpec.beta_norm("0.5")])
-def test_builtin_z2_decided_on_integer_path(spec, monkeypatch):
-    # Decimal logs are taken for the swept weights, and beyond them only to
-    # record a Z2 violation: never to decide a Z2 triple.
-    rs = build_root_system("B2")
-    reference = validate_central_weight(rs, spec, 3)
+def record_logs(monkeypatch):
+    """The weights whose log validate_central_weight takes, in order."""
     logged = []
 
     def recording(rs_, spec_, mu, ctx, s):
@@ -473,11 +470,28 @@ def test_builtin_z2_decided_on_integer_path(spec, monkeypatch):
         return _log_weight(rs_, spec_, mu, ctx, s)
 
     monkeypatch.setattr(central_weights, "_log_weight", recording)
+    return logged
+
+
+@pytest.mark.parametrize("spec", [CentralWeightSpec.beta_norm(2), CentralWeightSpec.lst(1),
+                                  CentralWeightSpec.beta_norm("0.5")])
+def test_builtin_z2_decided_on_integer_path(spec, monkeypatch):
+    # Decimal logs are taken only to be recorded: the weights of each
+    # violation, and for Z2 also the pair whose log sum it records.  A
+    # passing sweep, whose box the range check clears at once, takes none.
+    # Logs that are all wrong leave every verdict as it was.
+    rs = build_root_system("B2")
+    reference = validate_central_weight(rs, spec, 3)
+    logged = record_logs(monkeypatch)
     assert validate_central_weight(rs, spec, 3) == reference
-    recorded = {v.weights[-1] for v in reference.violations if v.condition == "Z2"}
-    assert set(logged) == set(rs.dominant_weights_up_to(3)) | recorded
-    assert len(logged) == len(set(logged))
+    recorded = {mu for v in reference.violations for mu in v.weights}
+    assert set(logged) == recorded and len(logged) == len(set(logged))
     assert bool(recorded) == (spec.beta < 1)
+
+    monkeypatch.setattr(central_weights, "_log_weight", lambda *args, **kwargs: Decimal(-7))
+    report = validate_central_weight(rs, spec, 3)
+    assert report._replace(violations=()) == reference._replace(violations=())
+    assert [v.weights for v in report.violations] == [v.weights for v in reference.violations]
 
 
 def per_triple_subadditivity(rs, height):
@@ -585,6 +599,81 @@ def test_overflowing_z2_sum_names_the_pair():
         validate_central_weight(rs, CentralWeightSpec.lst("5e999999"), 1)
     assert str(raised.value) == ("log w((1,)) + log w((1,)) is out of the decimal range "
                                  "(exponent above 999999)")
+
+
+@pytest.mark.parametrize("beta,height,named", [
+    ("9e999999", 1, "log w((1,))"),
+    ("9e999999", 2, "log w((1,))"),      # not (2,), the box's largest weight
+    ("5e999999", 2, "log w((2,))"),     # after (0,) (x) (1,), before (1,) (x) (1,)
+    ("4e999999", 2, "log w((1,)) + log w((2,))"),
+    ("3e999999", 2, "log w((2,)) + log w((2,))"),
+])
+def test_first_log_out_of_range_in_sweep_order_is_named(beta, height, named):
+    # The range of the box's logs is checked once per sweep; when a log or a
+    # log sum may leave it, the members take their logs in sweep order, so
+    # the error names the first that does, wherever the largest one lies.
+    rs = build_root_system("A1")
+    with pytest.raises(ValueError) as raised:
+        validate_central_weight(rs, CentralWeightSpec.lst(beta), height)
+    assert str(raised.value) == f"{named} is out of the decimal range (exponent above 999999)"
+
+
+@pytest.mark.parametrize("beta", ["1e999998", "3e999998"])
+def test_logs_near_the_range_take_the_member_path_and_pass(beta, monkeypatch):
+    # 2 beta c^{1/2} reaches 10^999999 on the A2 box of height 4, so every
+    # member takes its logs, and none leaves the range.  The report is the
+    # one a small beta gives.
+    rs = build_root_system("A2")
+    logged = record_logs(monkeypatch)
+    report = validate_central_weight(rs, CentralWeightSpec.lst(beta), 4)
+    assert set(logged) == set(rs.dominant_weights_up_to(4))
+    assert report._replace(spec=None) == validate_central_weight(
+        rs, CentralWeightSpec.lst(2), 4)._replace(spec=None)
+
+
+@pytest.mark.parametrize("typ,height", [("D4", 2), ("E6", 1), ("A1xA1xA1", 2), ("A3", 3),
+                                        ("A2xA2", 1), ("B2xB2", 1), ("A2", 3), ("B2", 2)])
+def test_pair_orbits_match_the_breadth_first_reference(typ, height):
+    rs = build_root_system(typ)
+    weights = rs.dominant_weights_up_to(height)
+    generic = tuple(range(rs.rank))  # distinct coordinates: its image fixes the map
+
+    def shown(walk):
+        return [[(a, b, sigma and sigma(generic)) for a, b, sigma in members]
+                for members in walk]
+
+    assert shown(_pair_orbits(rs, weights)) == shown(reference_pair_orbits(rs, weights))
+
+
+def reference_pair_orbits(rs, weights):
+    """The Γ-pair walk of the first symmetry-halved sweeps: a breadth-first
+    walk of each pair's orbit that rebuilds every mate's sigma, and a pair
+    already met as a mate costs its members list and a lookup in a set that
+    only grows."""
+    images = rs._symmetry_images(weights)
+    identity = tuple(range(rs.rank))
+    n = len(weights)
+    later = set()
+    for i, lam in enumerate(weights):
+        for j in range(i, n):
+            members = [(lam, weights[j], None)]
+            if images:
+                if i * n + j in later:
+                    continue
+                orbit = {i * n + j}
+                todo = [(i, j, identity)]
+                for a, b, source in todo:
+                    for image, generator in images:
+                        x, y = image[a], image[b]
+                        if x > y:
+                            x, y = y, x
+                        if x * n + y not in orbit:
+                            orbit.add(x * n + y)
+                            todo.append((x, y, generator(source)))
+                later |= orbit
+                members += [(weights[a], weights[b], itemgetter(*source))
+                            for a, b, source in todo[1:]]
+            yield members
 
 
 def raw_brauer_klimyk(rs, lam, mu):
@@ -736,7 +825,9 @@ def test_log_beta_is_taken_once_per_validation(monkeypatch):
             return super().ln(x, *args)
 
     monkeypatch.setattr(precision, "make_context", lambda: Counting(prec=precision.DIGITS))
+    calls = count_calls(monkeypatch, precision, "ln")
     assert validate_central_weight(rs, spec, 2) == reference
-    assert logs == [spec.beta]
-    logs.clear()
-    assert eval_weight(rs, spec, (1, 0, 1)) == value and logs == [spec.beta]
+    assert [args[0] for args in calls] == [spec.beta] and logs == []
+    calls.clear()
+    assert eval_weight(rs, spec, (1, 0, 1)) == value
+    assert [args[0] for args in calls] == [spec.beta] and logs == []

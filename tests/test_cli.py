@@ -248,12 +248,15 @@ class TestExitCodes:
                 "error: deformation parameter q must be a rational with at most 4300 digits "
                 f"in its denominator, got {q}\n")
 
-    def test_q_rounding_to_one_in_cb_region(self, capsys):
-        # 1 - 1e-52 is 1 at the 50 working digits, where ln(1/q) would divide by 0.
+    def test_q_rounding_to_one_in_cb_region_extends_every_weight(self, capsys):
+        # 1 - 1e-52 is 1 at the 50 working digits, but ln(1/q) is taken on q
+        # as given, and is about 1e-52.
         q = "0." + "9" * 52
-        assert run_cli(["cb-region", "--type", "A1", "--q", q, "--beta", "2", "--height", "2"],
-                       capsys) == (1, "", f"error: q = {10**52 - 1}/{10**52} rounds "
-                                          "to 1 at 50 digits, so ln(1/q) is 0\n")
+        code, out, err = run_cli(["cb-region", "--type", "A1", "--q", q, "--beta", "2",
+                                  "--height", "2", "--format", "csv"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["0,true,false,0,1", "1,true,false,1/2,1.00000000000",
+                                        "2,true,false,2,1.00000000000"]
 
     def test_beta_with_many_leading_zeros_ends_in_bounded_time(self):
         # ln beta taken at the 20,050 digits that read beta - 1 would take
@@ -265,6 +268,17 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert out.splitlines()[1:] == ["0,true,true,0,1", "1,false,false,1/2,1.63252691944",
                                         "2,false,false,2,2.66514414269"]
+
+    def test_verify_weight_beta_with_many_leading_zeros_ends_in_bounded_time(self):
+        # ln beta, which the scale of beta_norm logs needs, is summed from
+        # its series past 100 leading zeros of beta - 1, as for cb-region.
+        beta = "1." + "0" * 20_000 + "1"
+        code, out, err = run_cli_within_a_second(
+            ["verify-weight", "--type", "A1", "--kind", "beta", "--beta", beta, "--height", "2",
+             "--format", "json"], seconds=2)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["beta"], report["passed"], report["violations"]) == ("1.00000000000", True, [])
 
     def test_bad_type(self, capsys):
         code, _, err = run_cli(["fusion", "--type", "Q7", "--lambda", "1", "--mu", "1"], capsys)

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by the module that makes it,
 every private function, class, constant and method is read somewhere in the
-package, starting the CLI imports neither ``dataclasses`` nor ``inspect``, and
-a run executes only the submodules it uses.
+package, starting the CLI imports neither ``dataclasses`` nor ``inspect``, a
+json run does not import ``csv``, and a run executes only the submodules it
+uses.
 
 ``from __future__`` imports are directives, so they are exempt from the first
 check.  The records are NamedTuples or small explicit classes:
@@ -174,6 +175,13 @@ def test_cli_starts_without_dataclasses_or_inspect():
     code = ("import qbf.cli\n" + RUN_EVERY_SUBMODULE
             + "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), EXECUTED)")
     assert fresh_interpreter(code) == f"[] {list(qbf._EXPORTS)}"
+
+
+def test_a_json_run_does_not_import_csv():
+    argv = ["verify-weight", "--type", "A2", "--kind", "lst", "--beta", "2", "--height", "2",
+            "--format", "json"]
+    code = f"import qbf.cli\nrc = qbf.cli.main({argv!r})\nprint((rc, 'csv' in sys.modules))"
+    assert ast.literal_eval(fresh_interpreter(code)) == (0, False)
 
 
 def test_every_submodule_is_deferred():
