@@ -37,12 +37,14 @@ class QExponent(NamedTuple):
     value: Fraction
 
     def q_power(self, q) -> Decimal:
-        """Render q^value as a high-precision decimal."""
+        """Render q^value as a high-precision decimal, from ln q as
+        ``precision.ln`` takes it, which keeps the digits of q - 1 when q is
+        near 1."""
         ctx = precision.make_context()
-        qd = precision.to_decimal(_check_q(q), ctx)
+        ln_q = precision.ln(_check_q(q), ctx)
         e = precision.to_decimal(self.value, ctx)
         with precision.decimal_range("{}", self):
-            return ctx.exp(ctx.multiply(e, ctx.ln(qd)))
+            return ctx.exp(ctx.multiply(e, ln_q))
 
     def __str__(self) -> str:
         return f"q^({self.value})"

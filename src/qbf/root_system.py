@@ -144,47 +144,44 @@ def _simple_cartan(series: str, rank: int) -> tuple[list[list[int]], list[int]]:
     return A, d
 
 
-def _diagram_symmetries(cartan) -> tuple[tuple[int, ...], ...]:
-    """Generators of the automorphism group Γ of the Dynkin diagram with
-    Cartan matrix ``cartan``, each the tuple p of node images, with
-    A[p_i][p_j] = A[i][j]; none when Γ is trivial.
+def _diagram_symmetries(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
+    """Generators of the automorphism group Γ of the Dynkin diagram of
+    ``lie_type``, each the tuple p of node images, with A[p_i][p_j] = A[i][j]
+    for its Cartan matrix A; none when Γ is trivial.
 
-    Backtracking assigns images to the nodes in order, each to a node whose
-    row and column hold the same entries, and keeps a partial map only while
-    it preserves every entry among the nodes assigned.  It runs along the
-    stabiliser chain, where Γ_k fixes every node below k: for each node t
-    that the maps found so far at level k do not carry k to, one map of Γ_k
-    sending k to t is searched for.  The maps of all levels generate Γ, as
-    Γ_k is generated by Γ_{k+1} and any maps of Γ_k that carry k to every
-    node of its orbit.
+    Γ is read off the classification (Bourbaki, Lie Groups and Lie Algebras,
+    ch. VI, Plates; Humphreys, Introduction to Lie Algebras, 12.2).  With
+    Bourbaki nodes 1..r inside a factor, a simple factor has the flip
+    i <-> r+1-i for A_r, r >= 2, the swap r-1 <-> r for D_r, with 1 <-> 3
+    besides for D4 (together they give S3), 1 <-> 6 with 3 <-> 5 for E6, and
+    nothing else.  Γ of a product also permutes isomorphic factors: each
+    factor exchanges its nodes with those of the last earlier factor of the
+    same series and rank, and these transpositions of neighbours in each
+    class generate its symmetric group.  Every generator is an involution.
     """
-    n = len(cartan)
-    profile = [(sorted(row), sorted(col)) for row, col in zip(cartan, zip(*cartan))]
-
-    def extend(p: list[int], targets) -> tuple[int, ...] | None:
-        k = len(p)
-        if k == n:
-            return tuple(p)
-        for t in targets:
-            if (t not in p and profile[t] == profile[k]
-                    and all(cartan[t][p[j]] == cartan[k][j] and cartan[p[j]][t] == cartan[j][k]
-                            for j in range(k))):
-                found = extend(p + [t], range(n))
-                if found is not None:
-                    return found
-        return None
-
-    generators: list[tuple[int, ...]] = []
-    for k in range(n):
-        level: list[tuple[int, ...]] = []
-        orbit = [k]
-        for t in range(k + 1, n):
-            if t in orbit or (g := extend(list(range(k)), (t,))) is None:
-                continue
-            level.append(g)
-            for x in orbit:  # close the orbit of k under this level's maps
-                orbit.extend(y for y in {h[x] for h in level} if y not in orbit)
-        generators.extend(level)
+    generators = []
+    last: dict[tuple[str, int], int] = {}  # factor -> first node of its last copy so far
+    lo = 0
+    for factor in lie_type.factors:
+        series, r = factor
+        swaps = []  # each a list of node pairs, one generator
+        if series == "A" and r >= 2:
+            swaps.append([(lo + i, lo + r - 1 - i) for i in range(r // 2)])
+        elif series == "D":
+            swaps.append([(lo + r - 2, lo + r - 1)])
+            if r == 4:
+                swaps.append([(lo, lo + 2)])
+        elif factor == ("E", 6):
+            swaps.append([(lo, lo + 5), (lo + 2, lo + 4)])
+        if factor in last:
+            swaps.append([(last[factor] + i, lo + i) for i in range(r)])
+        last[factor] = lo
+        for pairs in swaps:
+            p = list(range(lie_type.rank))
+            for i, j in pairs:
+                p[i], p[j] = j, i
+            generators.append(tuple(p))
+        lo += r
     return tuple(generators)
 
 
@@ -233,17 +230,15 @@ def _gauss_jordan(mat) -> tuple[int, list[list[int]]]:
     return prev, [row[n:] for row in aug]
 
 
-def _bareiss_pivots(mat: list[list[Fraction]], swap: bool):
-    """Pivots of fraction-free (Bareiss) elimination of a small square rational matrix.
+def _is_positive_definite(mat: list[list[Fraction]]) -> bool:
+    """Sylvester criterion: every leading principal minor of a small square
+    rational matrix is positive, read from fraction-free (Bareiss) elimination.
 
     Each row is first multiplied by the lcm of its denominators, a positive
-    factor, so singularity and the sign of every leading principal minor are
-    kept.  The elimination then runs on ints, and every division by the
-    previous pivot is exact (Bareiss, Math. Comp. 1968).  With ``swap`` the
-    pivot row is the first remaining row with a nonzero entry in the pivot
-    column; without, it is the next row, and the k-th pivot is the k-th
-    leading principal minor of the scaled matrix.  The generator stops after
-    the first zero pivot.
+    factor, so the sign of every leading principal minor is kept.  The
+    elimination then runs on ints, pivoting on the next row, so that every
+    division by the previous pivot is exact and the k-th pivot is the k-th
+    leading principal minor of the scaled matrix (Bareiss, Math. Comp. 1968).
     """
     rows = []
     for row in mat:
@@ -251,24 +246,12 @@ def _bareiss_pivots(mat: list[list[Fraction]], swap: bool):
         rows.append([x.numerator * (den // x.denominator) for x in row])
     prev = 1
     while rows:
-        p = next((i for i, row in enumerate(rows) if row[0]), 0) if swap else 0
-        head, *top = rows.pop(p)
-        yield head
-        if not head:
-            return
+        head, *top = rows.pop(0)
+        if head <= 0:
+            return False
         rows = [[(x * head - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in rows]
         prev = head
-
-
-def _is_singular(mat: list[list[Fraction]]) -> bool:
-    """Whether a small exact-rational square matrix is singular, by fraction-free elimination."""
-    return 0 in _bareiss_pivots(mat, swap=True)
-
-
-def _is_positive_definite(mat: list[list[Fraction]]) -> bool:
-    """Sylvester criterion: every leading principal minor, read from the
-    fraction-free elimination pivots, is positive."""
-    return all(p > 0 for p in _bareiss_pivots(mat, swap=False))
+    return True
 
 
 class _Memo(dict):
@@ -395,8 +378,8 @@ class RootSystem:
     * ``_fields``, the :class:`_Fields` of each field width, which hold
       every memo of packed keys, fusion's tables included;
     * the weight systems of :mod:`qbf.characters`;
-    * ``_symmetries``, the generators of the diagram automorphisms, found
-      on the first sweep, not by the build.
+    * ``_symmetries``, the generators of the diagram automorphisms, read
+      off the type on the first sweep, not by the build.
 
     Those dicts only ever receive idempotent writes of complete, read-only,
     deterministic values: a :class:`_Memo` stores an entry, by one atomic
@@ -643,25 +626,24 @@ class RootSystem:
     @cached_property
     def _symmetries(self) -> tuple[tuple[int, ...], ...]:
         """Generators of Γ, the automorphism group of the Dynkin diagram,
-        found on first read (:func:`_diagram_symmetries`)."""
-        return _diagram_symmetries(self.cartan)
+        read on first use (:func:`_diagram_symmetries`)."""
+        return _diagram_symmetries(self.lie_type)
 
     def _symmetry_images(self, weights: list[Weight]) -> tuple[tuple[tuple[int, ...], itemgetter], ...]:
         """Per generator σ of Γ: the position in ``weights`` of σ(w) for each
         w in ``weights``, which Γ must map onto itself, and the map
-        ``itemgetter(*s)`` with σ(x) = (x[s_0], x[s_1], ...); empty when Γ
+        ``itemgetter(*p)`` with σ(x) = (x[p_0], x[p_1], ...); empty when Γ
         is trivial.
 
-        σ permutes the fundamental weights, omega_i to omega_p(i), so s is
-        the inverse of the node images p; it fixes rho and keeps the form.
+        σ permutes the fundamental weights, omega_i to omega_p(i), so it
+        reads coordinates through the inverse of the node images p, which is
+        p itself, as every generator is an involution; σ fixes rho and keeps
+        the form.
         """
         position = {w: i for i, w in enumerate(weights)}
         images = []
         for p in self._symmetries:
-            s = [0] * self.rank
-            for i, j in enumerate(p):
-                s[j] = i
-            sigma = itemgetter(*s)
+            sigma = itemgetter(*p)
             images.append((tuple([position[sigma(w)] for w in weights]), sigma))
         return tuple(images)
 

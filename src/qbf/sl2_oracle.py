@@ -41,10 +41,9 @@ nu = m + n - 2t, is the kernel of Delta(E) on block t, which a two-term
 recurrence gives, and Delta(F) carries it down one block at a time.  R21 R
 acts on the copy as one scalar.  Each vector is checked against the block
 as handed to the certificate, on ints, in O(size^2); nothing about the
-block is assumed from its construction.  A block without a full set of
-vectors that pass falls back to one fraction-free (Bareiss) elimination of
-R21 R - q^{-E(nu)} per value (:func:`qbf.root_system._is_singular`), which
-names the first value that is not an eigenvalue.
+block is assumed from its construction.  These vectors are the only
+certificate: a block without a full set of vectors that pass fails, names
+the first value without one, and contributes no eigenvalue.
 
 The exact kernels keep Fraction arithmetic out of their inner loops: each
 construction tabulates q-powers, [k]_q, the falling q-factorials
@@ -65,7 +64,7 @@ from typing import NamedTuple
 
 from . import precision
 from .qnorm import QExponent, _check_q, rmatrix_exponent_details
-from .root_system import _is_singular, build_root_system
+from .root_system import build_root_system
 
 # Spin-label cap bounding the exact-arithmetic cost: the numerators and
 # denominators of the certificate's rationals grow with m * n.  At q = 9/10
@@ -427,16 +426,17 @@ def verify_norm_formula(q, m: int, n: int) -> OracleReport:
             failures.append(f"predicted eigenvalues on weight-{m + n - 2 * s} block are not distinct")
             continue
         values = [qf ** -e for e in exps]
-        if not _is_eigenbasis(exact, vectors.get(s, ()), values):
-            # No full set of eigenvectors: one elimination per value names the
-            # first value that is not an eigenvalue, if any.
-            bad = next((e for e, c in zip(exps, values)
-                        if not _is_singular([[x - c if i == j else x for j, x in enumerate(row)]
-                                             for i, row in enumerate(exact)])), None)
-            if bad is not None:
-                exact_ok = False
-                failures.append(f"R21 R - q^{-bad} is not singular on weight-{m + n - 2 * s} block")
-                continue
+        got = vectors.get(s, [])
+        if not _is_eigenbasis(exact, got, values):
+            # Vector k is the one of value k: name the first value whose own
+            # vector is missing or fails, or else the surplus of vectors.
+            exact_ok = False
+            bad = next((e for k, e in enumerate(exps)
+                        if not _is_eigenbasis(exact, got[k:k + 1], values[k:k + 1])), None)
+            failures.append(f"block at weight {m + n - 2 * s}: " + (
+                f"no eigenvector of R21 R passes for q^{-bad}" if bad is not None
+                else f"{len(got)} eigenvectors for {size} values"))
+            continue
         certified.extend(qf ** e for e in exps)
 
     qd = precision.to_decimal(qf, ctx)
@@ -453,7 +453,7 @@ def verify_norm_formula(q, m: int, n: int) -> OracleReport:
     lam_max = max(certified, default=Fraction(0))
     norm_expected = QExponent(Fraction(-m * n, 2)).q_power(qf)
     # The same exp/ln route as QExponent.q_power, so equal norms render alike.
-    norm_computed = ctx.exp(ctx.divide(ctx.ln(precision.to_decimal(lam_max, ctx)), 2))
+    norm_computed = ctx.exp(ctx.divide(precision.ln(lam_max, ctx), 2))
 
     if not exact_ok:
         failures.append("exact eigenvalue multiset certification failed")

@@ -201,7 +201,17 @@ def test_import_and_build_execute_root_system_only():
     (["character", "--type", "G2", "--mu", "1,1"], ["root_system", "characters", "precision"]),
     (["oracle-sl2", "--q", "0.9", "--m", "8", "--n", "8"],
      ["root_system", "characters", "fusion", "qnorm", "sl2_oracle", "precision"]),
-], ids=["casimir-check", "cb-region", "character", "oracle-sl2"])
+    # Only the R-matrix route of norm runs fusion's code.
+    (["norm", "--type", "A2", "--lambda", "1,0", "--mu", "0,1", "--route", "closed", "--q", "0.5"],
+     ["root_system", "qnorm", "precision"]),
+    (["norm", "--type", "A2", "--lambda", "1,0", "--mu", "0,1", "--route", "rmatrix", "--q", "0.5"],
+     ["root_system", "characters", "fusion", "qnorm", "precision"]),
+    (["fusion", "--type", "A2", "--lambda", "1,0", "--mu", "0,1"],
+     ["root_system", "characters", "fusion", "precision"]),
+    (["verify-weight", "--type", "A2", "--kind", "lst", "--beta", "2", "--height", "1"],
+     ["root_system", "characters", "fusion", "central_weights", "precision"]),
+], ids=["casimir-check", "cb-region", "character", "oracle-sl2", "norm-closed", "norm-rmatrix",
+        "fusion", "verify-weight"])
 def test_a_command_executes_only_what_it_uses(argv, executed):
     code = f"import qbf.cli\nrc = qbf.cli.main({argv!r})\nprint((rc, EXECUTED))"
     assert ast.literal_eval(fresh_interpreter(code)) == (0, executed)

@@ -1,8 +1,10 @@
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from qbf import precision
 from qbf.qnorm import (
     QExponent,
     SessionConfig,
@@ -12,6 +14,7 @@ from qbf.qnorm import (
     rmatrix_sup_exponent,
 )
 from qbf.root_system import build_root_system
+from qbf.sl2_oracle import verify_norm_formula
 
 
 class TestClosedForm:
@@ -133,3 +136,47 @@ class TestQExponent:
         # message shows such a q to 12 digits.
         with pytest.raises(ValueError, match=refusal):
             SessionConfig(q)
+
+
+class TestQPowerNearOne:
+    # q = 1 - 10^-53 rounds to 1 at the 50 working digits, so ln q must be
+    # taken on q as given.
+    Q = "0." + "9" * 53
+
+    @staticmethod
+    def reference(q: str, e: Fraction) -> tuple[Decimal, Decimal]:
+        """q^e from mpmath at 120 digits, rounded to the 50 working digits,
+        and |e ln q| to 5 digits."""
+        with mpmath.workdps(120):
+            num, _, den = q.partition("/")
+            log = mpmath.log(mpmath.mpf(num) / mpmath.mpf(den or 1)) * e.numerator / e.denominator
+            return (Context(prec=50).plus(Decimal(mpmath.nstr(mpmath.exp(log), 110))),
+                    Decimal(mpmath.nstr(abs(log), 5)))
+
+    @pytest.mark.parametrize("q, e", [
+        *((q, e) for q in [Q, "0." + "9" * 30, "0.9999", "0.99", "0.95", "0.9", "0.3", "1/7"]
+          for e in [Fraction(-32), Fraction(7, 3), Fraction(-1234567, 89)]),
+        (Q, Fraction(-9999800001, 2)), ("0." + "9" * 30, Fraction(-9999800001, 2)),
+    ])
+    def test_matches_mpmath(self, q, e):
+        # exp(e ln q) carries the relative error of ln q, a few units of its
+        # 50th digit, times |e ln q|.
+        got = QExponent(e).q_power(q)
+        ref, log = self.reference(q, e)
+        assert abs(got - ref) <= ref.scaleb(-48) * (1 + log)
+
+    def test_norm_closed_form_keeps_the_digits_of_q_minus_one(self):
+        rs = build_root_system("A1")
+        e = lminus_norm_exponent(rs, (99999,), (99999,))
+        assert e.value == Fraction(-9999800001, 2)
+        assert str(e.q_power(self.Q)) == "1.0000000000000000000000000000000000000000000499990"
+        assert e.q_power(self.Q) == self.reference(self.Q, e.value)[0]
+
+    def test_oracle_norms_are_not_exactly_one(self):
+        # q^{-mn/2} = 1 + 4.5 10^-53 for m = n = 3: 1 to the working digits, but
+        # not the exact 1 of a logarithm that rounded to 0.
+        report = verify_norm_formula(self.Q, 3, 3)
+        assert report.passed
+        for norm in (report.norm_computed, report.norm_expected):
+            assert norm == 1 and str(norm) == "1." + "0" * 49
+            assert precision.render(norm, 12) == "1.00000000000"

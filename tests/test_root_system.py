@@ -580,7 +580,7 @@ def generated(generators, n):
 class TestDiagramSymmetries:
     @pytest.mark.parametrize("typ,order", [
         *((t, 2) for t in ["A2", "A3", "A4", "A7", "A12", "D5", "D6", "D9", "E6", "A1xA1"]),
-        ("D4", 6), ("A1xA1xA1", 6),
+        ("D4", 6), ("A1xA1xA1", 6), ("A2xA2", 8), ("D4xD4", 72), ("A1xA1xA1xA1xA1xA1", 720),
         *((t, 1) for t in ["A1", "B2", "B3", "B6", "C3", "C5", "G2", "F4", "E7", "E8", "B2xA1"]),
     ])
     def test_order(self, typ, order):
@@ -588,13 +588,23 @@ class TestDiagramSymmetries:
         assert len(generated(rs._symmetries, rs.rank)) == order
 
     @pytest.mark.parametrize("typ", ["A2", "A5", "D4", "D5", "E6", "A1xA1xA1", "A2xA2",
-                                     "A1xA2xA1", "D4xD4", "B2xG2", "E7"])
+                                     "A1xA2xA1", "D4xD4", "B2xG2", "E7", "A1xB2xA1", "A2xA1xA2",
+                                     "G2xB2xG2", "A3xD4", "A1xA1xA1xA1xA1xA1", "D4xA1xA1"])
     def test_generators_generate_every_diagram_map(self, typ):
         rs = build_root_system(typ)
         assert generated(rs._symmetries, rs.rank) == diagram_maps(rs)
 
+    @pytest.mark.parametrize("typ", ["A2", "A5", "D4", "D7", "E6", "A1xA1xA1", "D4xD4",
+                                     "A1xB2xA1", "E6xA2xE6", "A1xA1xA1xA1xA1xA1"])
+    def test_every_generator_is_an_involution(self, typ):
+        # _symmetry_images takes each generator as its own inverse.
+        rs = build_root_system(typ)
+        assert rs._symmetries
+        for p in rs._symmetries:
+            assert p != tuple(range(rs.rank)) and tuple(p[i] for i in p) == tuple(range(rs.rank))
+
     def test_build_does_not_compute_the_symmetries(self, monkeypatch):
-        def refused(cartan):
+        def refused(lie_type):
             raise AssertionError("the build computed the diagram symmetries")
 
         monkeypatch.setattr(root_system, "_diagram_symmetries", refused)

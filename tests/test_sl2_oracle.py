@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbf import sl2_oracle
-from qbf.root_system import _is_positive_definite, _is_singular
+from qbf.root_system import _is_positive_definite
 from qbf.sl2_oracle import (
     MAX_SPIN_LABEL,
     _block_indices,
@@ -133,16 +134,10 @@ def _leading_minors(mat):
 
 
 @st.composite
-def _square_matrices(draw, entries=_small, anti_triangular=False):
-    """Rational matrices of size <= 4, half of them singular by construction.
-
-    An anti-triangular matrix is zero above its anti-diagonal, so elimination
-    must take a lower row as its pivot at every step but the last.
-    """
+def _square_matrices(draw, entries=_small):
+    """Rational matrices of size <= 4, half of them singular by construction."""
     n = draw(st.integers(1, 4))
     rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
-    if anti_triangular:
-        rows = [[Fraction(0)] * (n - 1 - i) + row[n - 1 - i:] for i, row in enumerate(rows)]
     if draw(st.booleans()):
         # One row a rational combination of the others (zero when n = 1).
         k = draw(st.integers(0, n - 1))
@@ -328,7 +323,12 @@ class TestVerifyNormFormula:
         monkeypatch.setattr(sl2_oracle, "build_rmatrix_block", perturbed)
         report = verify_norm_formula(Fraction(1, 2), m, n)
         assert not report.passed and not report.exact_multiset_match
-        assert any("is not singular" in f for f in report.failures)
+        # The perturbed row 0 breaks the block's first vector, that of nu = m + n,
+        # whose value is q^{-E(m + n)} = q^{mn}; the block is the first of size 2,
+        # at total weight m + n - 2.
+        assert report.failures == (
+            f"block at weight {m + n - 2}: no eigenvector of R21 R passes for q^{m * n}",
+            "exact eigenvalue multiset certification failed")
 
     def _with_exponents(self, monkeypatch, new_exponent):
         exact = sl2_oracle.rmatrix_exponent_details
@@ -364,39 +364,69 @@ _WRONG_VECTORS = {
     "perturbed": lambda vectors: [[x[0] + 1, *x[1:]] for x in vectors],
     "short": lambda vectors: [x[:-1] for x in vectors],
     "missing": lambda vectors: vectors[:-1],
+    "surplus": lambda vectors: vectors + vectors[:1],
 }
+
+
+def _block_values(report):
+    """Per total-weight block s, its predicted values q^{-E(nu)} of R21 R, nu >= |m + n - 2s|
+    in decreasing order, from the report's rows."""
+    top = report.m + report.n
+    return [[report.q ** -row.exponent for row in report.eigen_rows if row.nu >= abs(top - 2 * s)]
+            for s in range(top + 1)]
+
+
+def _is_root(block, c):
+    """det(block - c I) == 0, by cofactor expansion on the integer matrix
+    d (block - c I), d the lcm of every denominator."""
+    shifted = [[x - c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(block)]
+    d = lcm(*(x.denominator for row in shifted for x in row))
+    return _cofactor_det([[int(x * d) for x in row] for row in shifted]) == 0
+
+
+def _block_failures(report):
+    """The failure lines that name a block."""
+    return [f for f in report.failures if f.startswith("block at weight")]
 
 
 class TestEigenvectorCertificate:
     @pytest.mark.parametrize("q", QS + [Fraction(1, 7)])
     def test_every_block_is_certified_without_elimination(self, q, monkeypatch):
-        def no_elimination(mat):
-            raise AssertionError("a block fell back to elimination")
-
-        monkeypatch.setattr(sl2_oracle, "_is_singular", no_elimination)
         reports = [verify_norm_formula(q, m, n) for m, n in GRID]
         assert all(report.passed for report in reports)
-        # The builder failing sends every block to elimination, which agrees.
-        monkeypatch.setattr(sl2_oracle, "_is_singular", _is_singular)
+        # A reference that shares no code with the certificate: on each block of
+        # size <= 5, every predicted value is a root of its characteristic polynomial.
+        for (m, n), report in zip(GRID, reports):
+            blk = build_rmatrix_block(q, m, n)
+            for block, values in zip(blk.r21r, _block_values(report)):
+                if len(block) <= 5:
+                    assert all(_is_root(block, c) for c in values)
+        # With no vectors, every block fails and is named once, with its first
+        # value, that of nu = m + n: q^{-E(m + n)} = q^{mn}.
         monkeypatch.setattr(sl2_oracle, "_eigenvectors", lambda q, m, n: {})
-        assert [verify_norm_formula(q, m, n) for m, n in GRID] == reports
+        for m, n in GRID:
+            report = verify_norm_formula(q, m, n)
+            assert not report.passed and not report.exact_multiset_match
+            assert report.lambda_max == 0
+            assert _block_failures(report) == [
+                f"block at weight {m + n - 2 * s}: no eigenvector of R21 R passes for q^{m * n}"
+                for s in range(m + n + 1)]
 
     @pytest.mark.parametrize("kind", sorted(_WRONG_VECTORS))
-    def test_wrong_vectors_leave_every_report_unchanged(self, kind, monkeypatch):
+    def test_wrong_vectors_fail_every_report(self, kind, monkeypatch):
         q = Fraction(9, 10)
-        reports = [verify_norm_formula(q, m, n) for m, n in GRID]
         exact, wrong = sl2_oracle._eigenvectors, _WRONG_VECTORS[kind]
-        eliminations = []
-
-        def counted(mat):
-            eliminations.append(len(mat))
-            return _is_singular(mat)
-
-        monkeypatch.setattr(sl2_oracle, "_is_singular", counted)
         monkeypatch.setattr(sl2_oracle, "_eigenvectors", lambda q, m, n: {
             s: wrong(vectors) for s, vectors in exact(q, m, n).items()})
-        assert [verify_norm_formula(q, m, n) for m, n in GRID] == reports
-        assert eliminations
+        for m, n in GRID:
+            report = verify_norm_formula(q, m, n)
+            # Rotating a single vector or adding 1 to it leaves an eigenvector of
+            # a 1 x 1 block, and with a trivial leg (m or n = 0) every block is 1 x 1.
+            if min(m, n) == 0 and kind in ("rotated", "perturbed"):
+                assert report.passed
+                continue
+            assert not report.passed and not report.exact_multiset_match
+            assert _block_failures(report)
 
     @pytest.mark.parametrize("q", QS)
     @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (4, 2), (3, 5), (0, 3)])
@@ -436,36 +466,7 @@ class TestEigenvectorCertificate:
             assert not _is_eigenbasis(mat, wrong, values)
 
 
-class TestIsSingular:
-    @settings(max_examples=200, deadline=None)
-    @given(_square_matrices())
-    def test_matches_cofactor_determinant(self, mat):
-        assert _is_singular(mat) == (_cofactor_det(mat) == 0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(_square_matrices(entries=_large))
-    def test_large_entries_match_cofactor_determinant(self, mat):
-        assert _is_singular(mat) == (_cofactor_det(mat) == 0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(_square_matrices(entries=_large, anti_triangular=True))
-    def test_row_swap_at_every_step(self, mat):
-        assert _is_singular(mat) == (_cofactor_det(mat) == 0)
-
-    def test_pivot_search_below_the_diagonal(self):
-        assert not _is_singular([[0, 1], [1, 0]])
-        assert not _is_singular([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-        assert _is_singular([[0, 1, 2], [0, 3, 4], [0, 5, 6]])
-        q = Fraction(9, 10)
-        assert not _is_singular([[0, 0, 0, q], [0, 0, q ** 9, 1], [0, q ** 40, 2, 3], [q ** 17, 4, 5, 6]])
-
-    def test_zero_column_after_a_swap(self):
-        q = Fraction(9, 10)
-        assert _is_singular([[0, 0, 1], [1, 2, 3], [0, 0, 4]])
-        assert _is_singular([[0, 0, q, 1], [q ** 40, q, 1, 2], [0, 0, 1, q ** 3], [0, 0, 2, 5]])
-        # Not a zero column: the swap is followed by a nonzero pivot.
-        assert not _is_singular([[0, q, 1], [1, 2, 3], [0, 0, 4]])
-
+class TestPositiveDefinite:
     @settings(max_examples=200, deadline=None)
     @given(_square_matrices(entries=st.one_of(_small, _large)), st.integers(-3, 3), st.booleans())
     def test_positive_definite_matches_leading_minors(self, mat, shift, symmetric):
