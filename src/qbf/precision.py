@@ -2,11 +2,20 @@
 
 All non-rational arithmetic in this package (square roots, logarithms,
 exponentials) runs in a :mod:`decimal` context of ``DIGITS`` significant
-digits.  The precision is fixed; the one tolerance sized for it is the
-boundary guard of ``cb_region``.  ``to_decimal`` is the one screening of
-user-supplied reals: every caller that takes a real from outside the package
-(beta, table values) passes it through ``to_decimal`` and adds only its own
-domain bound.
+digits.  The precision is fixed, and two tolerances are sized for it, both
+in ``cb_region``.  The boundary guard ``BOUNDARY_GUARD`` = 1e-30 is relative
+to the scale of the two sides of a threshold, far above the rounding of the
+few operations behind a decision, and a decision inside it is flagged and
+counts as extending.  ``sup_ratio_scan`` tests its log-ratios against an
+absolute eps = 10^-(DIGITS - 10): their maximum against 0, which the zero
+weight attains exactly, and the steps along a ray against each other, where
+a relative guard has no scale to refer to.  eps leaves room for the
+rounding of a few operations on values of modest size, and it only marks an
+empirical scan consistent; no decision reads it.
+
+``to_decimal`` is the one screening of user-supplied reals: every caller
+that takes a real from outside the package (beta, table values) passes it
+through ``to_decimal`` and adds only its own domain bound.
 ``decimal_range`` is the one translation of a result beyond the context's
 exponent range, above it or rounded away below it, into a ``ValueError``.
 ``widen`` is the one rule for reading a real x near 1, whose logarithm lives

@@ -230,20 +230,24 @@ def _gauss_jordan(mat) -> tuple[int, list[list[int]]]:
     return prev, [row[n:] for row in aug]
 
 
+def _scaled(rows) -> tuple[int, list[list[int]]]:
+    """(d, d * rows) for a rational matrix and the lcm d of its denominators."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
 def _is_positive_definite(mat: list[list[Fraction]]) -> bool:
     """Sylvester criterion: every leading principal minor of a small square
     rational matrix is positive, read from fraction-free (Bareiss) elimination.
 
-    Each row is first multiplied by the lcm of its denominators, a positive
-    factor, so the sign of every leading principal minor is kept.  The
-    elimination then runs on ints, pivoting on the next row, so that every
-    division by the previous pivot is exact and the k-th pivot is the k-th
-    leading principal minor of the scaled matrix (Bareiss, Math. Comp. 1968).
+    The matrix is first scaled to ints by ``_scaled``, a positive factor d
+    that multiplies the k-th leading principal minor by d^k, so the sign of
+    every one is kept.  The elimination then runs on ints, pivoting on the
+    next row, so that every division by the previous pivot is exact and the
+    k-th pivot is the k-th leading principal minor of the scaled matrix
+    (Bareiss, Math. Comp. 1968).
     """
-    rows = []
-    for row in mat:
-        den = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (den // x.denominator) for x in row])
+    _, rows = _scaled(mat)
     prev = 1
     while rows:
         head, *top = rows.pop(0)

@@ -43,7 +43,10 @@ acts on the copy as one scalar.  Each vector is checked against the block
 as handed to the certificate, on ints, in O(size^2); nothing about the
 block is assumed from its construction.  These vectors are the only
 certificate: a block without a full set of vectors that pass fails, names
-the first value without one, and contributes no eigenvalue.
+the first value without one, and contributes no eigenvalue.  Each block
+reaches its verdict in one pass and any fault is one line naming its
+weight.  A report has one verdict, which its rows repeat, and each row
+prints the exact q^{E(nu)} the certificate compared, rounded once.
 
 The exact kernels keep Fraction arithmetic out of their inner loops: each
 construction tabulates q-powers, [k]_q, the falling q-factorials
@@ -58,13 +61,12 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from operator import mul
 from typing import NamedTuple
 
 from . import precision
 from .qnorm import QExponent, _check_q, rmatrix_exponent_details
-from .root_system import build_root_system
+from .root_system import _scaled, build_root_system
 
 # Spin-label cap bounding the exact-arithmetic cost: the numerators and
 # denominators of the certificate's rationals grow with m * n.  At q = 9/10
@@ -76,8 +78,11 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def _check_labels(**labels: int) -> None:
-    """A ValueError naming the first spin label outside 0..MAX_SPIN_LABEL."""
+    """A ValueError naming the first spin label that is not an int (a bool is
+    not) or lies outside 0..MAX_SPIN_LABEL."""
     for name, label in labels.items():
+        if isinstance(label, bool) or not isinstance(label, int):
+            raise ValueError(f"spin label {name} = {label!r} is not an integer")
         if not 0 <= label <= MAX_SPIN_LABEL:
             raise ValueError(f"spin label {name} = {label} must be >= 0 and within "
                              f"the oracle cap {MAX_SPIN_LABEL}")
@@ -98,12 +103,6 @@ def _qpowers(q: Fraction, top: int) -> dict[int, Fraction]:
     for e in range(1, top + 1):
         out[e], out[-e] = out[e - 1] * q, out[1 - e] * inv
     return out
-
-
-def _scaled(rows) -> tuple[int, list[list[int]]]:
-    """(d, d * rows) for a rational matrix and the lcm d of its denominators."""
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
 class Sl2Rep(NamedTuple):
@@ -359,7 +358,7 @@ class EigenRow(NamedTuple):
     nu: int                   # fusion component (m + n - 2j)
     exponent: int             # E(nu) for the inverse block
     multiplicity: int         # dim V(nu)
-    value: Decimal            # q^{E(nu)}
+    value: Decimal            # the exact q^{E(nu)}, rounded once
     verified_exact: bool
 
 
@@ -377,6 +376,28 @@ class OracleReport(NamedTuple):
     failures: tuple[str, ...] = ()
 
 
+def _block_problem(exact: Matrix, vectors, q: Fraction, exps: list[int]) -> str | None:
+    """Why vectors do not certify q^{-e}, e in exps, as the whole spectrum of
+    the block exact, or None when they do.
+
+    As many distinct values as the block's size, each with a passing
+    eigenvector, are its whole spectrum, each simple.  Vector k is the one of value k, so on failure the
+    values are checked one by one to name the first whose own vector is
+    missing or fails, or else the surplus of vectors.
+    """
+    if len(exps) != len(exact):
+        return f"{len(exps)} predicted vs size {len(exact)}"
+    if len(set(exps)) != len(exps):
+        return "predicted eigenvalues are not distinct"
+    values = [q ** -e for e in exps]
+    if _is_eigenbasis(exact, vectors, values):
+        return None
+    bad = next((e for k, e in enumerate(exps)
+                if not _is_eigenbasis(exact, vectors[k:k + 1], values[k:k + 1])), None)
+    return (f"no eigenvector of R21 R passes for q^{-bad}" if bad is not None
+            else f"{len(vectors)} eigenvectors for {len(exps)} values")
+
+
 def verify_norm_formula(q, m: int, n: int) -> OracleReport:
     """Full exact oracle run for one (q, m, n) triple.
 
@@ -385,7 +406,8 @@ def verify_norm_formula(q, m: int, n: int) -> OracleReport:
     with their isotypical multiplicities, and the largest certified
     eigenvalue against q^{-mn} as an equality of rationals.  A block whose
     certificate fails contributes no eigenvalue, so ``lambda_max`` is 0 when
-    no block is certified.
+    no block is certified.  Each row's value is the certified q^{E(nu)}
+    rounded once to the working precision.
     """
     _check_labels(m=m, n=n)
     qf = _check_q(q)
@@ -398,58 +420,35 @@ def verify_norm_formula(q, m: int, n: int) -> OracleReport:
 
     block = build_rmatrix_block(qf, m, n)
 
-    # Fusion-predicted exponents, via the general-rank machinery on A1.
+    # Fusion-predicted (nu, E(nu)), by decreasing nu, via the general-rank machinery on A1.
     rs = build_root_system("A1")
-    details = rmatrix_exponent_details(rs, (n,), (m,))
-    predicted: dict[int, tuple[int, int]] = {}
-    for (nu,), mult, e in details.table:
+    predicted = []
+    for (nu,), mult, e in rmatrix_exponent_details(rs, (n,), (m,)).table:
         if mult != 1 or e.denominator != 1:
             failures.append(f"unexpected fusion data at nu={nu}")
-        predicted[nu] = (int(e), rs.weyl_dim((nu,)))
+        predicted.append((nu, int(e)))
+    dims = [rs.weyl_dim((nu,)) for nu, _ in predicted]
 
-    # Exact spectrum certification, block by block over total weight.
+    # Exact spectrum certification, block by block over total weight, then the
+    # isotypical multiplicities: a failure in either clears the one verdict.
+    checked = len(failures)
     vectors = _eigenvectors(qf, m, n)
-    exact_ok = True
     certified: list[Fraction] = []
-    for idx, exact in zip(block.blocks, block.r21r):
-        s = idx[0][0] + idx[0][1]
-        w = abs(m + n - 2 * s)
-        exps = [predicted[nu][0] for nu in sorted(predicted, reverse=True) if nu >= w]
-        size = len(idx)
-        if len(exps) != size:
-            exact_ok = False
-            failures.append(f"block at weight {m + n - 2 * s}: {len(exps)} predicted vs size {size}")
-            continue
-        # size distinct eigenvalues are the whole spectrum, each simple.
-        if len(set(exps)) != size:
-            exact_ok = False
-            failures.append(f"predicted eigenvalues on weight-{m + n - 2 * s} block are not distinct")
-            continue
-        values = [qf ** -e for e in exps]
-        got = vectors.get(s, [])
-        if not _is_eigenbasis(exact, got, values):
-            # Vector k is the one of value k: name the first value whose own
-            # vector is missing or fails, or else the surplus of vectors.
-            exact_ok = False
-            bad = next((e for k, e in enumerate(exps)
-                        if not _is_eigenbasis(exact, got[k:k + 1], values[k:k + 1])), None)
-            failures.append(f"block at weight {m + n - 2 * s}: " + (
-                f"no eigenvector of R21 R passes for q^{-bad}" if bad is not None
-                else f"{len(got)} eigenvectors for {size} values"))
-            continue
-        certified.extend(qf ** e for e in exps)
-
-    qd = precision.to_decimal(qf, ctx)
-    eigen_rows = []
-    for nu in sorted(predicted, reverse=True):
-        e, mult = predicted[nu]
-        eigen_rows.append(EigenRow(nu=nu, exponent=e, multiplicity=mult,
-                                   value=ctx.power(qd, e), verified_exact=exact_ok))
-    total_mult = sum(mult for _, mult in predicted.values())
-    if total_mult != (m + 1) * (n + 1):
-        exact_ok = False
+    for s, exact in enumerate(block.r21r):
+        exps = [e for nu, e in predicted if nu >= abs(m + n - 2 * s)]
+        problem = _block_problem(exact, vectors.get(s, []), qf, exps)
+        if problem:
+            failures.append(f"block at weight {m + n - 2 * s}: {problem}")
+        else:
+            certified.extend(qf ** e for e in exps)
+    if sum(dims) != (m + 1) * (n + 1):
         failures.append("isotypical multiplicities do not fill the tensor product")
+    exact_ok = len(failures) == checked
 
+    eigen_rows = tuple(
+        EigenRow(nu=nu, exponent=e, multiplicity=dim,
+                 value=precision.to_decimal(qf ** e, ctx), verified_exact=exact_ok)
+        for (nu, e), dim in zip(predicted, dims))
     lam_max = max(certified, default=Fraction(0))
     norm_expected = QExponent(Fraction(-m * n, 2)).q_power(qf)
     # The same exp/ln route as QExponent.q_power, so equal norms render alike.
@@ -466,7 +465,7 @@ def verify_norm_formula(q, m: int, n: int) -> OracleReport:
         lambda_max=lam_max,
         norm_computed=norm_computed,
         norm_expected=norm_expected,
-        eigen_rows=tuple(eigen_rows),
+        eigen_rows=eigen_rows,
         exact_multiset_match=exact_ok,
         relation_residual=rel,
         failures=tuple(failures),

@@ -531,6 +531,11 @@ class TestRunner:
         pytest.param(["cb-region", "--type", "A60", "--q", "2", "--beta", "x", "--height", "1"],
                      "enumerating 1152921504606846976 dominant weights for A60 at height 1 is "
                      "not desk scale; lower the height", id="box-before-q"),
+        pytest.param(["casimir-check", "--type", "A65", "--height", "13"],
+                     "type A65 has rank 65, above the bound 64", id="rank-before-cap"),
+        pytest.param(["cb-region", "--type", "A65", "--q", "2", "--beta", "x", "--height", "1",
+                      "--force"],
+                     "type A65 has rank 65, above the bound 64", id="rank-before-box-forced"),
     ])
     def test_check_order_on_double_faults(self, args, line, capsys):
         assert run_cli(args, capsys) == (1, "", f"error: {line}\n")
@@ -540,8 +545,23 @@ class TestRunner:
             raise AssertionError(f"built {lie_type} for a refused command")
 
         monkeypatch.setattr(root_system, "build_root_system", no_build)
-        assert run_cli(["casimir-check", "--type", "A100", "--height", "13"], capsys) == (
-            1, "", "error: height 13 exceeds the cap 12 for type A100; pass --force to override\n")
+        assert run_cli(["casimir-check", "--type", "A60", "--height", "13"], capsys) == (
+            1, "", "error: height 13 exceeds the cap 12 for type A60; pass --force to override\n")
+
+    @pytest.mark.parametrize("args", [
+        ["casimir-check", "--type", "A999999999999", "--height", "1"],
+        ["casimir-check", "--type", "A999999999999", "--height", "1", "--force"],
+        ["fusion", "--type", "A999999999999", "--lambda", "1", "--mu", "1"],
+        ["fusion", "--type", "A400", "--lambda", ",".join(["0"] * 400),
+         "--mu", ",".join(["0"] * 400)],
+    ], ids=["casimir-check", "casimir-check-forced", "fusion", "fusion-A400"])
+    def test_rank_is_bounded_before_the_build(self, args):
+        # Unbounded, the first hangs in the box check, the third ends in a
+        # MemoryError and the last runs for minutes.
+        code, out, err = run_cli_within_a_second(args)
+        rank = args[2][1:]
+        assert (code, out, err) == (1, "", f"error: type A{rank} has rank {rank}, "
+                                           "above the bound 64\n")
 
     @pytest.mark.parametrize("command", ["casimir-check", "verify-weight", "cb-region"])
     def test_box_refuses_before_the_build(self, command, monkeypatch, capsys):

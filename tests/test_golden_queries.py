@@ -12,7 +12,9 @@ lambda = 2^20 - 5 and 2^20 - 4 against mu = 1 straddle the switch from
 21-bit to 22-bit fields (``test_width_rule`` in ``test_fusion.py``).
 The ``oracle-sl2`` runs pin the exact block certificate across block shapes:
 8x8 at q = 0.3, 0.5 and 0.9 (json; 0.9 also in csv and table), 8x3 at 0.9,
-where the block sizes plateau, 7x5 at 1/7, where mn is odd, 0x8 at 0.5,
+where the block sizes plateau, 7x5 at 1/7, where mn is odd (re-recorded when
+the rows became the certified q^E rounded once: its nu = 10 row reads
+7^11 = 1977326743 exactly, where it read 1977326743.00), 0x8 at 0.5,
 with a trivial leg, and 2x6 and 6x2 at 0.9, besides 6x2 at 0.3 in json and 2x5
 at 0.5 in all three formats.
 Sweeps over types with a diagram automorphism, which decompose one pair per

@@ -1,12 +1,16 @@
+import json
+from decimal import Context, Decimal
 from fractions import Fraction
 from math import lcm
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbf import sl2_oracle
-from qbf.root_system import _is_positive_definite
+from qbf.cli import main
+from qbf.root_system import RootSystem, _is_positive_definite
 from qbf.sl2_oracle import (
     MAX_SPIN_LABEL,
     _block_indices,
@@ -187,6 +191,19 @@ class TestSl2Rep:
         with pytest.raises(ValueError, match=">= 0"):
             build_sl2_rep(Fraction(1, 2), -1)
 
+    @pytest.mark.parametrize("label", [2.0, 2.5, True, False, "2", None, Fraction(2)],
+                             ids=repr)
+    @pytest.mark.parametrize("call, name", [
+        (lambda label: verify_norm_formula("0.9", label, 2), "m"),
+        (lambda label: verify_norm_formula("0.9", 2, label), "n"),
+        (lambda label: build_sl2_rep("0.9", label), "n"),
+        (lambda label: build_rmatrix_block("0.9", label, 2), "m"),
+    ], ids=["verify-m", "verify-n", "rep", "block"])
+    def test_a_label_that_is_not_an_int_is_refused(self, call, name, label):
+        with pytest.raises(ValueError) as info:
+            call(label)
+        assert str(info.value) == f"spin label {name} = {label!r} is not an integer"
+
     def test_float_q_canonicalised(self):
         assert build_sl2_rep(0.3, 1).q == Fraction(3, 10)
 
@@ -355,6 +372,70 @@ class TestVerifyNormFormula:
         report = verify_norm_formula(Fraction(1, 2), 2, 3)
         assert not report.passed and not report.exact_multiset_match
         assert any("not distinct" in f for f in report.failures)
+        assert all(f.startswith("block at weight") for f in report.failures if "not distinct" in f)
+
+    def _with_table(self, monkeypatch, edit):
+        """The fusion table, as a list of (nu, mult, e), changed in place by edit."""
+        exact = sl2_oracle.rmatrix_exponent_details
+
+        def patched(rs, lam, mu):
+            details = exact(rs, lam, mu)
+            table = list(details.table)
+            edit(table)
+            return details._replace(table=tuple(table))
+
+        monkeypatch.setattr(sl2_oracle, "rmatrix_exponent_details", patched)
+
+    def test_count_mismatch_names_its_block(self, monkeypatch):
+        # Without nu = 0, the middle block of 2 (x) 2, at weight 0 and of size 3,
+        # has two predicted values; every other block is still certified.
+        self._with_table(monkeypatch, lambda table: table.pop())
+        report = verify_norm_formula(Fraction(1, 2), 2, 2)
+        assert not report.passed and not report.exact_multiset_match
+        assert report.lambda_max == 2 ** 4
+        assert report.failures == ("block at weight 0: 2 predicted vs size 3",
+                                   "isotypical multiplicities do not fill the tensor product",
+                                   "exact eigenvalue multiset certification failed")
+
+    @pytest.mark.parametrize("patch", ["weyl_dim", "table"])
+    def test_isotypical_multiplicities_are_checked(self, monkeypatch, patch):
+        # Either dim V(0) read as 2, or the component nu = 0 of 2 (x) 2 moved to
+        # nu = 1, which every block filters as it filtered nu = 0: every block is
+        # certified and only the multiplicities fail, in every row too.
+        if patch == "weyl_dim":
+            exact = RootSystem.weyl_dim
+            monkeypatch.setattr(RootSystem, "weyl_dim",
+                                lambda rs, mu: exact(rs, mu) + (tuple(mu) == (0,)))
+        else:
+            self._with_table(monkeypatch, lambda table: table.append(((1,), *table.pop()[1:])))
+        report = verify_norm_formula(Fraction(1, 2), 2, 2)
+        assert not report.passed and not report.exact_multiset_match
+        assert report.lambda_max == 2 ** 4
+        assert report.failures == ("isotypical multiplicities do not fill the tensor product",
+                                   "exact eigenvalue multiset certification failed")
+        assert not any(row.verified_exact for row in report.eigen_rows)
+        assert sum(row.multiplicity for row in report.eigen_rows) == 10
+
+    @pytest.mark.parametrize("q, m, n", [("1/7", 7, 5), ("1/3", 8, 8), ("0.9", 8, 8),
+                                         ("0." + "9" * 53, 8, 8)],
+                             ids=["1/7", "1/3", "0.9", "1-10^-53"])
+    def test_rows_are_the_certified_power_rounded_once(self, q, m, n, capsys):
+        # At --precision 50 each printed row is q^E rounded once to 50 digits,
+        # against mpmath at 120 digits: its value, and all 50 digits unless the
+        # row is q^E exactly.
+        assert main(["--precision", "50", "oracle-sl2", "--q", q, "--m", str(m), "--n", str(n),
+                     "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["eigenvalues"]
+        assert len(rows) == min(m, n) + 1
+        qf = Fraction(q)
+        with mpmath.workdps(120):
+            qm = mpmath.mpf(qf.numerator) / qf.denominator
+            for row in rows:
+                power = Decimal(mpmath.nstr(qm ** row["exponent"], 120))
+                value = Decimal(row["value"])
+                assert value == Context(prec=50).plus(power), row
+                assert (Fraction(value) == qf ** row["exponent"]
+                        or len(value.as_tuple().digits) == 50), row
 
 
 # Ways for the eigenvector builder to hand back vectors that certify nothing.
