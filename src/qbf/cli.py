@@ -2,11 +2,12 @@
 
 Every subcommand runs through one runner, ``_run``.  It reads the shared
 options in a fixed order, so an input with two faults always reports the
-same one: ``--precision``, then the Lie type of ``--type`` and its rank
-bound ``MAX_RANK``, the height cap on ``--height`` (lifted by ``--force``,
-which leaves the rank bound in place) and the size of the box of dominant
-weights up to that height (all checked before the root system is built),
-``--q`` for the commands that take a type, then ``--lambda`` and ``--mu``.
+same one: ``--precision``, then the Lie type of ``--type`` (its factors,
+then the rank bound ``root_system.MAX_RANK``, both checked as it is parsed),
+the height cap on ``--height`` (lifted by ``--force``, which leaves the rank
+bound in place) and the size of the box of dominant weights up to that
+height (all checked before the root system is built), ``--q`` for the
+commands that take a type, then ``--lambda`` and ``--mu``.
 The subcommand then checks its own options and returns the library's own
 values, unrendered: its JSON payload, the columns of its csv and table
 output, the payload records those columns show, and its verdict.  The
@@ -43,12 +44,6 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
 _HEIGHT_CAPS = {"A": 12, "B": 12, "C": 12, "D": 12, "E": 6, "F": 6, "G": 6}
-
-# The largest rank of --type.  The root system's build and every weight loop
-# grow with the rank (fusion of zero weights: 0.50 s at A50, 13.5 s at A200),
-# and the box check itself raises height + 1 to the rank.  Every type the
-# tests, the benchmark and the README use has rank <= 14.
-MAX_RANK = 64
 
 
 class CliError(ValueError):
@@ -368,8 +363,6 @@ def _run(args) -> int:
     rs = None
     if "type" in given:
         lie_type = root_system.LieType.parse(args.type)
-        if lie_type.rank > MAX_RANK:
-            raise CliError(f"type {lie_type} has rank {lie_type.rank}, above the bound {MAX_RANK}")
         cap = min(_HEIGHT_CAPS[s] for s, _ in lie_type.factors)
         height = given.get("height", -1)
         if height > cap and not args.force:

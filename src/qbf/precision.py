@@ -21,7 +21,8 @@ exponent range, above it or rounded away below it, into a ``ValueError``.
 ``widen`` is the one rule for reading a real x near 1, whose logarithm lives
 in the digits of x - 1, and ``ln`` takes logarithms by it: of q for
 ``ln(1/q)`` and of beta; when x - 1 has more than 2 ``DIGITS`` leading zeros
-it sums the series of ln(1 + d) instead, in bounded time.
+it returns x - 1 rounded once instead, in bounded time, since ln x is then
+within (x - 1)^2 < 10^-(2 DIGITS) |x - 1| of it.
 """
 
 from __future__ import annotations
@@ -118,39 +119,22 @@ def widen(x, ctx: Context, name: str = "value") -> Context:
 
 
 def ln(x, ctx: Context, name: str = "value") -> Decimal:
-    """ln x for a real x > 0, rounded to ctx, taken on x as read in
-    ``widen(x, ctx)`` and first rounded there.
+    """ln x for a real x > 0, rounded to ctx of at most ``DIGITS`` digits,
+    taken on x as read in ``widen(x, ctx)`` and first rounded there.
 
     ``Context.ln`` at the widened precision costs about the cube of the
-    leading zeros of x - 1, so beyond 2 ``DIGITS`` of them ln x is summed
-    from the series of ln(1 + d), with d = x - 1 as read, in ctx.
+    leading zeros of x - 1, so beyond 2 ``DIGITS`` of them ln x is x - 1
+    as read, rounded once to ctx.
     """
     wide = widen(x, ctx, name)
     read = to_decimal(x, wide, name)
     if wide.prec - ctx.prec > 2 * DIGITS:
-        return _ln1p(wide.subtract(read, 1), ctx)
+        # d = read - 1 is exact, with |d| < 10^-(2 DIGITS) and at most
+        # DIGITS significant digits, and ln(1 + d) = d - d^2/2 + ... is
+        # within d^2 < 10^-(2 DIGITS) |d| of d: far below half a unit in the
+        # last digit of d, so d rounded to ctx is ln x rounded to ctx.
+        return ctx.plus(wide.subtract(read, 1))
     return ctx.plus(wide.ln(read))
-
-
-def _ln1p(d: Decimal, ctx: Context) -> Decimal:
-    """ln(1 + d) rounded to ctx, for |d| < 1/10, from d - d^2/2 + d^3/3 - ...
-
-    Each term is less than |d| times the one before, so once a term leaves
-    the sum unchanged at five guard digits, all later terms together are
-    below a ninth of it.  For |d| below 10^-(2 DIGITS) that happens at the
-    term d^2/2.
-    """
-    work = ctx.copy()
-    work.prec += 5
-    total = power = d
-    k = 1
-    while True:
-        k += 1
-        power = work.multiply(power, -d)
-        summed = work.add(total, work.divide(power, k))
-        if summed == total:
-            return ctx.plus(total)
-        total = summed
 
 
 def sqrt_fraction(fr: Fraction, ctx: Context) -> Decimal:

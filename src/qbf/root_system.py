@@ -2,7 +2,8 @@
 
 Everything here is exact, in the basis of fundamental weights, and built on
 ints: the Gram matrix by fraction-free Gauss-Jordan on the Cartan matrix,
-root pairings from simple-root coefficients.  Conventions:
+whose pivots prove it positive definite, and root pairings from simple-root
+coefficients.  Conventions:
 
 * Cartan matrices use ``A[i][j] = 2(a_i, a_j)/(a_i, a_i)`` with Bourbaki node
   numbering for every series.
@@ -42,6 +43,12 @@ Weight = tuple[int, ...]
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4}
 _FIXED_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 
+# The largest rank of a Lie type.  The root system's build and every weight
+# loop grow with the rank (fusion of zero weights: 0.50 s at A50, 13.5 s at
+# A200), and a box check raises height + 1 to the rank.  Every type the
+# tests, the benchmark and the README use has rank <= 14.
+MAX_RANK = 64
+
 _POSITIVE_ROOT_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
     "B": lambda n: n * n,
@@ -67,7 +74,10 @@ class LieType(NamedTuple("LieType", [("factors", tuple[tuple[str, int], ...])]))
             raise LieTypeError("a Lie type needs at least one simple factor")
         for series, rank in factors:
             _validate_factor(series, rank)
-        return super().__new__(cls, factors)
+        lie_type = super().__new__(cls, factors)
+        if lie_type.rank > MAX_RANK:
+            raise LieTypeError(f"type {lie_type} has rank {lie_type.rank}, above the bound {MAX_RANK}")
+        return lie_type
 
     @classmethod
     def parse(cls, text: str) -> "LieType":
@@ -209,21 +219,23 @@ def _integral_weight(x) -> Weight:
 
 
 def _gauss_jordan(mat) -> tuple[int, list[list[int]]]:
-    """(p, X) with mat.X = p.I, p = +-det(mat), for a nonsingular integer matrix.
+    """(det, X) with mat.X = det.I, for an integer matrix whose leading
+    principal minors are all positive.
 
-    Fraction-free Gauss-Jordan on [mat | I], pivoting on the first remaining
-    nonzero entry of each column: Bareiss's update of every other row divides
-    exactly by the previous pivot and leaves the last pivot p on the diagonal
-    (Bareiss, Math. Comp. 1968).
+    Fraction-free Gauss-Jordan on [mat | I] with no row exchange: Bareiss's
+    update of every other row divides exactly by the previous pivot, the k-th
+    pivot is the k-th leading principal minor, and the last one, det, is left
+    on the diagonal (Bareiss, Math. Comp. 1968).  A pivot <= 0 is an
+    ``AssertionError`` that names its k.
     """
     n = len(mat)
     aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat)]
     prev = 1
     for k in range(n):
-        p = next(r for r in range(k, n) if aug[r][k])
-        aug[k], aug[p] = aug[p], aug[k]
         top = aug[k]
         pivot = top[k]
+        if pivot <= 0:
+            raise AssertionError(f"leading principal minor {k + 1} is {pivot}, not positive")
         aug = [row if row is top else [(pivot * x - row[k] * y) // prev for x, y in zip(row, top)]
                for row in aug]
         prev = pivot
@@ -234,28 +246,6 @@ def _scaled(rows) -> tuple[int, list[list[int]]]:
     """(d, d * rows) for a rational matrix and the lcm d of its denominators."""
     d = lcm(*(x.denominator for row in rows for x in row))
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
-
-
-def _is_positive_definite(mat: list[list[Fraction]]) -> bool:
-    """Sylvester criterion: every leading principal minor of a small square
-    rational matrix is positive, read from fraction-free (Bareiss) elimination.
-
-    The matrix is first scaled to ints by ``_scaled``, a positive factor d
-    that multiplies the k-th leading principal minor by d^k, so the sign of
-    every one is kept.  The elimination then runs on ints, pivoting on the
-    next row, so that every division by the previous pivot is exact and the
-    k-th pivot is the k-th leading principal minor of the scaled matrix
-    (Bareiss, Math. Comp. 1968).
-    """
-    _, rows = _scaled(mat)
-    prev = 1
-    while rows:
-        head, *top = rows.pop(0)
-        if head <= 0:
-            return False
-        rows = [[(x * head - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in rows]
-        prev = head
-    return True
 
 
 class _Memo(dict):
@@ -412,10 +402,15 @@ class RootSystem:
         self.symmetrizers: tuple[int, ...] = tuple(d)
 
         # Gram matrix of fundamental weights: G.A = D, so G = D.X/p for
-        # A.X = p.I, kept in lowest terms as _gram_num/_gram_den.
+        # A.X = p.I, kept in lowest terms as _gram_num/_gram_den.  The pivots
+        # are A's leading minors, each a finite-type Cartan determinant in
+        # Bourbaki numbering, and refused unless positive; that proves
+        # G = D (DA)^-1 D positive definite (Sylvester: DA is symmetric and
+        # d_i > 0).  It runs before the positive-root closure, which would
+        # not end on a table not of finite type.
         p, X = _gauss_jordan(cartan)
         DX = [[di * x for x in row] for di, row in zip(d, X)]
-        g = gcd(p, *(x for row in DX for x in row)) * (1 if p > 0 else -1)
+        g = gcd(p, *(x for row in DX for x in row))
         self._gram_den = den = p // g
         self._gram_num = tuple(tuple(x // g for x in row) for row in DX)
         self.gram: tuple[tuple[Fraction, ...], ...] = tuple(
@@ -494,8 +489,6 @@ class RootSystem:
         A, d = self.cartan, self.symmetrizers
         if any(d[i] * A[i][j] != d[j] * A[j][i] for i in range(self.rank) for j in range(i)):
             raise AssertionError("diag(d).A is not symmetric")
-        if not _is_positive_definite(self._gram_num):
-            raise AssertionError("Gram matrix is not positive definite")
         expected = sum(_POSITIVE_ROOT_COUNTS[s](r) for s, r in self.lie_type.factors)
         if len(self.positive_roots) != expected:
             raise AssertionError(f"positive root count {len(self.positive_roots)} "

@@ -215,12 +215,10 @@ def _r_block(m: int, n: int, idx: list[tuple[int, int]], falling: list[list[Frac
             if k < 0 or k > min(m, n):
                 continue
             wrow = (m - 2 * ir) * (n - 2 * jr)
-            # q^{wrow/2} = q^{(mn mod 2)/2} q^{wrow // 2} needs wrow = mn (mod 2).
-            if wrow % 2 != m * n % 2:
-                raise AssertionError(f"weight product {wrow} does not have the parity of mn = {m * n}")
             # E^k on the m-leg and F^k on the n-leg, or F^k and E^k when flipped:
             # the amplitudes are [a]!/[a-k]! [b]!/[b-k]!.
             a, b = (ic, n - jc) if not flip else (m - ic, jc)
+            # q^{wrow/2} = q^{(mn mod 2)/2} q^{wrow // 2}, as wrow = mn (mod 2) for ints.
             out[row][col] = _product(coeffs[k], falling[a][k], falling[b][k], qpow[wrow // 2])
     return out
 
@@ -261,9 +259,8 @@ def build_rmatrix_block(q, m: int, n: int) -> RMatrixBlock:
 
     R21 R is q^{mn mod 2} times the product of the rational blocks of R21 and
     R, which is formed and checked on ints over their common denominators.
-    Raises if a weight product does not have the parity of mn or if R21 R
-    is not self-adjoint for the exact D^2 inner product (both would indicate
-    a convention bug).
+    Raises if R21 R is not self-adjoint for the exact D^2 inner product
+    (which would indicate a convention bug).
     """
     qf = _check_q(q)
     _check_labels(m=m, n=n)

@@ -256,6 +256,10 @@ class TestValidate:
 
 
 class TestSubadditivity:
+    def test_height_zero_refused(self):
+        with pytest.raises(ValueError, match="^truncation height must be >= 1$"):
+            casimir_subadditivity_check(build_root_system("A1"), 0)
+
     def test_a1(self):
         rs = build_root_system("A1")
         report = casimir_subadditivity_check(rs, 3)

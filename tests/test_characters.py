@@ -163,6 +163,13 @@ class TestAgainstReference:
 
 
 class TestWeightMultiplicities:
+    def test_equality_by_value_and_only_between_characters(self):
+        char = weight_multiplicities(build_root_system("A2"), (1, 0))
+        fresh = weight_multiplicities(RootSystem(LieType.parse("A2")), (1, 0))
+        assert char == fresh and char is not fresh
+        assert char.__eq__(object()) is NotImplemented
+        assert char != object() and char != char.dominant
+
     @pytest.mark.parametrize("n", range(0, 9))
     def test_a1_matches_ladder_oracle(self, n):
         rs = build_root_system("A1")

@@ -435,6 +435,22 @@ class TestExitCodes:
                                   "--table", str(path), "--height", "2"], capsys)
         assert code == 1 and out == "" and err.count("\n") == 1 and "error:" in err
 
+    def test_table_entries_not_objects(self, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        path.write_text("[1, 2]")
+        code, out, err = run_cli(["verify-weight", "--type", "A1", "--kind", "table",
+                                  "--table", str(path), "--height", "1"], capsys)
+        assert (code, out, err) == (1, "", 'error: weight table must be a list of '
+                                           '{"mu": [..], "w": value} entries\n')
+
+    @pytest.mark.parametrize("args,line", [
+        (["verify-weight", "--type", "A1", "--kind", "table", "--height", "1"],
+         "--table FILE is required for --kind table"),
+        (["casimir-check", "--type", "A1", "--height", "0"], "truncation height must be >= 1"),
+    ], ids=["table-kind-without-table", "casimir-height-zero"])
+    def test_command_option_refused(self, args, line, capsys):
+        assert run_cli(args, capsys) == (1, "", f"error: {line}\n")
+
     @pytest.mark.parametrize("digits", ["0", "51"])
     def test_precision_out_of_range(self, digits, capsys):
         code, out, err = run_cli(["--precision", digits] + COMMANDS["fusion"], capsys)

@@ -294,6 +294,13 @@ class TestPackedPath:
 
 
 class TestTensorDecompose:
+    def test_equality_by_value_and_only_between_decompositions(self):
+        fd = tensor_decompose(build_root_system("A2"), (1, 0), (0, 1))
+        fresh = tensor_decompose(RootSystem(LieType.parse("A2")), (1, 0), (0, 1))
+        assert fd == fresh and fd is not fresh
+        assert fd.__eq__(object()) is NotImplemented
+        assert fd != object() and fd != fd.components
+
     def test_a1_fundamental_square(self):
         rs = build_root_system("A1")
         assert tensor_decompose(rs, (1,), (1,)).components == {(2,): 1, (0,): 1}

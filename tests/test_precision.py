@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -174,7 +175,7 @@ _TAIL = "31415926535897932384626433832795028841971693993751"
 @pytest.mark.parametrize("n", [101, 102, 257, 640, 1000])
 @pytest.mark.parametrize("above", [True, False], ids=["1+d", "1-d"])
 def test_ln_series_agrees_with_the_widened_ln(n, above):
-    # Beyond 2 DIGITS leading zeros of x - 1, ln sums the series of ln(1 + d).
+    # Beyond 2 DIGITS leading zeros of x - 1, ln returns x - 1 rounded once.
     x = ("1." + "0" * n if above else "0." + "9" * n) + _TAIL
     ctx = precision.make_context()
     wide = precision.widen(x, ctx)
@@ -184,13 +185,32 @@ def test_ln_series_agrees_with_the_widened_ln(n, above):
 
 @pytest.mark.parametrize("x", ["1." + "0" * 100 + "1", "0." + "9" * 100 + _TAIL])
 def test_ln_takes_the_widened_ln_up_to_2_digits_leading_zeros(x, monkeypatch):
-    def series(d, ctx):
-        raise AssertionError("the series of ln(1 + d) was taken")
+    taken = []
 
-    monkeypatch.setattr(precision, "_ln1p", series)
+    class Recording(Context):
+        def ln(self, y):
+            taken.append(self.prec)
+            return super().ln(y)
+
+    widen = precision.widen
+    monkeypatch.setattr(precision, "widen", lambda *args: Recording(prec=widen(*args).prec))
     ctx = precision.make_context()
-    assert precision.widen(x, ctx).prec - ctx.prec == 2 * precision.DIGITS
     assert precision.ln(x, ctx) != 0
+    assert taken == [ctx.prec + 2 * precision.DIGITS]
+
+
+@pytest.mark.parametrize("zeros", [101, 140, 1000])
+@pytest.mark.parametrize("sign", [1, -1], ids=["1+d", "1-d"])
+def test_ln_near_one_is_correctly_rounded(zeros, sign):
+    # d has `zeros` leading zeros and the 50 digits of pi; ln(1 + d) is taken
+    # by mpmath at 150 digits and rounded once to 50, exactly as a Fraction.
+    d = Decimal(sign) * Decimal("0." + "0" * zeros + _TAIL)
+    x = Context(prec=2000).add(1, d)
+    with mpmath.workdps(150):
+        sgn, man, exp, _ = mpmath.log1p(mpmath.mpf(str(d)))._mpf_
+    ctx = precision.make_context()
+    expected = precision.to_decimal((-1) ** sgn * man * Fraction(2) ** exp, ctx)
+    assert precision.ln(str(x), ctx) == expected
 
 
 def test_sqrt_fraction():

@@ -1,11 +1,13 @@
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbf.central_weights import _triangle_compare
@@ -61,15 +63,40 @@ def leibniz_det(mat):
     return total
 
 
+def fraction_det(mat):
+    """Determinant by elimination over the rationals with row exchanges."""
+    work = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for c in range(len(work)):
+        p = next((r for r in range(c, len(work)) if work[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            work[c], work[p] = work[p], work[c]
+            det = -det
+        det *= work[c][c]
+        for r in range(c + 1, len(work)):
+            f = work[r][c] / work[c][c]
+            work[r] = [x - f * y for x, y in zip(work[r], work[c])]
+    return det
+
+
 @st.composite
-def zero_first_pivot_matrices(draw):
-    """A small integer matrix whose (0, 0) entry is 0, so that elimination
-    must swap rows at its first pivot."""
-    n = draw(st.integers(2, 5))
+def small_integer_matrices(draw):
+    """A small integer matrix, its diagonal drawn mostly positive so that both
+    a refused and an eliminated matrix are common."""
+    n = draw(st.integers(1, 5))
     rows = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
                          min_size=n, max_size=n))
-    rows[0][0] = 0
+    for i, shift in enumerate(draw(st.lists(st.integers(-2, 12), min_size=n, max_size=n))):
+        rows[i][i] = shift
     return rows
+
+
+# Each series to rank 12, the exceptional types and two products.
+ELIMINATION_TYPES = ([f"A{r}" for r in range(1, 13)] + [f"B{r}" for r in range(2, 13)]
+                     + [f"C{r}" for r in range(3, 13)] + [f"D{r}" for r in range(4, 13)]
+                     + ["E6", "E7", "E8", "F4", "G2", "B2xG2", "A3xA1"])
 
 
 def reference_positive_roots(rs):
@@ -132,14 +159,51 @@ class TestConstruction:
         assert [list(r) for r in rs.gram] == expected
         assert [[x * rs._gram_den for x in row] for row in expected] == [list(r) for r in rs._gram_num]
 
+    @pytest.mark.parametrize("typ", ELIMINATION_TYPES)
+    def test_gauss_jordan_pivots_are_the_leading_minors(self, typ):
+        # With no row exchange the k-th pivot of the elimination is the one
+        # its leading k x k block ends on, and each is the leading minor.
+        cartan = [list(row) for row in build_root_system(typ).cartan]
+        for k in range(1, len(cartan) + 1):
+            lead = [row[:k] for row in cartan[:k]]
+            assert _gauss_jordan(lead)[0] == fraction_det(lead) > 0
+        p, X = _gauss_jordan(cartan)
+        assert [[Fraction(x, p) for x in row] for row in X] == invert(cartan)
+
+    @pytest.mark.parametrize("mat,refusal", [
+        ([[0, 1], [1, 0]], "leading principal minor 1 is 0, not positive"),
+        ([[1, 2], [2, 1]], "leading principal minor 2 is -3, not positive"),
+    ], ids=["zero", "negative"])
+    def test_gauss_jordan_refuses_a_nonpositive_leading_minor(self, mat, refusal):
+        with pytest.raises(AssertionError, match=refusal):
+            _gauss_jordan(mat)
+
     @settings(max_examples=200, deadline=None)
-    @given(zero_first_pivot_matrices())
-    def test_gauss_jordan_inverts_with_row_swaps(self, mat):
-        det = leibniz_det(mat)
-        assume(det != 0)
+    @given(small_integer_matrices())
+    def test_gauss_jordan_inverts_exactly_when_every_leading_minor_is_positive(self, mat):
+        minors = [leibniz_det([row[:k] for row in mat[:k]]) for k in range(1, len(mat) + 1)]
+        if min(minors) <= 0:
+            with pytest.raises(AssertionError, match="leading principal minor"):
+                _gauss_jordan(mat)
+            return
         p, X = _gauss_jordan(mat)
-        assert abs(p) == abs(det)
+        assert p == minors[-1]
         assert [[Fraction(x, p) for x in row] for row in X] == invert(mat)
+
+    @pytest.mark.parametrize("cartan,refusal", [
+        ([[2, -2], [-2, 2]], "leading principal minor 2 is 0"),
+        ([[2, -3], [-3, 2]], "leading principal minor 2 is -5"),
+    ], ids=["affine-A1", "hyperbolic"])
+    def test_table_not_of_finite_type_refused_before_the_closure(self, cartan, refusal,
+                                                                   monkeypatch):
+        # The positive-root closure would not end on such a table.
+        def closure(rs):
+            raise AssertionError("the positive-root closure ran")
+
+        monkeypatch.setattr(root_system, "_simple_cartan", lambda series, rank: (cartan, [1, 1]))
+        monkeypatch.setattr(RootSystem, "_generate_positive_roots", closure)
+        with pytest.raises(AssertionError, match=refusal):
+            RootSystem(LieType.parse("A2"))
 
     @pytest.mark.parametrize("typ", GRAM_TYPES)
     def test_pairings_and_heights_match_the_gram_route(self, typ):
@@ -217,6 +281,26 @@ class TestValidation:
     def test_error_names_offending_factor(self):
         with pytest.raises(LieTypeError, match="C2"):
             build_root_system("A2xC2")
+
+    def test_rank_bound(self):
+        assert LieType.parse("A64").rank == root_system.MAX_RANK == 64
+        with pytest.raises(LieTypeError, match="^type B30xC35 has rank 65, above the bound 64$"):
+            LieType.parse("B30xC35")
+        with pytest.raises(LieTypeError, match="^invalid factor C2"):
+            LieType.parse("A999999999999xC2")
+
+    @pytest.mark.parametrize("typ", ["A999999999999", "A200"])
+    def test_rank_is_bounded_before_the_build(self, typ):
+        # Unbounded, the first ends in a MemoryError and the second takes
+        # seconds; run in a child with 1 GiB of address space, killed after 1 s.
+        code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "from qbf.root_system import LieTypeError, build_root_system\n"
+                "try:\n    build_root_system(%r)\nexcept LieTypeError as e:\n    print(e)" % typ)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=1)
+        rank = typ[1:]
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, f"type {typ} has rank {rank}, above the bound 64\n", "")
 
     def test_lietype_str_roundtrip(self):
         t = LieType.parse("b2 x a1".replace(" ", ""))
